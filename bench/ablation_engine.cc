@@ -5,8 +5,6 @@
 //   * linear rule scan vs. entrypoint-indexed chains, over rule-base size
 //   * user-stack unwinding vs. call depth, and the per-syscall context cache
 //   * lazy vs. eager context retrieval
-//   * the verdict cache: steady-state hit path vs. full traversal, with
-//     hit/miss/bypass rates reported as counters
 //   * pftables rule compilation throughput
 
 #include <benchmark/benchmark.h>
@@ -31,9 +29,7 @@ struct EngineFixture {
     }
     sys.engine->config().ept_chains = indexed;
     // Off by default so each ablation measures its own mechanism; the
-    // BM_AuthorizeVerdictCache benchmarks opt back in, and the
     // BM_AuthorizeCompiled* benchmarks re-enable the program evaluator.
-    sys.engine->config().verdict_cache = false;
     sys.engine->config().compiled_eval = false;
     task.pid = 77;
     task.comm = "bench";
@@ -88,8 +84,7 @@ void BM_AuthorizeIndexedChains(benchmark::State& state) {
 BENCHMARK(BM_AuthorizeIndexedChains)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->Arg(2048);
 
 // The arena-program evaluator against the legacy tree walker, on the same
-// cache-miss Authorize path (verdict cache off, fresh syscall every
-// iteration). Compare against BM_AuthorizeLinearScan / BM_AuthorizeIndexedChains
+// Authorize path (fresh syscall every iteration). Compare against BM_AuthorizeLinearScan / BM_AuthorizeIndexedChains
 // at equal rule counts: the delta is pure dispatch cost.
 void BM_AuthorizeCompiledScan(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
@@ -199,7 +194,7 @@ void BM_AuthorizeCompiledIndexed(benchmark::State& state) {
 BENCHMARK(BM_AuthorizeCompiledIndexed)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->Arg(2048);
 
 // The tracing tax with every tracepoint stream live (decision + rule +
-// ctx + vcache records, latency histograms): compare against
+// ctx records, latency histograms): compare against
 // BM_AuthorizeCompiledIndexed at equal rule counts. The ISSUE's acceptance
 // bound for the *disabled* case (<2% vs. a PF_NO_TRACE build) is asserted
 // by the bench-smoke CI job over BM_AuthorizeCompiledIndexed itself.
@@ -261,27 +256,8 @@ void BM_CompileProgram(benchmark::State& state) {
   state.counters["arena_words"] = static_cast<double>(snap->program.arena.size());
   state.counters["classifier_ns"] =
       static_cast<double>(snap->program.classifier_build_ns);
-  state.counters["automata_ns"] = static_cast<double>(snap->program.automata_build_ns);
 }
 BENCHMARK(BM_CompileProgram)->Arg(128)->Arg(1218)->Arg(2048)->Arg(100000);
-
-// The same pipeline with the STATE-protocol automaton lowering pass (§5i)
-// ablated out. The delta against BM_CompileProgram at equal rule counts is
-// the commit-time price of making stateful decisions cacheable — a
-// reference number; the bench-smoke CI job gates the pass's self-timed
-// automata_ns share of BM_CompileProgram/1218 at <10%, which the
-// machine-noise between two separately-run benchmarks cannot corrupt.
-void BM_CompileProgramNoAutomata(benchmark::State& state) {
-  System sys;
-  sys.engine->config().automata = false;
-  sys.InstallRules(SyntheticRuleBase(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    auto snap = sys.engine->CompileRuleset();
-    benchmark::DoNotOptimize(snap->program.arena.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CompileProgramNoAutomata)->Arg(128)->Arg(1218)->Arg(2048)->Arg(100000);
 
 // Incremental delta-commits: one-rule churn in a tiny `edits` chain against
 // a 100k-rule committed base. CommitRuleset detects the single dirty chain
@@ -394,60 +370,6 @@ void BM_LazyVsEagerContext(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LazyVsEagerContext)->Arg(0)->Arg(1);
-
-void ReportVcacheRates(benchmark::State& state, const core::EngineStats& s) {
-  double total =
-      static_cast<double>(s.vcache_hits + s.vcache_misses + s.vcache_bypasses);
-  if (total <= 0) {
-    total = 1;
-  }
-  state.counters["hit_rate"] = static_cast<double>(s.vcache_hits) / total;
-  state.counters["miss_rate"] = static_cast<double>(s.vcache_misses) / total;
-  state.counters["bypass_rate"] = static_cast<double>(s.vcache_bypasses) / total;
-  state.counters["state_hits"] = static_cast<double>(s.vcache_state_hits);
-}
-
-// The hot-path payoff: identical repeated access against the paper-sized
-// rule base, cache off (full traversal each time) vs. on (key hash + one
-// shard probe). Arg(1) should report hit_rate ~= 1.
-void BM_AuthorizeVerdictCache(benchmark::State& state) {
-  const bool vcache = state.range(0) != 0;
-  EngineFixture fx(/*frames=*/2, /*rules=*/1218, /*indexed=*/true);
-  fx.sys.engine->config().verdict_cache = vcache;
-  sim::AccessRequest req = fx.OpenRequest();
-  fx.sys.engine->ResetStats();
-  for (auto _ : state) {
-    ++fx.task.syscall_count;
-    benchmark::DoNotOptimize(fx.sys.engine->Authorize(req));
-  }
-  ReportVcacheRates(state, fx.sys.engine->stats());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AuthorizeVerdictCache)->Arg(0)->Arg(1);
-
-// Stateful rules, with and without the automaton tier (the AUTOMATA ablation
-// rung). Arg(0): the lowering pass is off, the cacheability analysis pins
-// the whole bucket, bypass_rate reports 1 and the cache adds only the
-// per-request check. Arg(1): the STATE-set rule lowers, the verdict is keyed
-// on the task's automaton state, and hit_rate reports ~1 with the hits
-// served from the stateful tier (state_hits).
-void BM_AuthorizeVerdictCacheStateful(benchmark::State& state) {
-  const bool automata = state.range(0) != 0;
-  EngineFixture fx(/*frames=*/2, /*rules=*/64, /*indexed=*/true);
-  fx.sys.engine->config().automata = automata;
-  core::Pftables pft(fx.sys.engine);
-  pft.Exec("pftables -o FILE_OPEN -d etc_t -j STATE --set --key seen --value 1");
-  fx.sys.engine->config().verdict_cache = true;
-  sim::AccessRequest req = fx.OpenRequest();
-  fx.sys.engine->ResetStats();
-  for (auto _ : state) {
-    ++fx.task.syscall_count;
-    benchmark::DoNotOptimize(fx.sys.engine->Authorize(req));
-  }
-  ReportVcacheRates(state, fx.sys.engine->stats());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AuthorizeVerdictCacheStateful)->Arg(0)->Arg(1);
 
 void BM_PftablesCompile(benchmark::State& state) {
   System sys;

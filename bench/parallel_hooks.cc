@@ -211,10 +211,7 @@ int Main(int argc, char** argv) {
     core::EngineConfig cfg;
   };
   std::vector<NamedConfig> configs;
-  core::EngineConfig vcache;  // defaults: lazy+cache+ept+compiled+verdict cache on
-  configs.push_back({"VCACHE", vcache});
-  core::EngineConfig compiled = vcache;
-  compiled.verdict_cache = false;
+  core::EngineConfig compiled;  // defaults: lazy+cache+ept+compiled evaluator
   configs.push_back({"COMPILED", compiled});
   core::EngineConfig eptspc = compiled;
   eptspc.compiled_eval = false;  // legacy tree walker from here down

@@ -2,10 +2,9 @@
 # Runs the engine-focused benchmarks and folds their machine-readable
 # outputs into one BENCH_engine.json:
 #
-#   table6_lmbench   us/op for every (syscall, config) cell, incl. VCACHE
-#   table7_macro     macro means + PF Full verdict-cache hit/miss/bypass
-#   ablation_engine  BM_AuthorizeVerdictCache* (ns/op + rate counters),
-#                    legacy walker vs switch loop vs threaded evaluator,
+#   table6_lmbench   us/op for every (syscall, config) cell, incl. COMPILED
+#   table7_macro     macro means (Without PF / PF Base / PF Legacy / PF Full)
+#   ablation_engine  legacy walker vs switch loop vs threaded evaluator,
 #                    BM_CompileProgram + BM_VerifyProgram (commit-time costs)
 #   pfcheck          static-analyzer wall time over the shipped rule base
 #
@@ -24,7 +23,7 @@ trap 'rm -rf "$TMP"' EXIT
 # Medians of 3 repetitions: the dispatch-ladder and verifier-share summary
 # numbers gate CI, and single-shot runs swing +-20% on shared machines.
 "$BUILD/bench/ablation_engine" \
-  --benchmark_filter='BM_AuthorizeVerdictCache|BM_AuthorizeCompiled|BM_AuthorizeIndexedChains|BM_AuthorizeLinearScan|BM_AuthorizeSwitchScan|BM_AuthorizeTuple|BM_CompileProgram|BM_VerifyProgram|BM_IncrementalCommit|BM_BuildSymbolicModel' \
+  --benchmark_filter='BM_AuthorizeCompiled|BM_AuthorizeIndexedChains|BM_AuthorizeLinearScan|BM_AuthorizeSwitchScan|BM_AuthorizeTuple|BM_CompileProgram|BM_VerifyProgram|BM_IncrementalCommit|BM_BuildSymbolicModel' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_out="$TMP/ablation.json" --benchmark_out_format=json
 "$BUILD/src/apps/pfcheck" --library --json > "$TMP/pfcheck.json"
@@ -43,8 +42,7 @@ with open(os.path.join(tmp, "ablation.json")) as f:
 out["ablation_engine"] = {
     b["name"].removesuffix("_median"): {
         "ns_per_op": b["real_time"],
-        **{k: b[k] for k in ("hit_rate", "miss_rate", "bypass_rate", "state_hits",
-                             "arena_words", "classifier_ns", "automata_ns",
+        **{k: b[k] for k in ("arena_words", "classifier_ns",
                              "tuples", "max_slice", "residual",
                              "delta_commits", "full_commits", "regions")
            if k in b},
@@ -70,16 +68,10 @@ out["summary"] = {
     "stat_full_us": t6["stat"]["FULL"],
     "stat_eptspc_us": t6["stat"]["EPTSPC"],
     "stat_compiled_us": t6["stat"]["COMPILED"],
-    "stat_vcache_us": t6["stat"]["VCACHE"],
     "open_close_full_us": t6["open+close"]["FULL"],
     "open_close_eptspc_us": t6["open+close"]["EPTSPC"],
     "open_close_compiled_us": t6["open+close"]["COMPILED"],
-    "open_close_vcache_us": t6["open+close"]["VCACHE"],
-    "macro_vcache_hit_rate": out["table7"]["vcache"]["hit_rate"],
-    "macro_hit_rate": out["table7"]["vcache"]["hit_rate"],
-    "macro_state_hits": out["table7"]["vcache"].get("state_hits"),
-    "macro_bypasses": out["table7"]["vcache"].get("bypasses"),
-    # Compiled-program evaluator: cache-miss Authorize, 1218-rule base,
+    # Compiled-program evaluator: Authorize on a fresh syscall, 1218-rule base,
     # legacy walker vs switch loop vs threaded arena program (ns/op), the
     # one-time lowering cost, and the load-time verifier's share of it.
     "authorize_legacy_1218_ns": legacy_1218,
@@ -143,31 +135,10 @@ out["summary"].update({
 tt = out.get("table6_trace", {})
 out["summary"]["trace_overhead_pct"] = (
     tt.get("stat", {}).get("FULL", {}).get("overhead_pct"))
-out["summary"]["trace_overhead_vcache_pct"] = (
-    tt.get("stat", {}).get("VCACHE", {}).get("overhead_pct"))
+out["summary"]["trace_overhead_compiled_pct"] = (
+    tt.get("stat", {}).get("COMPILED", {}).get("overhead_pct"))
 traced_1218 = ae.get("BM_AuthorizeCompiledTraced/1218", {}).get("ns_per_op")
 out["summary"]["authorize_traced_1218_ns"] = traced_1218
-
-# STATE-protocol automata (DESIGN.md §5i): the commit-time price of the
-# lowering pass and its coverage from pfcheck's automata block. The pass
-# self-times into the automata_ns counter; its share of the rest of the
-# compile is what CI gates at < +10% (the ablated-build delta is kept as a
-# reference number — it is noisier than the bound on shared machines).
-compile_1218 = ae.get("BM_CompileProgram/1218", {}).get("ns_per_op")
-compile_noauto_1218 = ae.get("BM_CompileProgramNoAutomata/1218", {}).get("ns_per_op")
-automata_ns_1218 = ae.get("BM_CompileProgram/1218", {}).get("automata_ns")
-out["summary"].update({
-    "compile_noautomata_1218_ns": compile_noauto_1218,
-    "automata_pass_share_pct": (
-        100.0 * automata_ns_1218 / (compile_1218 - automata_ns_1218)
-        if compile_1218 and automata_ns_1218 else None),
-    "automata_compile_overhead_pct": (
-        100.0 * (compile_1218 - compile_noauto_1218) / compile_noauto_1218
-        if compile_1218 and compile_noauto_1218 else None),
-    "automata_lowered_rules": out["pfcheck"].get("automata", {}).get("lowered_rules"),
-    "automata_bypass_rules": out["pfcheck"].get("automata", {}).get("bypass_rules"),
-    "automata_protocols": out["pfcheck"].get("automata", {}).get("protocols"),
-})
 
 with open(out_path, "w") as f:
     json.dump(out, f, indent=2)

@@ -44,14 +44,11 @@ bool VerifyAuditTrail(System& sys, const char* exploit_id, std::ofstream& sink) 
     good = false;
   }
 
-  // Per-rule attribution vs the hit counters (traversal tiers only: cache
-  // hits legitimately leave the counters untouched).
+  // Per-rule attribution vs the hit counters: every denial is a traversal,
+  // so each attributed record must match a hit on the rule it names.
   std::map<std::pair<int32_t, int32_t>, uint64_t> traversed;
   for (const audit::AuditRecord* r : denies) {
-    const audit::Tier tier = static_cast<audit::Tier>(r->tier);
-    if (r->chain_id >= 0 &&
-        (tier == audit::Tier::kCompiled || tier == audit::Tier::kLegacy ||
-         tier == audit::Tier::kBypass)) {
+    if (r->chain_id >= 0) {
       ++traversed[{r->chain_id, r->rule_index}];
     }
   }

@@ -8,12 +8,11 @@
 //   CONCACHE  + context caching (reuse unwinds across hooks in a syscall)
 //   LAZYCON   + lazy context retrieval (fetch only what rules need)
 //   EPTSPC    + entrypoint-specific chains (hash lookup instead of scan)
-//   VCACHE    + AVC-style verdict cache (repeat accesses skip traversal)
+//   COMPILED  + the arena-program evaluator instead of the tree walker
 //
 // The paper's shape: resource-access syscalls (stat/open) suffer most
 // unoptimized (~110%) and drop to ~10% with all optimizations; non-resource
-// syscalls stay under a few percent. The verdict cache goes beyond the
-// paper's ladder: steady-state repeat accesses skip rule traversal entirely.
+// syscalls stay under a few percent.
 //
 // With --json PATH, machine-readable results (us per op for every cell) are
 // also written to PATH for bench/run_bench.sh to fold into BENCH_engine.json.
@@ -37,32 +36,27 @@ struct Config {
   core::EngineConfig engine;
 };
 
-// Every rung below VCACHE pins verdict_cache off, and every rung below
-// COMPILED pins compiled_eval off (both default on), so each column still
-// isolates exactly one optimization.
+// Every rung below COMPILED pins compiled_eval off (default on), so each
+// column still isolates exactly one optimization.
 const Config kConfigs[] = {
     {"DISABLED", false, false, {}},
     {"BASE", true, false,
-     {.lazy_context = true, .cache_context = true, .ept_chains = true,
-      .verdict_cache = false}},
+     {.lazy_context = true, .cache_context = true, .ept_chains = true}},
     {"FULL", true, true,
      {.lazy_context = false, .cache_context = false, .ept_chains = false,
-      .verdict_cache = false, .compiled_eval = false}},
+      .compiled_eval = false}},
     {"CONCACHE", true, true,
      {.lazy_context = false, .cache_context = true, .ept_chains = false,
-      .verdict_cache = false, .compiled_eval = false}},
+      .compiled_eval = false}},
     {"LAZYCON", true, true,
      {.lazy_context = true, .cache_context = true, .ept_chains = false,
-      .verdict_cache = false, .compiled_eval = false}},
+      .compiled_eval = false}},
     {"EPTSPC", true, true,
      {.lazy_context = true, .cache_context = true, .ept_chains = true,
-      .verdict_cache = false, .compiled_eval = false}},
+      .compiled_eval = false}},
     {"COMPILED", true, true,
      {.lazy_context = true, .cache_context = true, .ept_chains = true,
-      .verdict_cache = false, .compiled_eval = true}},
-    {"VCACHE", true, true,
-     {.lazy_context = true, .cache_context = true, .ept_chains = true,
-      .verdict_cache = true, .compiled_eval = true}},
+      .compiled_eval = true}},
 };
 
 struct Workload {
@@ -224,14 +218,14 @@ void Run(const char* json_path) {
 
   // Trace-overhead rider (DESIGN.md §5e): the two resource syscalls the
   // paper's table stresses, re-measured with every tracepoint stream live
-  // (decision + rule + ctx + vcache records into the rings, plus latency
+  // (decision + rule + ctx records into the rings, plus latency
   // histograms). The ISSUE's acceptance bound: tracing-enabled stat on the
   // FULL rung stays under +15% vs. the same rung untraced.
   Caption("Trace overhead: full tracepoint streams enabled vs. disabled");
   std::printf("%-12s %12s %12s %10s\n", "syscall/rung", "untraced_us", "traced_us",
               "overhead");
   json.BeginObject("table6_trace");
-  const char* kTraceRungs[] = {"FULL", "VCACHE"};
+  const char* kTraceRungs[] = {"FULL", "COMPILED"};
   const char* kTraceWorkloads[] = {"stat", "open+close"};
   for (const char* wname : kTraceWorkloads) {
     const Workload* work = nullptr;
@@ -267,8 +261,7 @@ void Run(const char* json_path) {
               "each optimization reduces it, and EPTSPC lands near BASE (<11%% on any\n"
               "one syscall; <3%% for syscalls not performing resource access). COMPILED\n"
               "replaces the tree walker with the arena program evaluator and should\n"
-              "shave EPTSPC further on resource syscalls; VCACHE should pull\n"
-              "repeat-access syscalls (stat, open+close) below both.\n");
+              "shave EPTSPC further on resource syscalls.\n");
 }
 
 }  // namespace pf::bench

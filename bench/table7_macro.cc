@@ -13,9 +13,9 @@
 // Paper shape: every macrobenchmark stays within ~4% overhead for PF Full
 // and within ~1% for PF Base.
 //
-// PF Full runs with the verdict cache on (the default shipping config); the
-// report includes its aggregate hit/miss/bypass rates across all macro
-// workloads. With --json PATH, results also go to PATH for
+// PF Legacy runs the full rule base on the legacy tree walker
+// (compiled_eval off); PF Full is the default shipping config, the compiled
+// program evaluator. With --json PATH, results also go to PATH for
 // bench/run_bench.sh to fold into BENCH_engine.json.
 
 #include "bench/bench_util.h"
@@ -266,32 +266,6 @@ struct Cell {
   Sample sample;
 };
 
-// Aggregate verdict-cache effectiveness across every PF Full system used by
-// the macrobenchmarks.
-struct VcacheTotals {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t bypasses = 0;
-  uint64_t state_hits = 0;
-  uint64_t state_misses = 0;
-  uint64_t bypass_causes[core::kBypassCauseCount] = {};
-
-  void Add(const core::EngineStats& s) {
-    hits += s.vcache_hits;
-    misses += s.vcache_misses;
-    bypasses += s.vcache_bypasses;
-    state_hits += s.vcache_state_hits;
-    state_misses += s.vcache_state_misses;
-    for (size_t i = 0; i < core::kBypassCauseCount; ++i) {
-      bypass_causes[i] += s.vcache_bypass_causes[i];
-    }
-  }
-  uint64_t total() const { return hits + misses + bypasses; }
-  double hit_rate() const {
-    return total() == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total());
-  }
-};
-
 void PrintRow(const char* name, const char* unit, const Sample (&cells)[4]) {
   std::printf("%-18s", name);
   for (int m = 0; m < 4; ++m) {
@@ -324,7 +298,6 @@ void Run(const char* json_path) {
 
   const Mode modes[] = {Mode::kWithoutPf, Mode::kPfBase, Mode::kPfLegacy, Mode::kPfFull};
   (void)ModeName;
-  VcacheTotals vcache;
   JsonWriter json;
   json.BeginObject("table7");
 
@@ -336,9 +309,6 @@ void Run(const char* json_path) {
       for (int r = 0; r < kRepeats; ++r) {
         auto sys = MakeSystem(modes[m]);
         runs.push_back(RunBuild(*sys));
-        if (modes[m] == Mode::kPfFull) {
-          vcache.Add(sys->engine->stats());
-        }
       }
       cells[m] = SummarizeTrimmed(runs);
     }
@@ -353,9 +323,6 @@ void Run(const char* json_path) {
       for (int r = 0; r < kRepeats; ++r) {
         auto sys = MakeSystem(modes[m]);
         runs.push_back(RunBoot(*sys));
-        if (modes[m] == Mode::kPfFull) {
-          vcache.Add(sys->engine->stats());
-        }
       }
       cells[m] = SummarizeTrimmed(runs);
     }
@@ -372,9 +339,6 @@ void Run(const char* json_path) {
         WebResult res = RunWeb(*sys, clients);
         lat_runs.push_back(res.latency_ms);
         thr_runs.push_back(res.throughput_kbs);
-        if (modes[m] == Mode::kPfFull) {
-          vcache.Add(sys->engine->stats());
-        }
       }
       lat[m] = SummarizeTrimmed(lat_runs);
       thr[m] = SummarizeTrimmed(thr_runs);
@@ -387,51 +351,11 @@ void Run(const char* json_path) {
     EmitRow(json, "web" + std::to_string(clients) + "_throughput_kbs", thr);
   }
 
-  std::printf("\nPF Full verdict cache across all macro workloads: "
-              "%.1f%% hit / %.1f%% miss / %.1f%% bypass (%llu decisions)\n",
-              vcache.hit_rate() * 100.0,
-              vcache.total() == 0
-                  ? 0.0
-                  : 100.0 * static_cast<double>(vcache.misses) /
-                        static_cast<double>(vcache.total()),
-              vcache.total() == 0
-                  ? 0.0
-                  : 100.0 * static_cast<double>(vcache.bypasses) /
-                        static_cast<double>(vcache.total()),
-              static_cast<unsigned long long>(vcache.total()));
-  std::printf("  of which automaton-keyed (stateful tier): %llu hits / %llu misses\n",
-              static_cast<unsigned long long>(vcache.state_hits),
-              static_cast<unsigned long long>(vcache.state_misses));
-  if (vcache.bypasses > 0) {
-    std::printf("  bypass causes:");
-    for (size_t i = 0; i < core::kBypassCauseCount; ++i) {
-      if (vcache.bypass_causes[i] > 0) {
-        std::printf(" %s=%llu", core::BypassCauseName(static_cast<uint8_t>(1u << i)),
-                    static_cast<unsigned long long>(vcache.bypass_causes[i]));
-      }
-    }
-    std::printf("\n");
-  }
-  json.BeginObject("vcache");
-  json.Number("hit_rate", vcache.hit_rate());
-  json.Number("hits", static_cast<double>(vcache.hits));
-  json.Number("misses", static_cast<double>(vcache.misses));
-  json.Number("bypasses", static_cast<double>(vcache.bypasses));
-  json.Number("state_hits", static_cast<double>(vcache.state_hits));
-  json.Number("state_misses", static_cast<double>(vcache.state_misses));
-  json.BeginObject("bypass_causes");
-  for (size_t i = 0; i < core::kBypassCauseCount; ++i) {
-    json.Number(core::BypassCauseName(static_cast<uint8_t>(1u << i)),
-                static_cast<double>(vcache.bypass_causes[i]));
-  }
-  json.EndObject();
-  json.EndObject();
   json.EndObject();
   json.WriteTo(json_path);
   std::printf("\nExpected shape (paper): PF Base within ~1%%, PF Full within ~4%% on\n"
               "every macrobenchmark (PF Legacy = full rules on the legacy tree walker;\n"
-              "PF Full adds the compiled evaluator + verdict cache). The verdict cache\n"
-              "should serve the majority of PF Full decisions (hit rate >= 50%%).\n");
+              "PF Full = full rules on the compiled evaluator).\n");
 }
 
 }  // namespace pf::bench

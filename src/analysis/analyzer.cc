@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "src/core/automata.h"
 #include "src/core/modules.h"
 
 namespace pf::analysis {
@@ -19,6 +20,7 @@ using core::Ctx;
 using core::CtxBit;
 using core::CtxMask;
 using core::CtxVar;
+using core::PfInsn;
 using core::PfOp;
 using core::PfProgram;
 using core::ProgramChain;
@@ -59,13 +61,31 @@ std::string CtxNames(CtxMask mask) {
   return out.empty() ? "nothing" : out;
 }
 
-// Context the verdict-cache key does NOT cover (see engine.h VerdictKey):
-// symlink targets are re-resolved per access, and only the innermost user
-// frame — not the full stack or the interpreter backtrace — participates in
-// the key. A module that reads these and still claims CacheableByKey() lets
-// the cache serve stale verdicts.
-constexpr CtxMask kNonKeyedCtx =
-    CtxBit(Ctx::kLinkTarget) | CtxBit(Ctx::kUserStack) | CtxBit(Ctx::kInterpStack);
+// How one instruction touches the STATE dictionary: the key it reads or
+// writes (kMatchPhase reads the reserved "@phase" key), viewed into the
+// program's string pool.
+struct StateRef {
+  enum Use { kCheck, kSet, kUnset };
+  std::string_view key;
+  Use use = kCheck;
+};
+
+std::optional<StateRef> StateRefOfInsn(const PfProgram& prog, const PfInsn& insn) {
+  switch (static_cast<PfOp>(insn.op)) {
+    case PfOp::kMatchState:
+    case PfOp::kMatchStateEq:
+    case PfOp::kMatchStateNe:
+      return StateRef{prog.strings[insn.a], StateRef::kCheck};
+    case PfOp::kStateSet:
+      return StateRef{prog.strings[insn.a], StateRef::kSet};
+    case PfOp::kStateUnset:
+      return StateRef{prog.strings[insn.a], StateRef::kUnset};
+    case PfOp::kMatchPhase:
+      return StateRef{core::kPhaseKeyName, StateRef::kCheck};
+    default:
+      return std::nullopt;
+  }
+}
 
 RuleLocus Locus(const std::string& chain, size_t pos0) {
   return RuleLocus{"filter", chain, pos0 + 1};
@@ -326,7 +346,6 @@ struct Analysis {
   void CheckJumpGraph();
   void CheckRuleLiveness();
   void CheckStateProtocol();
-  void CheckCacheability();
 };
 
 void Analysis::BuildSummaries() {
@@ -680,26 +699,27 @@ void Analysis::CheckStateProtocol() {
   // Scan the instruction stream rather than dynamic_cast the module tree:
   // every STATE match and STATE target lowers to a dedicated arena op with
   // its key interned in the string pool, so the protocol pass sees exactly
-  // what the compiled evaluator will execute. StateRefOfInsn is the same
-  // extraction the automaton lowering pass classifies from, so the lints and
-  // the lowering agree on what touches which key.
+  // what the compiled evaluator will execute.
   for (size_t id = 0; id < prog.chains.size(); ++id) {
     const ProgramChain& pc = prog.chains[id];
     for (size_t i = 0; i < pc.rules.size(); ++i) {
       const RuleRecord& rec = prog.rules[pc.rules[i]];
       for (uint32_t p = rec.entry; p < rec.end; p += core::kPfInsnWords) {
-        const std::optional<core::InsnStateRef> ref =
-            core::StateRefOfInsn(prog, prog.Fetch(p));
+        const std::optional<StateRef> ref = StateRefOfInsn(prog, prog.Fetch(p));
         if (!ref.has_value()) {
           continue;
         }
         KeyUse& use = keys[std::string(ref->key)];
-        if (ref->is_check) {
-          use.checks.emplace_back(Locus(pc.name, i), &infos[id][i]);
-        } else if (ref->is_set) {
-          use.sets.push_back(Locus(pc.name, i));
-        } else if (ref->is_unset) {
-          use.unsets.push_back(Locus(pc.name, i));
+        switch (ref->use) {
+          case StateRef::kCheck:
+            use.checks.emplace_back(Locus(pc.name, i), &infos[id][i]);
+            break;
+          case StateRef::kSet:
+            use.sets.push_back(Locus(pc.name, i));
+            break;
+          case StateRef::kUnset:
+            use.unsets.push_back(Locus(pc.name, i));
+            break;
         }
       }
     }
@@ -737,37 +757,6 @@ void Analysis::CheckStateProtocol() {
   }
 }
 
-void Analysis::CheckCacheability() {
-  for (size_t id = 0; id < prog.chains.size(); ++id) {
-    const ProgramChain& pc = prog.chains[id];
-    const std::string& name = pc.name;
-    for (size_t i = 0; i < pc.rules.size(); ++i) {
-      const Rule& rule = *prog.rules[pc.rules[i]].rule;
-      for (const auto& m : rule.matches) {
-        CtxMask bad = m->CacheableByKey() ? (m->Needs() & kNonKeyedCtx) : 0;
-        if (bad != 0) {
-          report->Add(Severity::kError, "false-cacheable", Locus(name, i),
-                      "-m " + std::string(m->Name()) +
-                          " claims CacheableByKey() but reads " + CtxNames(bad) +
-                          ", which the verdict-cache key does not cover; cached "
-                          "verdicts would go stale");
-        }
-      }
-      if (rule.target != nullptr) {
-        CtxMask bad =
-            rule.target->CacheableByKey() ? (rule.target->Needs() & kNonKeyedCtx) : 0;
-        if (bad != 0) {
-          report->Add(Severity::kError, "false-cacheable", Locus(name, i),
-                      "-j " + std::string(rule.target->Name()) +
-                          " claims CacheableByKey() but reads " + CtxNames(bad) +
-                          ", which the verdict-cache key does not cover; cached "
-                          "verdicts would go stale");
-        }
-      }
-    }
-  }
-}
-
 void Analysis::Run() {
   BuildSummaries();
   BuildReachability();
@@ -780,9 +769,6 @@ void Analysis::Run() {
   }
   if (opts.state_protocol) {
     CheckStateProtocol();
-  }
-  if (opts.cacheability) {
-    CheckCacheability();
   }
 }
 

@@ -4,7 +4,7 @@
 // over rule text), so what it proves is a property of what hook evaluation
 // will actually do: dispatch buckets, the entrypoint-chain index, the JUMP
 // depth bound, and the per-op root-chain selection are all the engine's own.
-// Four analysis families (DESIGN.md "Static analysis of rule bases"):
+// Three analysis families (DESIGN.md "Static analysis of rule bases"):
 //
 //  * Shadowing / dead rules — pairwise match-space subsumption: a rule whose
 //    match space is covered by an earlier terminal (ACCEPT/DROP/RETURN) rule
@@ -18,10 +18,6 @@
 //    of keys no rule checks, and matches/targets whose context (signal
 //    numbers, syscall args, symlink targets, ...) is never supplied by any
 //    op that reaches them.
-//  * Cacheability lints — modules claiming CacheableByKey() while their
-//    Needs() mask includes context outside the verdict-cache key (link
-//    targets, the full user stack, interpreter frames): the verdict cache
-//    would serve stale decisions after the un-keyed input changes.
 #ifndef SRC_ANALYSIS_ANALYZER_H_
 #define SRC_ANALYSIS_ANALYZER_H_
 
@@ -35,7 +31,6 @@ struct AnalyzerOptions {
   bool shadowing = true;
   bool jump_graph = true;
   bool state_protocol = true;
-  bool cacheability = true;
   int max_depth = core::kMaxChainDepth;
 };
 

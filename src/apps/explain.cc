@@ -67,42 +67,24 @@ ExplainResult ExplainRequest(core::Engine& engine, sim::AccessRequest& req) {
   out.audited = after.audited_drops > before.audited_drops;
   out.drop = out.verdict != 0 || out.audited;
 
-  // Verdict attribution and serving tier, from the denial's audit record
-  // when one exists (exact), from the cache-counter movement otherwise.
+  // Verdict attribution and serving evaluator, from the denial's audit
+  // record when one exists (exact), from the chain selection otherwise: a
+  // request with an applicable chain traverses it even when every reachable
+  // rule list is empty (entrypoint-indexed chains with no matching binding).
   const audit::AuditRecord* deny = nullptr;
   for (const audit::AuditRecord& rec : out.events) {
     if (IsDenyKind(rec)) {
       deny = &rec;
     }
   }
-  const bool traversed_rules = [&] {
-    for (const RuleCounter& rc : counters) {
-      if (rc.rule->evals.load(kRelaxed) != rc.evals) {
-        return true;
-      }
-    }
-    return false;
-  }();
+  const core::CompiledChain* chains[3];
   if (deny != nullptr) {
     out.tier = std::string(
         audit::TierName(static_cast<audit::Tier>(deny->tier)));
-    out.cause = deny->cause;
     out.chain_id = deny->chain_id;
     out.rule_index = deny->rule_index;
-  } else if (after.vcache_state_hits > before.vcache_state_hits) {
-    out.tier = std::string(audit::TierName(audit::Tier::kVcacheState));
-  } else if (after.vcache_hits > before.vcache_hits) {
-    out.tier = std::string(audit::TierName(audit::Tier::kVcache));
-  } else if (after.vcache_bypasses > before.vcache_bypasses) {
-    out.tier = std::string(audit::TierName(audit::Tier::kBypass));
-    for (size_t i = 0; i < after.vcache_bypass_causes.size(); ++i) {
-      if (after.vcache_bypass_causes[i] > before.vcache_bypass_causes[i]) {
-        out.cause |= static_cast<uint8_t>(1u << i);
-      }
-    }
-  } else if (after.vcache_misses > before.vcache_misses || traversed_rules) {
-    // A miss traverses even when every reachable rule list for the op is
-    // empty (entrypoint-indexed chains with no matching binding).
+  } else if (engine.config().enabled && req.task != nullptr && rs != nullptr &&
+             core::ApplicableChains(*rs, req, chains) != 0) {
     out.tier = std::string(audit::TierName(engine.config().compiled_eval
                                                ? audit::Tier::kCompiled
                                                : audit::Tier::kLegacy));
@@ -170,11 +152,7 @@ std::string ExplainResult::Render(const trace::NameTable& names) const {
   } else {
     os << "ALLOW (0)";
   }
-  os << "\n  served by: tier=" << tier;
-  if (cause != 0) {
-    os << " cause=0x" << std::hex << static_cast<unsigned>(cause) << std::dec;
-  }
-  os << "\n";
+  os << "\n  served by: tier=" << tier << "\n";
   if (drop) {
     os << "  matched rule: ";
     if (chain_id < 0) {

@@ -2,16 +2,16 @@
 // decision's full provenance (DESIGN.md §5j).
 //
 // The engine's observability surfaces each tell part of the story — the
-// audit pipeline names the matched rule, serving tier, and automaton state;
-// the per-rule eval/hit counters say which rules the traversal touched; the
-// verdict-cache counters say which tier served. ExplainRequest runs the
-// request once with the audit hub armed, diffs those surfaces across the
-// call, and merges them into one provenance tree: the verdict, the tier
-// that produced it, every rule evaluated (and why the rest were not), and
-// the security events the decision emitted.
+// audit pipeline names the matched rule and the evaluator that served it;
+// the per-rule eval/hit counters say which rules the traversal touched.
+// ExplainRequest runs the request once with the audit hub armed, diffs those
+// surfaces across the call, and merges them into one provenance tree: the
+// verdict, the tier that produced it, every rule evaluated (and why the rest
+// were not), and the security events the decision emitted.
 //
 // This is a diagnostic replay, not a dry run: the request perturbs the
-// engine exactly as any request would (counters, caches, STATE effects).
+// engine exactly as any request would (counters, context caches, STATE
+// effects).
 // Single-threaded use only — a concurrent workload would bleed into the
 // counter diffs.
 #ifndef SRC_APPS_EXPLAIN_H_
@@ -42,11 +42,10 @@ struct ExplainResult {
   int64_t verdict = 0;  // Authorize's return value
   bool drop = false;
   bool audited = false;  // audit-only mode: denial recorded, access allowed
-  // Serving tier. From the deny AuditRecord when the request denied;
-  // reconstructed from the verdict-cache counter movement otherwise
+  // Serving tier ("compiled" or "legacy"). From the deny AuditRecord when
+  // the request denied; from the engine's chain selection otherwise
   // ("fast-path" when no chain applied and the engine never built a packet).
   std::string tier;
-  uint8_t cause = 0;      // bypass-cause bits when tier == "bypass"
   int32_t chain_id = -1;  // verdict-producing rule (denials; -1 = policy)
   int32_t rule_index = -1;
   std::vector<audit::AuditRecord> events;  // audit records this request emitted

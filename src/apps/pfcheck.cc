@@ -3,8 +3,8 @@
 // Loads a rule base onto a booted simulated system (so label names and
 // program paths resolve exactly as they would at install time), compiles
 // it the way the engine's commit path does, and runs the full analysis
-// suite: shadowing/dead rules, JUMP-graph sanity, STATE protocol lints,
-// and cacheability lints.
+// suite: shadowing/dead rules, JUMP-graph sanity, and STATE protocol
+// lints.
 //
 //   pfcheck --library              analyze the shipped paper rule base
 //   pfcheck file.rules ...         analyze pftables-save format dumps
@@ -36,7 +36,6 @@
 #include "src/analysis/symbolic/model.h"
 #include "src/apps/programs.h"
 #include "src/apps/rule_library.h"
-#include "src/core/automata.h"
 #include "src/core/engine.h"
 #include "src/core/pftables.h"
 #include "src/sim/sysimage.h"
@@ -48,8 +47,8 @@ void PrintUsage(std::FILE* to) {
       "usage: pfcheck [--json] [--library] [rule-file...]\n"
       "\n"
       "Static analysis of Process Firewall rule bases: shadowed and dead\n"
-      "rules, JUMP-graph defects (undefined chains, cycles, depth), STATE\n"
-      "protocol mismatches, and cacheability violations.\n"
+      "rules, JUMP-graph defects (undefined chains, cycles, depth), and STATE\n"
+      "protocol mismatches.\n"
       "\n"
       "  --library   analyze the shipped paper rule base (R1-R12 + link rules)\n"
       "  --json      emit a JSON report with analysis timing\n"
@@ -208,35 +207,12 @@ int main(int argc, char** argv) {
   const pf::core::ClassifierStats cstats =
       pf::core::ComputeClassifierStats(compiled->program);
 
-  // STATE-protocol automaton shape of the same compile (DESIGN.md §5i):
-  // which stateful rules the commit-time lowering pass made cacheable, and
-  // which stay on the verdict-cache bypass path with their causes.
-  const pf::core::AutomataStats astats =
-      pf::core::ComputeAutomataStats(compiled->program);
-  // Per-rule bypass attribution, in chain order (mirrors `pftables -L -v`).
-  struct BypassEntry {
-    std::string chain;
-    uint32_t pos;
-    std::string causes;
-  };
-  std::vector<BypassEntry> bypassing;
-  if (compiled->program.automata_built) {
-    for (const pf::core::ProgramChain& pc : compiled->program.chains) {
-      for (std::size_t i = 0; i < pc.rules.size(); ++i) {
-        const pf::core::RuleRecord& rec = compiled->program.rules[pc.rules[i]];
-        if (rec.rule != nullptr && rec.astate_causes != 0) {
-          bypassing.push_back({pc.name, static_cast<uint32_t>(i + 1),
-                               pf::core::RenderBypassCauses(rec.astate_causes)});
-        }
-      }
-    }
-  }
-
   if (json) {
     std::ostringstream out;
     // `schema` versions the machine-readable surface (same contract as the
-    // pfdiff object): consumers gate on it before parsing.
-    out << "{\"pfcheck\": {\"schema\": 1, \"rules\": " << rules
+    // pfdiff object): consumers gate on it before parsing. Version 2 dropped
+    // the "automata" object along with the automaton tier.
+    out << "{\"pfcheck\": {\"schema\": 2, \"rules\": " << rules
         << ", \"chains\": " << nchains
         << ", \"analysis_us\": " << analysis_us
         << ", \"verified\": " << (verified ? "true" : "false")
@@ -246,22 +222,6 @@ int main(int argc, char** argv) {
         << ", \"tuples\": " << cstats.tuples
         << ", \"max_slice\": " << cstats.max_slice
         << ", \"residual_rules\": " << cstats.residual_rules << "}"
-        << ", \"automata\": {\"built\": "
-        << (compiled->program.automata_built ? "true" : "false")
-        << ", \"protocols\": " << astats.protocols
-        << ", \"keys\": " << astats.keys
-        << ", \"states\": " << astats.states
-        << ", \"lowered_rules\": " << astats.lowered_rules
-        << ", \"bypass_rules\": " << astats.bypass_rules
-        << ", \"state_buckets\": " << astats.state_buckets
-        << ", \"phase_protocols\": " << astats.phase_protocols
-        << ", \"bypassing\": [";
-    for (std::size_t i = 0; i < bypassing.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << "{\"chain\": \"" << bypassing[i].chain
-          << "\", \"pos\": " << bypassing[i].pos << ", \"causes\": \""
-          << bypassing[i].causes << "\"}";
-    }
-    out << "]}"
         << ", \"symbolic\": {\"regions\": " << model.region_count
         << ", \"max_op_regions\": " << model.max_op_regions
         << ", \"dead_rules\": " << model.dead.size()
@@ -294,18 +254,6 @@ int main(int argc, char** argv) {
         rules, nchains, report.errors(), report.warnings(), analysis_us,
         verified ? "verified" : "REJECTED by verifier", verify_us, cstats.tables,
         cstats.tuples, cstats.max_slice, cstats.residual_rules);
-    if (compiled->program.automata_built) {
-      std::printf(
-          "pfcheck: automata: %u protocol(s), %u key(s), %llu state(s), "
-          "%u rule(s) lowered, %u on bypass, %u state bucket(s)\n",
-          astats.protocols, astats.keys,
-          static_cast<unsigned long long>(astats.states), astats.lowered_rules,
-          astats.bypass_rules, astats.state_buckets);
-      for (const BypassEntry& e : bypassing) {
-        std::printf("pfcheck:   bypass %s:%u (%s)\n", e.chain.c_str(), e.pos,
-                    e.causes.c_str());
-      }
-    }
     std::printf(
         "pfcheck: symbolic model: %zu region(s) (max %zu per op), %zu dead rule(s)%s%s "
         "[%llu us]\n",

@@ -9,7 +9,7 @@
 //   pftrace                                text records for a mixed workload
 //   pftrace --format=jsonl --count=1000    one JSON object per record
 //   pftrace --format=chrome --out=t.json   chrome://tracing / Perfetto file
-//   pftrace --events=decision,vcache       select tracepoint streams
+//   pftrace --events=decision,rule         select tracepoint streams
 //   pftrace --ops=FILE_OPEN,DIR_SEARCH     per-op filter (pftables -o names)
 //   pftrace --follow                       drain concurrently from a second
 //                                          thread while the workload runs
@@ -45,7 +45,7 @@ void PrintUsage(std::FILE* to) {
       "export the records as text, JSON-lines, or Chrome trace_event JSON.\n"
       "\n"
       "  --format=text|jsonl|chrome  export format (default text)\n"
-      "  --events=LIST               comma list of decision,rule,ctx,vcache\n"
+      "  --events=LIST               comma list of decision,rule,ctx\n"
       "                              (default all)\n"
       "  --ops=LIST                  comma list of op names (FILE_OPEN, ...);\n"
       "                              default all ops\n"
@@ -83,8 +83,6 @@ bool ParseEvents(const std::string& list, uint32_t* mask) {
       *mask |= pf::trace::EventBit(pf::trace::Event::kRule);
     } else if (name == "ctx" || name == "ctx_fetch") {
       *mask |= pf::trace::EventBit(pf::trace::Event::kCtxFetch);
-    } else if (name == "vcache") {
-      *mask |= pf::trace::EventBit(pf::trace::Event::kVcache);
     } else {
       std::fprintf(stderr, "pftrace: unknown event '%s'\n", name.c_str());
       return false;

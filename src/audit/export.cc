@@ -64,7 +64,7 @@ std::string RenderText(const std::vector<AuditRecord>& records,
         << " subj=" << names.SidName(rec.subject_sid);
     if (KindOf(rec) == Kind::kPhase) {
       std::snprintf(buf, sizeof(buf), " phase=0x%" PRIx64 "->0x%" PRIx64,
-                    rec.astate_in, rec.astate_out);
+                    rec.phase_from, rec.phase_to);
       out << buf;
     } else {
       if ((rec.flags & kFlagHasObject) != 0) {
@@ -74,15 +74,6 @@ std::string RenderText(const std::vector<AuditRecord>& records,
         out << buf;
       }
       out << " rule=" << RuleRef(rec) << " tier=" << TierName(TierOf(rec));
-      if (TierOf(rec) == Tier::kBypass) {
-        std::snprintf(buf, sizeof(buf), " cause=0x%x", rec.cause);
-        out << buf;
-      }
-      if (rec.automaton != kNoAutomaton) {
-        std::snprintf(buf, sizeof(buf), " automaton=p%u state=0x%" PRIx64 "->0x%" PRIx64,
-                      rec.automaton, rec.astate_in, rec.astate_out);
-        out << buf;
-      }
     }
     if ((rec.flags & kFlagEptValid) != 0) {
       std::snprintf(buf, sizeof(buf), " ept=%u:%" PRIu64 "+0x%" PRIx64, rec.ept_dev,
@@ -116,10 +107,8 @@ std::string RenderJsonLines(const std::vector<AuditRecord>& records,
         << "\",\"object_dev\":" << rec.object_dev << ",\"object_ino\":" << rec.object_ino
         << ",\"object_gen\":" << rec.object_gen << ",\"chain\":" << rec.chain_id
         << ",\"rule\":" << rec.rule_index << ",\"generation\":" << rec.generation
-        << ",\"tier\":\"" << TierName(TierOf(rec)) << "\",\"cause\":"
-        << static_cast<unsigned>(rec.cause) << ",\"automaton\":"
-        << (rec.automaton == kNoAutomaton ? -1 : static_cast<int>(rec.automaton))
-        << ",\"astate_in\":" << rec.astate_in << ",\"astate_out\":" << rec.astate_out
+        << ",\"tier\":\"" << TierName(TierOf(rec)) << "\",\"phase_from\":"
+        << rec.phase_from << ",\"phase_to\":" << rec.phase_to
         << ",\"ept_valid\":" << (((rec.flags & kFlagEptValid) != 0) ? "true" : "false")
         << ",\"ept_dev\":" << rec.ept_dev << ",\"ept_ino\":" << rec.ept_ino
         << ",\"ept_offset\":" << rec.ept_offset << ",\"ctx_ns\":" << rec.ctx_ns

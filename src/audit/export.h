@@ -20,7 +20,7 @@ namespace pf::audit {
 
 // One record per line:
 //   [123.456789] w03 deny op=open subj=httpd_t obj=shadow_t rule=input:1
-//   tier=vcache ept=0xdead+0x40 gen=7
+//   tier=compiled ept=0xdead+0x40 gen=7
 std::string RenderText(const std::vector<AuditRecord>& records,
                        const trace::NameTable& names);
 

@@ -26,12 +26,6 @@ std::string_view TierName(Tier t) {
       return "legacy";
     case Tier::kCompiled:
       return "compiled";
-    case Tier::kVcache:
-      return "vcache";
-    case Tier::kVcacheState:
-      return "vcache_state";
-    case Tier::kBypass:
-      return "bypass";
     case Tier::kCount:
       break;
   }

@@ -4,7 +4,7 @@
 // provenance: a denial (or audit-mode would-be denial), a LOG-target hit, or
 // an `@phase` protocol transition. Where a TraceRecord answers "what did the
 // engine spend time on", an AuditRecord answers "who attacked what, via
-// which binding, caught by which rule, served from which tier" — the
+// which binding, caught by which rule, served by which evaluator" — the
 // forensic attribution the paper's Table-4 exploit matrix implies but plain
 // counters cannot provide.
 //
@@ -49,13 +49,10 @@ inline constexpr uint32_t KindBit(Kind k) {
 }
 inline constexpr uint32_t kAllKinds = (1u << static_cast<uint32_t>(Kind::kCount)) - 1;
 
-// Which tier of the engine served the decision the event belongs to.
+// Which evaluator served the decision the event belongs to.
 enum class Tier : uint8_t {
-  kLegacy = 0,   // legacy tree-walker traversal
-  kCompiled,     // arena-program evaluator traversal (cache miss or disabled)
-  kVcache,       // pure verdict-cache hit, no traversal
-  kVcacheState,  // stateful-tier hit: automaton-extended key, effects replayed
-  kBypass,       // unlowerable stateful chain: traversed, never cached
+  kLegacy = 0,  // legacy tree-walker traversal
+  kCompiled,    // arena-program evaluator traversal
   kCount,
 };
 
@@ -73,25 +70,17 @@ inline constexpr uint16_t kFlagAnomaly = 1u << 2;
 inline constexpr uint16_t kFlagSuppressedTail = 1u << 3;
 // Per-stage ns fields are meaningful (timing was armed for this decision).
 inline constexpr uint16_t kFlagTimed = 1u << 4;
-// The serving decision was keyed on automaton state (astate_in/out valid).
-inline constexpr uint16_t kFlagStateKey = 1u << 5;
-
-// No automaton protocol attributed.
-inline constexpr uint16_t kNoAutomaton = 0xffff;
 
 // One fixed-size audit record. Field use by kind:
 //
 //   kDeny /        everything below. chain_id/rule_index name the
 //   kAuditedDeny   verdict-producing rule in the compiled program (-1 when
 //                  the chain policy decided or the legacy walker ran);
-//                  tier/cause say how the decision was served; astate_in is
-//                  the folded automaton state the decision keyed on and
-//                  astate_out the fold after its recorded effects
-//                  (kFlagStateKey).
+//                  tier says which evaluator served the decision.
 //   kLogHit        chain_id/rule_index = the LOG rule (compiled path; -1
 //                  from the legacy walker), other fields as for kDeny.
-//   kPhase         astate_in/astate_out carry the @phase transition as
-//                  (from, to) PhaseId values; chain_id/rule_index are -1.
+//   kPhase         phase_from/phase_to carry the @phase transition as
+//                  PhaseId values; chain_id/rule_index are -1.
 //
 // The `suppressed` field is written by the aggregator, not the engine: a
 // record admitted after a suppression run carries the collapsed count.
@@ -102,8 +91,8 @@ struct AuditRecord {
   uint64_t ept_offset = 0;   // entrypoint binary-relative PC
   uint64_t object_ino = 0;   // object inode number (kFlagHasObject)
   uint64_t object_gen = 0;   // object inode generation (recycling-safe id)
-  uint64_t astate_in = 0;    // folded automaton state in / phase-from
-  uint64_t astate_out = 0;   // folded automaton state out / phase-to
+  uint64_t phase_from = 0;   // @phase before the transition (kPhase)
+  uint64_t phase_to = 0;     // @phase after the transition (kPhase)
   uint64_t total_ns = 0;     // whole-decision ns (kFlagTimed)
   uint64_t ctx_ns = 0;       // context-fetch share of total_ns (kFlagTimed)
   uint32_t subject_sid = 0;  // MAC label of the acting task
@@ -114,14 +103,12 @@ struct AuditRecord {
   int32_t rule_index = -1;   // rule index within that chain
   uint32_t pid = 0;          // acting task id
   uint32_t suppressed = 0;   // records collapsed into this one (aggregator)
-  uint16_t automaton = kNoAutomaton;  // serving protocol id (stateful tier)
   uint16_t flags = 0;        // kFlag*
   uint16_t worker = 0;       // producing worker index
   uint8_t op = 0;            // sim::Op of the request
   uint8_t kind = 0;          // Kind
   uint8_t tier = 0;          // Tier
-  uint8_t cause = 0;         // kBypass* cause bits (Tier::kBypass)
-  uint8_t reserved[2] = {};  // pad to 128 bytes
+  uint8_t reserved[5] = {};  // pad to 128 bytes
 };
 
 static_assert(sizeof(AuditRecord) == 128, "two cache lines, sixteen ring words");

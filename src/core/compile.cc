@@ -1,7 +1,7 @@
-// Commit-time lowering: CompiledRuleset -> arena-packed PfProgram (pass 3 of
+// Commit-time lowering: CompiledRuleset -> arena-packed PfProgram (pass 2 of
 // Engine::CompileRuleset; see program.h for the instruction format).
 //
-// Lowering runs after the OpBucket passes so it can re-point the per-(chain,
+// Lowering runs after the OpBucket pass so it can re-point the per-(chain,
 // op) dispatch tables and the entrypoint index at entry-table slices instead
 // of Rule pointers. Rule bodies are emitted in chain order, one guard/match
 // instruction sequence per rule, mirroring the legacy walker's evaluation
@@ -265,8 +265,6 @@ void BuildChainTables(CompiledRuleset& snap, const Chain& chain, int32_t id,
     ProgramBucket& pb = pc.ops[op];
     std::tie(pb.all_off, pb.all_len) = slice(ob.all);
     std::tie(pb.plain_off, pb.plain_len) = slice(ob.plain);
-    pb.needs = ob.needs;
-    pb.cacheable = ob.cacheable;
     pb.has_indexed = ob.has_indexed;
   }
   if (chain.index_built() && !chain.ept_index().empty()) {

@@ -1,11 +1,9 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <set>
 
-#include "src/core/automata.h"
 #include "src/core/modules.h"
 #include "src/core/verify.h"
 #include "src/sim/task.h"
@@ -44,24 +42,11 @@ struct DecisionScratch {
 
 thread_local DecisionScratch* g_scratch = nullptr;
 
-// Stateful-effects capture (engine.h NoteRuleHit/NoteDictDelta), armed by
-// Authorize around a miss traversal it intends to cache with automaton state
-// in the key. `own_mutations` counts the dictionary writes this traversal
-// performed itself; comparing the task's dict_seq across the traversal
-// against it proves no concurrent writer interleaved (in which case the
-// capture would describe a mixed history and must not be inserted).
-struct EffectsCapture {
-  StatefulEffects fx;
-  uint64_t own_mutations = 0;
-};
-
-thread_local EffectsCapture* g_capture = nullptr;
-
 // Per-decision audit scratch, armed by Authorize whenever the audit pipeline
 // is enabled. Security events that surface mid-traversal — LOG-target hits,
 // `@phase` transitions — are parked here (fixed-size, overflow-counted) and
 // materialized into AuditRecords in the decision epilogue, where the serving
-// tier, timing, and packet provenance are all known. Null whenever the
+// path, timing, and packet provenance are all known. Null whenever the
 // current decision is not audited; every hook below gates on that single TLS
 // load, and the mechanism compiles out under PF_AUDIT=OFF.
 struct AuditScratch {
@@ -104,19 +89,6 @@ struct AuditScratch {
 thread_local AuditScratch* g_audit = nullptr;
 }  // namespace
 
-void NoteRuleHit(const Rule* rule) {
-  if (EffectsCapture* cap = g_capture) {
-    cap->fx.hits.push_back(rule);
-  }
-}
-
-void NoteDictDelta(const std::string& key, bool unset, int64_t value) {
-  if (EffectsCapture* cap = g_capture) {
-    cap->fx.deltas.push_back(DictDelta{key, unset, value});
-    ++cap->own_mutations;
-  }
-}
-
 void NotePhaseTransition(int64_t from, int64_t to) {
   if constexpr (audit::kAuditCompiledIn) {
     if (AuditScratch* as = g_audit) {
@@ -155,46 +127,6 @@ size_t WorkerIndex() {
   return index;
 }
 
-// --- TaskStateStore ----------------------------------------------------------
-
-PfTaskState& TaskStateStore::GetOrCreate(sim::Pid pid) {
-  Shard& shard = ShardFor(pid);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto& slot = shard.map[pid];
-  if (!slot) {
-    slot = std::make_shared<PfTaskState>();
-  }
-  return *slot;
-}
-
-std::shared_ptr<PfTaskState> TaskStateStore::Find(sim::Pid pid) {
-  Shard& shard = ShardFor(pid);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(pid);
-  return it == shard.map.end() ? nullptr : it->second;
-}
-
-void TaskStateStore::Put(sim::Pid pid, std::shared_ptr<PfTaskState> state) {
-  Shard& shard = ShardFor(pid);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.map[pid] = std::move(state);
-}
-
-void TaskStateStore::Erase(sim::Pid pid) {
-  Shard& shard = ShardFor(pid);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.map.erase(pid);
-}
-
-size_t TaskStateStore::size() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.map.size();
-  }
-  return n;
-}
-
 // --- Engine wiring -----------------------------------------------------------
 
 Engine::Engine(sim::Kernel& kernel, EngineConfig config)
@@ -207,8 +139,7 @@ Engine::Engine(sim::Kernel& kernel, EngineConfig config)
 Engine* InstallProcessFirewall(sim::Kernel& kernel, EngineConfig config) {
   auto engine = std::make_unique<Engine>(kernel, config);
   Engine* raw = engine.get();
-  size_t slot = kernel.AddModule(std::move(engine));
-  raw->set_slot(slot);
+  raw->set_slot(kernel.AddModule(std::move(engine)));
   return raw;
 }
 
@@ -223,9 +154,30 @@ const CompiledChain* CompiledRuleset::FindCompiled(const std::string& chain) con
 
 namespace {
 
-// Pass 1 for one chain: per-(chain, op) dispatch buckets with each bucket's
-// own rules' context-mask union and purity, plus the distinct JUMP targets
-// the closure pass iterates. Shared by the full and the incremental compile
+// The syscall-number bit of CompiledChain::nr_mask a rule may match: the one
+// it pins with `-m SYSCALL_ARGS --arg 0 --equal N`, or every bit.
+uint64_t RuleNrBits(const Rule& rule) {
+  if (!rule.target->jump_chain().empty()) {
+    return ~0ull;
+  }
+  for (const auto& match : rule.matches) {
+    const auto* args = dynamic_cast<const SyscallArgsMatch*>(match.get());
+    if (args != nullptr && args->arg == 0 && !args->negate && args->value >= 0 &&
+        args->value < 64) {
+      return 1ull << args->value;
+    }
+  }
+  return ~0ull;
+}
+
+// Whether a SYSCALL_BEGIN for `nr` can match any rule `nr_mask` describes.
+bool NrMayMatch(uint64_t nr_mask, sim::SyscallNr nr) {
+  const auto bit = static_cast<uint64_t>(static_cast<int64_t>(nr));
+  return bit >= 64 || ((nr_mask >> bit) & 1) != 0;
+}
+
+// Pass 1 for one chain: per-(chain, op) dispatch buckets and the
+// SYSCALL_BEGIN number mask. Shared by the full and the incremental compile
 // (which recomputes only dirty chains and copies the rest).
 void BuildChainBuckets(const Chain& chain, CompiledChain& cc) {
   cc.op_mask = 0;
@@ -237,57 +189,19 @@ void BuildChainBuckets(const Chain& chain, CompiledChain& cc) {
         continue;  // the op precheck can never pass; drop at compile time
       }
       b.all.push_back(rule.get());
-      b.needs |= rule->needs;
-      b.cacheable = b.cacheable && rule->CacheableByKey();
       if (chain.index_built() && rule->IndexableByEntrypoint()) {
         b.has_indexed = true;
       } else {
         b.plain.push_back(rule.get());
       }
-      const std::string& jump = rule->target->jump_chain();
-      if (!jump.empty()) {
-        b.jump_targets.push_back(jump);
-      }
     }
-    std::sort(b.jump_targets.begin(), b.jump_targets.end());
-    b.jump_targets.erase(std::unique(b.jump_targets.begin(), b.jump_targets.end()),
-                         b.jump_targets.end());
-    b.base_needs = b.needs;
-    b.base_cacheable = b.cacheable;
     if (!b.all.empty()) {
       cc.op_mask |= 1ull << op;
     }
   }
-}
-
-// Pass 2: close needs/cacheable over JUMP edges to a monotone fixpoint.
-// Iteration (rather than DFS memoization) keeps mutually-recursive chains
-// correct: a bucket's final value folds every reachable rule, exactly the
-// set the depth-limited runtime can evaluate. The deduplicated edge lists
-// make one round O(edges), not O(rules).
-void CloseBucketPurity(Table& filter, std::map<const Chain*, CompiledChain>& compiled) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (auto& [chain_ptr, cc] : compiled) {
-      for (size_t op = 0; op < sim::kOpCount; ++op) {
-        OpBucket& b = cc.ops[op];
-        for (const std::string& jump : b.jump_targets) {
-          const Chain* next = filter.Find(jump);
-          if (next == nullptr) {
-            continue;
-          }
-          const OpBucket& nb = compiled[next].ops[op];
-          CtxMask needs = b.needs | nb.needs;
-          bool cacheable = b.cacheable && nb.cacheable;
-          if (needs != b.needs || cacheable != b.cacheable) {
-            b.needs = needs;
-            b.cacheable = cacheable;
-            changed = true;
-          }
-        }
-      }
-    }
+  cc.nr_mask = chain.policy() == Chain::Policy::kDrop ? ~0ull : 0;
+  for (const Rule* rule : cc.ops[static_cast<size_t>(sim::Op::kSyscallBegin)].all) {
+    cc.nr_mask |= RuleNrBits(*rule);
   }
 }
 
@@ -309,23 +223,14 @@ std::shared_ptr<CompiledRuleset> Engine::CompileRuleset() const {
     cc.chain = &chain;
     BuildChainBuckets(chain, cc);
   }
-  // Pass 2: transitive closure over JUMP edges.
-  CloseBucketPurity(filter, snap->compiled);
   snap->cc_input = snap->FindCompiled("input");
   snap->cc_output = snap->FindCompiled("output");
   snap->cc_create = snap->FindCompiled("create");
   snap->cc_syscallbegin = snap->FindCompiled("syscallbegin");
-  // Pass 3: lower the whole generation into the arena-packed program form
+  // Pass 2: lower the whole generation into the arena-packed program form
   // (compile.cc) — re-points the buckets just built at entry-table slices.
   LowerProgram(*snap);
-  // Pass 3.5: STATE-protocol automaton lowering (automata.cc). Gated so the
-  // NOAUTOMATA bench rung measures the baseline compile; with the pass off,
-  // program.automata_built stays false and every consumer ignores the
-  // astate fields.
-  if (config_.automata) {
-    BuildAutomata(*snap);
-  }
-  // Pass 4: the load-time verifier (verify.h). The evaluator trusts every
+  // Pass 3: the load-time verifier (verify.h). The evaluator trusts every
   // arena fetch; this pass is where that trust is earned. CommitRuleset
   // refuses to publish on errors.
   if (config_.verify_programs) {
@@ -414,37 +319,25 @@ std::shared_ptr<CompiledRuleset> Engine::CompileRulesetDelta(
   std::set<std::string> dirty_set(dirty.begin(), dirty.end());
   // Pass 1: recompute buckets for dirty chains; copy the clean chains' from
   // the base generation. Rule objects are shared between generations, so a
-  // copied bucket's pointer lists stay valid; needs/cacheable reset to their
-  // chain-local base values because the closure (whose inputs may include a
-  // dirty chain) reruns from scratch.
+  // copied bucket's pointer lists stay valid.
   for (auto& [name, chain] : filter.chains()) {
     CompiledChain& cc = snap->compiled[&chain];
     if (dirty_set.count(name) == 0) {
       cc = prev.compiled.at(prev.rules.filter().Find(name));
       cc.chain = &chain;
-      for (size_t op = 0; op < sim::kOpCount; ++op) {
-        cc.ops[op].needs = cc.ops[op].base_needs;
-        cc.ops[op].cacheable = cc.ops[op].base_cacheable;
-      }
     } else {
       cc.chain = &chain;
       BuildChainBuckets(chain, cc);
     }
   }
-  CloseBucketPurity(filter, snap->compiled);
   snap->cc_input = snap->FindCompiled("input");
   snap->cc_output = snap->FindCompiled("output");
   snap->cc_create = snap->FindCompiled("create");
   snap->cc_syscallbegin = snap->FindCompiled("syscallbegin");
-  // Pass 3: splice — copy the base program, kill the dirty chains' records,
+  // Pass 2: splice — copy the base program, kill the dirty chains' records,
   // append their relowered bodies and tables (compile.cc).
   LowerProgramDelta(*snap, prev.program, dirty);
-  // Pass 3.5: delta automaton lowering — reclassifies only the dirty chains
-  // when their STATE facts are unchanged, full rebuild otherwise.
-  if (config_.automata) {
-    BuildAutomataDelta(*snap, dirty);
-  }
-  // Pass 4: delta verification. The untouched prefix was proven when the
+  // Pass 3: delta verification. The untouched prefix was proven when the
   // base generation published and the splice never rewrites it (dead
   // marking only clears RuleRecord::rule), so the verifier re-checks the
   // appended records, the rebuilt chains' dispatch tables, and the global
@@ -496,9 +389,6 @@ Status Engine::CommitRuleset() {
     generation_.store(published_->generation, std::memory_order_release);
   }
   (delta ? delta_commits_ : full_commits_).fetch_add(1, kRelaxed);
-  // Entries of dead generations are unreachable by key; clear them out so
-  // frequent commits do not pin stale verdicts in memory.
-  vcache_.Clear();
   return Status::Ok();
 }
 
@@ -520,44 +410,6 @@ const CompiledRuleset& Engine::PinRuleset(std::shared_ptr<const CompiledRuleset>
   return **hold;
 }
 
-// --- VerdictCache ------------------------------------------------------------
-
-std::optional<CachedVerdict> VerdictCache::Lookup(const VerdictKey& key,
-                                                  size_t hash) const {
-  const Shard& shard = shards_[hash & (kShards - 1)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    return std::nullopt;
-  }
-  return it->second;  // copies bool + one shared_ptr ref
-}
-
-void VerdictCache::Insert(const VerdictKey& key, size_t hash, CachedVerdict verdict) {
-  Shard& shard = shards_[hash & (kShards - 1)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.size() >= kMaxPerShard) {
-    shard.map.clear();  // memo, not truth: dump the shard and let it refill
-  }
-  shard.map[key] = std::move(verdict);
-}
-
-void VerdictCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
-}
-
-size_t VerdictCache::size() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.map.size();
-  }
-  return n;
-}
-
 EngineStatsBlock& Engine::StatsLocal() {
   return stats_blocks_[WorkerIndex() & (kStatsBlocks - 1)];
 }
@@ -574,14 +426,6 @@ EngineStats Engine::stats() const {
     out.unwinds += b.unwinds.load(kRelaxed);
     out.unwind_cache_hits += b.unwind_cache_hits.load(kRelaxed);
     out.ruleset_refreshes += b.ruleset_refreshes.load(kRelaxed);
-    out.vcache_hits += b.vcache_hits.load(kRelaxed);
-    out.vcache_misses += b.vcache_misses.load(kRelaxed);
-    out.vcache_bypasses += b.vcache_bypasses.load(kRelaxed);
-    out.vcache_state_hits += b.vcache_state_hits.load(kRelaxed);
-    out.vcache_state_misses += b.vcache_state_misses.load(kRelaxed);
-    for (size_t i = 0; i < out.vcache_bypass_causes.size(); ++i) {
-      out.vcache_bypass_causes[i] += b.vcache_bypass_causes[i].load(kRelaxed);
-    }
     for (size_t i = 0; i < out.ctx_fetches.size(); ++i) {
       out.ctx_fetches[i] += b.ctx_fetches[i].load(kRelaxed);
     }
@@ -609,14 +453,6 @@ void Engine::ResetStats() {
     b.unwinds.store(0, kRelaxed);
     b.unwind_cache_hits.store(0, kRelaxed);
     b.ruleset_refreshes.store(0, kRelaxed);
-    b.vcache_hits.store(0, kRelaxed);
-    b.vcache_misses.store(0, kRelaxed);
-    b.vcache_bypasses.store(0, kRelaxed);
-    b.vcache_state_hits.store(0, kRelaxed);
-    b.vcache_state_misses.store(0, kRelaxed);
-    for (auto& c : b.vcache_bypass_causes) {
-      c.store(0, kRelaxed);
-    }
     for (auto& c : b.ctx_fetches) {
       c.store(0, kRelaxed);
     }
@@ -626,35 +462,62 @@ void Engine::ResetStats() {
 
 // --- per-task state ----------------------------------------------------------
 
-PfTaskState& Engine::TaskState(sim::Task& task) { return states_.GetOrCreate(task.pid); }
+size_t Engine::slot() {
+  size_t s = slot_.load(std::memory_order_acquire);
+  if (s == kNoSlot) [[unlikely]] {
+    // Never registered: claim a slot of its own. Of two racing first uses,
+    // the loser's reservation stays unused.
+    const size_t fresh = kernel_.ReserveSecuritySlot();
+    if (slot_.compare_exchange_strong(s, fresh, std::memory_order_acq_rel)) {
+      s = fresh;
+    }
+  }
+  return s;
+}
 
-void Engine::OnTaskExit(sim::Task& task) { states_.Erase(task.pid); }
+PfTaskState& Engine::TaskState(sim::Task& task) {
+  // The slot pointer is written exactly once, inside call_once, so the load
+  // below needs no lock: call_once orders it after the creating store.
+  const size_t s = slot();
+  std::call_once(task.security_once[s],
+                 [&task, s] { task.security[s] = std::make_shared<PfTaskState>(); });
+  return *static_cast<PfTaskState*>(task.security[s].get());
+}
+
+void Engine::OnTaskExit(sim::Task& task) {
+  // Frees the dictionary and the unwind snapshots. The emptied PfTaskState
+  // stays in the slot until the task itself is freed, so a late hook finds
+  // an empty state rather than a dangling one.
+  PfTaskState& state = TaskState(task);
+  {
+    std::lock_guard<std::mutex> lock(state.mu);
+    state.dict.clear();
+  }
+  state.stack.store(nullptr, std::memory_order_release);
+  state.interp.store(nullptr, std::memory_order_release);
+}
 
 void Engine::OnTaskFork(sim::Task& parent, sim::Task& child) {
   // The STATE dictionary follows the process across fork (context caches do
   // not: the child's first access re-unwinds its own stack).
-  auto parent_state = states_.Find(parent.pid);
-  if (!parent_state) {
-    return;
-  }
-  auto state = std::make_shared<PfTaskState>();
+  PfTaskState& from = TaskState(parent);
+  std::map<std::string, int64_t> dict;
   {
-    std::lock_guard<std::mutex> lock(parent_state->mu);
-    state->dict = parent_state->dict;
+    std::lock_guard<std::mutex> lock(from.mu);
+    dict = from.dict;
   }
-  states_.Put(child.pid, std::move(state));
+  if (!dict.empty()) {
+    TaskState(child).dict = std::move(dict);
+  }
 }
 
 void Engine::OnTaskExec(sim::Task& task) {
   // execve replaces the image: cached unwinds describe a dead address space.
   // (The serial check would also reject them on the next syscall; dropping
   // them here keeps even same-syscall hooks from seeing pre-exec frames.)
-  auto state = states_.Find(task.pid);
-  if (!state) {
-    return;
-  }
-  state->stack.store(nullptr, std::memory_order_release);
-  state->interp.store(nullptr, std::memory_order_release);
+  PfTaskState& state = TaskState(task);
+  state.stack.store(nullptr, std::memory_order_release);
+  state.interp.store(nullptr, std::memory_order_release);
 }
 
 // --- context modules ---------------------------------------------------------
@@ -836,7 +699,9 @@ void Engine::EmitLog(Packet& pkt, const std::string& prefix) {
   rec.name = std::string(req.name);
   if (pkt.entrypoint_valid) {
     rec.entry_valid = true;
-    rec.program = pkt.entrypoint.image_path;
+    if (const sim::Mapping* map = req.task->mm.FindMapping(pkt.entrypoint.pc)) {
+      rec.program = map->path;
+    }
     rec.entrypoint = pkt.entrypoint.offset;
   }
   rec.adversary_writable = pkt.adversary_writable;
@@ -926,7 +791,6 @@ Engine::Verdict Engine::EvalRule(const CompiledRuleset& rs, const Rule& rule, Pa
     }
   }
   rule.hits.fetch_add(1, kRelaxed);
-  NoteRuleHit(&rule);
   switch (rule.target->Fire(pkt, *this)) {
     case TargetKind::kAccept:
       return Verdict::kAccept;
@@ -1327,10 +1191,12 @@ Engine::Verdict Engine::ExecChain(const CompiledRuleset& rs, const ProgramChain&
     return ExecChainTuple(rs, bucket, pkt, depth);
   }
   if (config_.ept_chains && pc.index_built) {
-    Verdict v = ExecEntries(rs, bucket.plain_off, bucket.plain_len,
-                            /*op_checked=*/true, pkt, depth);
-    if (v != Verdict::kFallthrough) {
-      return v;
+    if (bucket.plain_len != 0) {
+      Verdict v = ExecEntries(rs, bucket.plain_off, bucket.plain_len,
+                              /*op_checked=*/true, pkt, depth);
+      if (v != Verdict::kFallthrough) {
+        return v;
+      }
     }
     if (bucket.has_indexed && pc.ept) {
       EnsureContext(pkt, CtxBit(Ctx::kEntrypoint));
@@ -1361,6 +1227,36 @@ Engine::Verdict Engine::RunBuiltinCompiled(const CompiledRuleset& rs,
   return v;
 }
 
+size_t ApplicableChains(const CompiledRuleset& rs, const sim::AccessRequest& req,
+                        const CompiledChain* out[3]) {
+  const size_t op_index = static_cast<size_t>(req.op);
+  size_t n = 0;
+  auto consider = [&](const CompiledChain* cc) {
+    if (cc != nullptr && (((cc->op_mask >> op_index) & 1) != 0 ||
+                          cc->chain->policy() == Chain::Policy::kDrop)) {
+      out[n++] = cc;
+    }
+  };
+  if (req.op == sim::Op::kSyscallBegin) {
+    if (rs.cc_syscallbegin != nullptr &&
+        NrMayMatch(rs.cc_syscallbegin->nr_mask, req.syscall_nr)) {
+      consider(rs.cc_syscallbegin);
+    }
+    return n;
+  }
+  // Creation operations consult the create chain first (template T2),
+  // write-type operations additionally the output chain, then everything
+  // falls through to input.
+  if (IsCreateOp(req.op)) {
+    consider(rs.cc_create);
+  }
+  if (IsOutputOp(req.op)) {
+    consider(rs.cc_output);
+  }
+  consider(rs.cc_input);
+  return n;
+}
+
 int64_t Engine::Authorize(sim::AccessRequest& req) {
   if (!config_.enabled || req.task == nullptr) {
     return 0;
@@ -1370,33 +1266,8 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
   std::shared_ptr<const CompiledRuleset> hold;
   const CompiledRuleset& rs = PinRuleset(&hold);
 
-  // Builtin chains this operation traverses, in order (create -> output ->
-  // input, paper template T2). The commit-time op-coverage mask skips chains
-  // with no rule that can match this op — when none remain, the default
-  // allow costs neither a Packet nor any per-task state.
-  const size_t op_index = static_cast<size_t>(req.op);
   const CompiledChain* applicable[3];
-  size_t num_applicable = 0;
-  auto consider = [&](const CompiledChain* cc) {
-    if (cc != nullptr && (((cc->op_mask >> op_index) & 1) != 0 ||
-                          cc->chain->policy() == Chain::Policy::kDrop)) {
-      applicable[num_applicable++] = cc;
-    }
-  };
-  if (req.op == sim::Op::kSyscallBegin) {
-    consider(rs.cc_syscallbegin);
-  } else {
-    // Creation operations consult the create chain first (template T2),
-    // write-type operations additionally the output chain, then everything
-    // falls through to input.
-    if (IsCreateOp(req.op)) {
-      consider(rs.cc_create);
-    }
-    if (IsOutputOp(req.op)) {
-      consider(rs.cc_output);
-    }
-    consider(rs.cc_input);
-  }
+  const size_t num_applicable = ApplicableChains(rs, req, applicable);
   if (num_applicable == 0) {
     return 0;  // fast-path allow: never traced (no Packet, no rule base work)
   }
@@ -1406,23 +1277,18 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
   DecisionScratch scratch;
   DecisionScratch* prev_scratch = nullptr;
   bool trace_decision = false;
-  bool trace_vcache = false;
   bool trace_active = false;
   uint64_t t_start = 0;
   [[maybe_unused]] bool obs_timed = false;
-  [[maybe_unused]] trace::Path path = trace::Path::kVcache;
-  [[maybe_unused]] uint8_t cache_outcome = trace::kCacheNone;
   if constexpr (trace::kTraceCompiledIn) {
     const uint32_t ev = trace_.events();
     if (ev != 0 && ((trace_.op_filter() >> (static_cast<uint32_t>(req.op) &
                                             (trace::TraceHub::kMaxOps - 1))) &
                     1) != 0) {
       trace_decision = (ev & trace::EventBit(trace::Event::kDecision)) != 0;
-      trace_vcache = (ev & trace::EventBit(trace::Event::kVcache)) != 0;
       scratch.trace_rules = (ev & trace::EventBit(trace::Event::kRule)) != 0;
       scratch.trace_ctx = (ev & trace::EventBit(trace::Event::kCtxFetch)) != 0;
-      trace_active =
-          trace_decision || trace_vcache || scratch.trace_rules || scratch.trace_ctx;
+      trace_active = trace_decision || scratch.trace_rules || scratch.trace_ctx;
       if (trace_active) {
         scratch.worker =
             static_cast<uint16_t>(WorkerIndex() & (trace::TraceHub::kMaxWorkers - 1));
@@ -1471,274 +1337,19 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
     EnsureContext(pkt, kAllCtx);
   }
 
-  // Verdict-cache probe, three tiers:
-  //   * pure: every applicable bucket's verdict is a function of the key
-  //     alone — probe with the base key (unchanged from before the stateful
-  //     tier existed);
-  //   * stateful: some bucket is impure but every impure one is
-  //     automaton-lowered (astate.causes == 0) — probe with the key extended
-  //     by the task's folded automaton state (plus syscall number / signal
-  //     disposition when lowered guards read them); a hit replays the
-  //     memoized rule hits and dictionary writes, a miss traverses under an
-  //     armed effects capture;
-  //   * bypass: some impure bucket is not lowerable (LOG, variable STATE
-  //     operands, SYSCALL_ARGS beyond the number, ...) — traverse uncached,
-  //     attributing the primary cause to the per-cause counters.
-  bool cacheable = config_.verdict_cache;
-  CtxMask needs = 0;
-  for (size_t i = 0; i < num_applicable; ++i) {
-    const OpBucket& bucket = applicable[i]->ops[op_index];
-    cacheable = cacheable && bucket.cacheable;
-    needs |= bucket.needs;
-  }
-  bool state_probe = false;
-  bool nr_in_key = false;
-  bool sig_in_key = false;
-  uint8_t bypass_causes = 0;
-  uint64_t astate_fold = 0;
-  std::vector<uint16_t> protocols;
-  if (config_.verdict_cache && !cacheable) {
-    const bool automata_ok = config_.automata && rs.program.automata_built;
-    bool admissible = automata_ok;
-    for (size_t i = 0; i < num_applicable; ++i) {
-      const CompiledChain* cc = applicable[i];
-      if (cc->ops[op_index].cacheable) {
-        continue;  // pure bucket: contributes nothing stateful
-      }
-      if (!automata_ok || cc->program_chain < 0) {
-        admissible = false;
-        continue;
-      }
-      const ProgramBucket& pb = rs.program.chains[cc->program_chain].ops[op_index];
-      bypass_causes |= pb.astate.causes;
-      if (pb.astate.causes != 0) {
-        admissible = false;
-        continue;
-      }
-      nr_in_key = nr_in_key || pb.astate.nr_in_key;
-      sig_in_key = sig_in_key || pb.astate.sig_in_key;
-      protocols.insert(protocols.end(), pb.astate.protocols.begin(),
-                       pb.astate.protocols.end());
-    }
-    state_probe = admissible;
-    if (state_probe && !protocols.empty()) {
-      std::sort(protocols.begin(), protocols.end());
-      protocols.erase(std::unique(protocols.begin(), protocols.end()), protocols.end());
-    }
-  }
-  VerdictKey key;
-  size_t key_hash = 0;
-  bool insert_on_miss = false;
-  bool drop = false;
-  bool decided = false;
-  [[maybe_unused]] int32_t hit_chain = -1;
-  [[maybe_unused]] int32_t hit_rule = -1;
-  std::shared_ptr<PfTaskState> tstate;
-  if (state_probe) {
-    // Fold the task's current automaton state into the key. Tasks with no
-    // PfTaskState yet have an empty dictionary: every digit (and the fold)
-    // is zero, with no state faulted in.
-    tstate = states_.Find(req.task->pid);
-    std::optional<uint64_t> fold;
-    if (tstate != nullptr) {
-      std::lock_guard<std::mutex> lock(tstate->mu);
-      const std::vector<uint32_t>& vec =
-          DeriveAutomatonState(rs.program, rs.generation, *tstate);
-      fold = FoldAutomatonState(rs.program, protocols, &vec);
+  Verdict verdict = Verdict::kFallthrough;
+  [[maybe_unused]] trace::Path path = trace::Path::kCompiled;
+  for (size_t i = 0; i < num_applicable && verdict == Verdict::kFallthrough; ++i) {
+    const CompiledChain* cc = applicable[i];
+    if (config_.compiled_eval && cc->program_chain >= 0) {
+      path = trace::Path::kCompiled;
+      verdict = RunBuiltinCompiled(rs, rs.program.chains[cc->program_chain], pkt);
     } else {
-      fold = FoldAutomatonState(rs.program, protocols, nullptr);
-    }
-    if (fold) {
-      astate_fold = *fold;
-    } else {
-      state_probe = false;  // fold overflow: serve as a plain bypass
+      path = trace::Path::kFull;
+      verdict = RunBuiltin(rs, *cc, pkt);
     }
   }
-  if (cacheable || state_probe) {
-    key.generation = rs.generation;
-    key.mac_epoch = kernel_.policy().epoch();
-    key.op = static_cast<uint32_t>(req.op);
-    key.subject_sid = req.task->cred.sid;
-    if (req.inode != nullptr) {
-      key.flags |= VerdictKey::kHasObject;
-      key.object = req.id;
-      key.object_generation = req.inode->generation;
-      key.object_sid = req.inode->sid;
-    }
-    if ((needs & (CtxBit(Ctx::kEntrypoint) | CtxBit(Ctx::kUserStack))) != 0) {
-      // Some applicable rule reads the entrypoint, so it is a verdict input;
-      // fetch it (cached across hooks of this syscall) and key on it.
-      key.flags |= VerdictKey::kEptInKey;
-      EnsureContext(pkt, CtxBit(Ctx::kEntrypoint));
-      if (pkt.entrypoint_valid) {
-        key.flags |= VerdictKey::kEptValid;
-        key.ept_image = pkt.entrypoint.image;
-        key.ept_offset = pkt.entrypoint.offset;
-      }
-    }
-    if (state_probe) {
-      key.flags |= VerdictKey::kStateInKey;
-      key.astate = astate_fold;
-      if (nr_in_key) {
-        key.flags |= VerdictKey::kNrInKey;
-        key.syscall_nr = static_cast<uint32_t>(req.syscall_nr);
-      }
-      if (sig_in_key) {
-        // SIGNAL_MATCH reads exactly one predicate of the request: the
-        // delivered signal has a handler installed and is blockable. Key on
-        // that bit (probed here, so a handler change re-keys, never stales).
-        key.flags |= VerdictKey::kSigInKey;
-        if (req.op == sim::Op::kSignalDeliver && req.task->signals.HasHandler(req.sig) &&
-            !sim::IsUnblockable(req.sig)) {
-          key.flags |= VerdictKey::kSigHandled;
-        }
-      }
-    }
-    key_hash = VerdictKeyHash()(key);
-    if (std::optional<CachedVerdict> cached = vcache_.Lookup(key, key_hash)) {
-      sb.vcache_hits.fetch_add(1, kRelaxed);
-      cache_outcome = trace::kCacheHit;
-      drop = cached->drop;
-      decided = true;
-      // Cached-hit denials keep exact rule attribution for the audit
-      // pipeline: the verdict-producing rule is a pure function of the key,
-      // memoized at insert time.
-      hit_chain = cached->chain_id;
-      hit_rule = cached->rule_index;
-      if (state_probe) {
-        sb.vcache_state_hits.fetch_add(1, kRelaxed);
-        if (cached->fx != nullptr) {
-          // Replay the traversal's effects: per-rule hit counters in
-          // traversal order, then the dictionary writes (which advance the
-          // automaton — the next probe derives the successor state).
-          for (const Rule* r : cached->fx->hits) {
-            r->hits.fetch_add(1, kRelaxed);
-          }
-          if (!cached->fx->deltas.empty()) {
-            PfTaskState& st = TaskState(*req.task);
-            std::lock_guard<std::mutex> lock(st.mu);
-            for (const DictDelta& d : cached->fx->deltas) {
-              if (d.unset) {
-                st.dict.erase(d.key);
-              } else {
-                // Audit emit point (stateful replay): a memoized @phase write
-                // is the same protocol transition the traversal performed.
-                if constexpr (audit::kAuditCompiledIn) {
-                  if (g_audit != nullptr && d.key == kPhaseKeyName) {
-                    auto it = st.dict.find(d.key);
-                    NotePhaseTransition(it != st.dict.end()
-                                            ? it->second
-                                            : PhaseId(kPhaseInitName),
-                                        d.value);
-                  }
-                }
-                st.dict[d.key] = d.value;
-              }
-              ++st.dict_seq;
-            }
-          }
-        }
-      }
-    } else {
-      sb.vcache_misses.fetch_add(1, kRelaxed);
-      cache_outcome = trace::kCacheMiss;
-      insert_on_miss = true;
-      if (state_probe) {
-        sb.vcache_state_misses.fetch_add(1, kRelaxed);
-      }
-    }
-  } else if (config_.verdict_cache) {
-    sb.vcache_bypasses.fetch_add(1, kRelaxed);
-    if (bypass_causes != 0) {
-      const unsigned cause = static_cast<unsigned>(std::countr_zero(bypass_causes));
-      if (cause < kBypassCauseCount) {
-        sb.vcache_bypass_causes[cause].fetch_add(1, kRelaxed);
-      }
-    }
-    cache_outcome = trace::kCacheBypass;
-  }
-  if constexpr (trace::kTraceCompiledIn) {
-    if (trace_vcache && cache_outcome != trace::kCacheNone) {
-      trace::TraceRecord rec;
-      rec.ts_ns = trace::NowNs();
-      rec.worker = scratch.worker;
-      rec.op = scratch.op;
-      rec.event = static_cast<uint8_t>(trace::Event::kVcache);
-      rec.subject_sid = req.task->cred.sid;
-      rec.cache = cache_outcome;
-      if (state_probe) {
-        // Stateful-tier attribution: kVcache records carry no timing, so
-        // the folded automaton state rides in total_ns (kFlagStateKey marks
-        // it meaningful) — pftrace renders it as the probe's state id.
-        rec.flags |= trace::kFlagStateKey;
-        rec.total_ns = trace::ClampNs(astate_fold);
-      }
-      trace_.Emit(rec);
-    }
-  }
-
-  if (!decided) {
-    // A stateful miss traverses under an armed effects capture; the entry is
-    // inserted only when the task's dict_seq moved by exactly this
-    // traversal's own writes — a concurrent writer interleaving with the
-    // traversal would make the capture describe a mixed history.
-    EffectsCapture capture;
-    EffectsCapture* prev_capture = nullptr;
-    uint64_t seq_before = 0;
-    const bool capturing = state_probe && insert_on_miss;
-    if (capturing) {
-      if (tstate != nullptr) {
-        std::lock_guard<std::mutex> lock(tstate->mu);
-        seq_before = tstate->dict_seq;
-      }
-      prev_capture = g_capture;
-      g_capture = &capture;
-    }
-    Verdict verdict = Verdict::kFallthrough;
-    for (size_t i = 0; i < num_applicable && verdict == Verdict::kFallthrough; ++i) {
-      const CompiledChain* cc = applicable[i];
-      if (config_.compiled_eval && cc->program_chain >= 0) {
-        path = trace::Path::kCompiled;
-        verdict = RunBuiltinCompiled(rs, rs.program.chains[cc->program_chain], pkt);
-      } else {
-        path = trace::Path::kFull;
-        verdict = RunBuiltin(rs, *cc, pkt);
-      }
-    }
-    drop = verdict == Verdict::kDrop;
-    if (capturing) {
-      g_capture = prev_capture;
-    }
-    if (insert_on_miss) {
-      CachedVerdict cv;
-      cv.drop = drop;
-      // Memoize attribution when an observer was watching the traversal
-      // (compiled path only, -1 otherwise — the tracing convention). Like
-      // the verdict it is a pure function of the key, so a later hit can
-      // report the matched rule without re-traversing.
-      cv.chain_id = scratch.chain_id;
-      cv.rule_index = scratch.rule_index;
-      bool insert = true;
-      if (state_probe) {
-        if (tstate == nullptr) {
-          // The traversal (or a concurrent one) may have faulted state in;
-          // the empty pre-traversal dictionary corresponds to seq 0.
-          tstate = states_.Find(req.task->pid);
-          seq_before = 0;
-        }
-        if (tstate != nullptr) {
-          std::lock_guard<std::mutex> lock(tstate->mu);
-          insert = tstate->dict_seq == seq_before + capture.own_mutations;
-        }
-        if (insert && (!capture.fx.hits.empty() || !capture.fx.deltas.empty())) {
-          cv.fx = std::make_shared<const StatefulEffects>(std::move(capture.fx));
-        }
-      }
-      if (insert) {
-        vcache_.Insert(key, key_hash, std::move(cv));
-      }
-    }
-  }
+  const bool drop = verdict == Verdict::kDrop;
 
   // --- observer epilogue: pop the shared scratch (installed by whichever of
   // the two prologues armed it) and close the decision's timing window.
@@ -1753,43 +1364,36 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
   }
 
   // --- decision tracepoint, epilogue: histogram sample + one kDecision
-  // record covering context fetch, probe, and traversal of this request.
+  // record covering context fetch and traversal of this request.
   if constexpr (trace::kTraceCompiledIn) {
-    if (trace_active) {
-      if (trace_decision) {
-        trace_.RecordLatency(static_cast<uint32_t>(req.op), path, total);
-        trace::TraceRecord rec;
-        rec.ts_ns = trace::NowNs();
-        rec.worker = scratch.worker;
-        rec.op = scratch.op;
-        rec.event = static_cast<uint8_t>(trace::Event::kDecision);
-        rec.path = static_cast<uint8_t>(path);
-        rec.cache = cache_outcome;
-        rec.subject_sid = req.task->cred.sid;
-        rec.object_sid = pkt.has_object ? pkt.object_sid : sim::kInvalidSid;
-        rec.chain_id = scratch.chain_id;
-        rec.rule_index = scratch.rule_index;
-        rec.ctx_ns = trace::ClampNs(scratch.ctx_ns);
-        rec.total_ns = trace::ClampNs(total);
-        rec.eval_ns =
-            trace::ClampNs(total >= scratch.ctx_ns ? total - scratch.ctx_ns : 0);
-        if (drop) {
-          rec.flags |= trace::kFlagDrop;
-          if (config_.audit_only) {
-            rec.flags |= trace::kFlagAudited;
-          }
+    if (trace_decision) {
+      trace_.RecordLatency(static_cast<uint32_t>(req.op), path, total);
+      trace::TraceRecord rec;
+      rec.ts_ns = trace::NowNs();
+      rec.worker = scratch.worker;
+      rec.op = scratch.op;
+      rec.event = static_cast<uint8_t>(trace::Event::kDecision);
+      rec.path = static_cast<uint8_t>(path);
+      rec.subject_sid = req.task->cred.sid;
+      rec.object_sid = pkt.has_object ? pkt.object_sid : sim::kInvalidSid;
+      rec.chain_id = scratch.chain_id;
+      rec.rule_index = scratch.rule_index;
+      rec.ctx_ns = trace::ClampNs(scratch.ctx_ns);
+      rec.total_ns = trace::ClampNs(total);
+      rec.eval_ns = trace::ClampNs(total >= scratch.ctx_ns ? total - scratch.ctx_ns : 0);
+      if (drop) {
+        rec.flags |= trace::kFlagDrop;
+        if (config_.audit_only) {
+          rec.flags |= trace::kFlagAudited;
         }
-        if (pkt.entrypoint_valid) {
-          rec.flags |= trace::kFlagEptValid;
-          rec.ept_dev = pkt.entrypoint.image.dev;
-          rec.ept_ino = pkt.entrypoint.image.ino;
-          rec.ept_offset = pkt.entrypoint.offset;
-        }
-        if (state_probe) {
-          rec.flags |= trace::kFlagStateKey;  // decision keyed on automaton state
-        }
-        trace_.Emit(rec);
       }
+      if (pkt.entrypoint_valid) {
+        rec.flags |= trace::kFlagEptValid;
+        rec.ept_dev = pkt.entrypoint.image.dev;
+        rec.ept_ino = pkt.entrypoint.image.ino;
+        rec.ept_offset = pkt.entrypoint.offset;
+      }
+      trace_.Emit(rec);
     }
   }
 
@@ -1828,6 +1432,10 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
         base.pid = static_cast<uint32_t>(req.task->pid);
         base.worker = static_cast<uint16_t>(w);
         base.op = static_cast<uint8_t>(req.op);
+        // Serving-path attribution: which evaluator produced the verdict.
+        base.tier = static_cast<uint8_t>(path == trace::Path::kCompiled
+                                             ? audit::Tier::kCompiled
+                                             : audit::Tier::kLegacy);
         if (req.inode != nullptr) {
           base.flags |= audit::kFlagHasObject;
           base.object_sid = req.inode->sid;
@@ -1846,51 +1454,12 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
           base.total_ns = total;
           base.ctx_ns = scratch.ctx_ns;
         }
-        // Serving-tier attribution: which layer of the engine produced (or
-        // replayed) the verdict this event belongs to.
-        if (decided) {
-          base.tier = static_cast<uint8_t>(state_probe ? audit::Tier::kVcacheState
-                                                       : audit::Tier::kVcache);
-        } else if (cache_outcome == trace::kCacheBypass) {
-          base.tier = static_cast<uint8_t>(audit::Tier::kBypass);
-          base.cause = bypass_causes;
-        } else {
-          base.tier = static_cast<uint8_t>(path == trace::Path::kCompiled
-                                               ? audit::Tier::kCompiled
-                                               : audit::Tier::kLegacy);
-        }
-        if (state_probe) {
-          base.flags |= audit::kFlagStateKey;
-          base.automaton = protocols.empty()
-                               ? audit::kNoAutomaton
-                               : static_cast<uint16_t>(protocols.front());
-          base.astate_in = astate_fold;
-          base.astate_out = astate_fold;
-          // Successor state: re-fold after this decision's recorded effects
-          // (traversal writes or replayed deltas) have been applied.
-          std::shared_ptr<PfTaskState> ts =
-              tstate != nullptr ? tstate : states_.Find(req.task->pid);
-          std::optional<uint64_t> out_fold;
-          if (ts != nullptr) {
-            std::lock_guard<std::mutex> lock(ts->mu);
-            const std::vector<uint32_t>& vec =
-                DeriveAutomatonState(rs.program, rs.generation, *ts);
-            out_fold = FoldAutomatonState(rs.program, protocols, &vec);
-          } else {
-            out_fold = FoldAutomatonState(rs.program, protocols, nullptr);
-          }
-          if (out_fold) {
-            base.astate_out = *out_fold;
-          }
-        }
         // Mid-traversal events first, in occurrence order, then the verdict.
         for (uint32_t i = 0; i < n_phase; ++i) {
           audit::AuditRecord rec = base;
           rec.kind = static_cast<uint8_t>(audit::Kind::kPhase);
-          rec.flags = static_cast<uint16_t>(rec.flags & ~audit::kFlagStateKey);
-          rec.automaton = audit::kNoAutomaton;
-          rec.astate_in = static_cast<uint64_t>(audit_scratch.phase_from[i]);
-          rec.astate_out = static_cast<uint64_t>(audit_scratch.phase_to[i]);
+          rec.phase_from = static_cast<uint64_t>(audit_scratch.phase_from[i]);
+          rec.phase_to = static_cast<uint64_t>(audit_scratch.phase_to[i]);
           audit_.Emit(w, rec);
         }
         for (uint32_t i = 0; i < n_log; ++i) {
@@ -1905,8 +1474,8 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
           rec.kind = static_cast<uint8_t>(config_.audit_only
                                               ? audit::Kind::kAuditedDeny
                                               : audit::Kind::kDeny);
-          rec.chain_id = decided ? hit_chain : scratch.chain_id;
-          rec.rule_index = decided ? hit_rule : scratch.rule_index;
+          rec.chain_id = scratch.chain_id;
+          rec.rule_index = scratch.rule_index;
           audit_.Emit(w, rec);
         }
       }

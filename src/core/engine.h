@@ -13,19 +13,19 @@
 //   EPTSPC   = {lazy_context=true,  cache_context=true,  ept_chains=true}
 //   COMPILED = EPTSPC + compiled_eval (arena-packed program evaluator; see
 //              DESIGN.md "Compiled PF programs")
-//   VCACHE   = COMPILED + verdict_cache (commit-time compilation + AVC-style
-//              verdict cache; see DESIGN.md "Verdict cache and commit-time
-//              compilation")
+//
+// Every decision evaluates the published program; nothing memoizes verdicts
+// (DESIGN.md "Why there is no verdict cache").
 //
 // Concurrency model (paper §5.1 makes the hooks re-entrant "without
 // disabling interrupts"; here the same property is carried to real worker
 // threads — see DESIGN.md "Concurrency model"):
 //
-//   * Per-task state (the STATE dictionary, context caches) lives in a
-//     lock-striped shard table keyed by task id. Each PfTaskState carries a
-//     small mutex guarding its dictionary and cache slots; context caches
-//     are immutable snapshots published by shared_ptr, so a reader never
-//     observes a torn unwind.
+//   * Per-task state (the STATE dictionary, context caches) lives in the
+//     task's own security slot (sim::Task::security[slot]), created once
+//     under the slot's std::once_flag. Each PfTaskState carries a small
+//     mutex guarding its dictionary; context caches are immutable snapshots
+//     published by shared_ptr, so a reader never observes a torn unwind.
 //   * Statistics are per-worker ("per-CPU") cache-line-aligned counter
 //     blocks bumped with relaxed atomics and aggregated on read — there is
 //     no shared hot counter.
@@ -43,9 +43,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "src/analysis/diagnostics.h"  // standalone by design, like pftables.h
 #include "src/audit/hub.h"
@@ -77,20 +75,6 @@ struct EngineConfig {
   bool lazy_context = true;   // fetch context only when a rule needs it
   bool cache_context = true;  // reuse unwinds across hooks within a syscall
   bool ept_chains = true;     // entrypoint-specific chain index
-  // AVC-style verdict cache: requests whose applicable chains are pure
-  // (commit-time classification) are served from a sharded hash of final
-  // verdicts instead of re-traversing the rule base. Chains with stateful or
-  // side-effecting rules (STATE, LOG, SYSCALL_ARGS, ...) bypass the cache.
-  bool verdict_cache = true;
-  // STATE-protocol automaton lowering (DESIGN.md §5i): compile the rule
-  // base's STATE keys into per-task mixed-radix DFAs at commit time and
-  // serve stateful decisions whose guards are digit-pure from the verdict
-  // cache, with the task's current automaton state folded into the key. A
-  // stateful cache hit replays the recorded dictionary writes and per-rule
-  // hit counters bit-identically to a traversal (AUTOMATA ablation rung);
-  // rules the pass cannot lower transparently stay on the bypass path.
-  // Effective only together with verdict_cache.
-  bool automata = true;
   // Evaluate hooks with the instruction interpreter over the commit-time
   // arena-packed program (program.h) instead of the legacy shared_ptr<Rule>
   // tree walker. Both produce bit-identical verdicts, stats, and side
@@ -145,18 +129,12 @@ struct EngineStats {
   uint64_t unwinds = 0;
   uint64_t unwind_cache_hits = 0;
   uint64_t ruleset_refreshes = 0;  // per-worker snapshot re-pins
-  uint64_t vcache_hits = 0;        // verdicts served without traversal
-  uint64_t vcache_misses = 0;      // traversed, then inserted
-  uint64_t vcache_bypasses = 0;    // unlowerable stateful chains: never cached
-  // Stateful-tier split of the totals above: hits/misses whose key carried
-  // automaton state (also counted in vcache_hits/vcache_misses), and the
-  // bypasses attributed to each kBypass* cause (the highest-priority set bit
-  // of the applicable buckets' unioned causes; with the automaton pass on,
-  // the array sums to vcache_bypasses — with it off no cause information
-  // exists and only the total moves).
+  // The engine has no verdict cache, so these always read 0. They stay for
+  // readers that still report verdict-cache rates (the perfbench ledger).
+  uint64_t vcache_hits = 0;
+  uint64_t vcache_misses = 0;
+  uint64_t vcache_bypasses = 0;
   uint64_t vcache_state_hits = 0;
-  uint64_t vcache_state_misses = 0;
-  std::array<uint64_t, kBypassCauseCount> vcache_bypass_causes{};
   uint64_t trace_records = 0;      // TraceRecords ever emitted
   uint64_t trace_drops = 0;        // records lost to full rings
   // Audit-pipeline conservation counters (src/audit): emitted = admitted +
@@ -187,12 +165,6 @@ struct alignas(64) EngineStatsBlock {
   std::atomic<uint64_t> unwinds{0};
   std::atomic<uint64_t> unwind_cache_hits{0};
   std::atomic<uint64_t> ruleset_refreshes{0};
-  std::atomic<uint64_t> vcache_hits{0};
-  std::atomic<uint64_t> vcache_misses{0};
-  std::atomic<uint64_t> vcache_bypasses{0};
-  std::atomic<uint64_t> vcache_state_hits{0};
-  std::atomic<uint64_t> vcache_state_misses{0};
-  std::array<std::atomic<uint64_t>, kBypassCauseCount> vcache_bypass_causes{};
   std::array<std::atomic<uint64_t>, static_cast<size_t>(Ctx::kCount)> ctx_fetches{};
 };
 
@@ -216,30 +188,15 @@ struct InterpSnapshot {
 };
 
 // Per-task Process Firewall state (the struct task_struct extension of the
-// paper, held in the engine's shard table keyed by task id). Created lazily:
-// only tasks that actually hit a stateful rule or a context unwind get one —
-// the authorization fast path never touches the shard table.
+// paper), held in the task's security slot. Created lazily: only tasks that
+// actually hit a stateful rule or a context unwind get one — the
+// authorization fast path never touches it.
 struct PfTaskState {
-  // Guards dict and the automaton-state cache below. Held for pointer-sized
-  // critical sections.
+  // Guards dict. Held for pointer-sized critical sections.
   std::mutex mu;
 
   // STATE match/target dictionary.
   std::map<std::string, int64_t> dict;
-
-  // Mutation sequence of `dict`, bumped under mu by every set/unset/replay
-  // (exec_insn.inc, StateTarget::Fire, stateful cache-hit replay). The
-  // stateful verdict-cache tier uses it two ways: to invalidate the derived
-  // automaton-state cache below, and to prove a miss traversal ran free of
-  // concurrent dictionary interference before inserting its verdict.
-  uint64_t dict_seq = 0;
-
-  // Cached DeriveAutomatonState result: the per-protocol digit products for
-  // program `astate_tag` at dictionary version `astate_seq`. Guarded by mu;
-  // rederived (a few map lookups) only when the dictionary moved.
-  uint64_t astate_tag = 0;
-  uint64_t astate_seq = ~0ull;
-  std::vector<uint32_t> astate;
 
   // Context caches (null until first fill; reset on execve). Atomic
   // shared_ptr slots: a cache hit is one acquire load, a miss publishes its
@@ -249,62 +206,26 @@ struct PfTaskState {
   std::atomic<std::shared_ptr<const InterpSnapshot>> interp;
 };
 
-// Lock-striped per-task state table. Striping bounds contention when many
-// workers fault in or look up state for different tasks concurrently.
-class TaskStateStore {
- public:
-  static constexpr size_t kShards = 16;  // power of two
-
-  PfTaskState& GetOrCreate(sim::Pid pid);
-  std::shared_ptr<PfTaskState> Find(sim::Pid pid);
-  void Put(sim::Pid pid, std::shared_ptr<PfTaskState> state);
-  void Erase(sim::Pid pid);
-  size_t size() const;
-
- private:
-  struct alignas(64) Shard {
-    mutable std::mutex mu;
-    std::unordered_map<sim::Pid, std::shared_ptr<PfTaskState>> map;
-  };
-
-  Shard& ShardFor(sim::Pid pid) { return shards_[Mix(pid) & (kShards - 1)]; }
-  const Shard& ShardFor(sim::Pid pid) const { return shards_[Mix(pid) & (kShards - 1)]; }
-  static size_t Mix(sim::Pid pid) {
-    uint64_t x = static_cast<uint64_t>(pid) * 0x9e3779b97f4a7c15ULL;
-    return static_cast<size_t>(x >> 32);
-  }
-
-  std::array<Shard, kShards> shards_;
-};
-
 // Per-(chain, op) dispatch bucket, computed once per commit. `all` holds the
 // chain's rules that can match the op (rules whose -o operand is absent or
 // equal), in chain order; `plain` is the non-entrypoint-indexable subset used
-// when the chain's entrypoint index is active. `needs` and `cacheable` are
-// transitive over JUMP targets: the union of every reachable rule's context
-// mask, and whether every reachable rule is a pure function of the
-// verdict-cache key.
+// when the chain's entrypoint index is active.
 struct OpBucket {
   std::vector<const Rule*> all;
   std::vector<const Rule*> plain;
-  CtxMask needs = 0;
-  bool cacheable = true;
   bool has_indexed = false;  // some entrypoint-indexed rule can match the op
-  // Pre-closure (chain-local) values of needs/cacheable plus the distinct
-  // JUMP targets, captured in pass 1. The transitive-closure fixpoint (pass
-  // 2) iterates these edges instead of every rule, and an incremental commit
-  // resets a copied bucket to the base values before re-running the closure.
-  CtxMask base_needs = 0;
-  bool base_cacheable = true;
-  std::vector<std::string> jump_targets;
 };
 
 // A chain plus its per-op dispatch table. `op_mask` bit i is set when
 // ops[i].all is non-empty, so Authorize can skip a whole chain with one
-// bit test.
+// bit test. `nr_mask` does the same for SYSCALL_BEGIN by syscall number:
+// bit n is set when some rule of the op's bucket can match syscall n. A rule
+// pins the number only with `-m SYSCALL_ARGS --arg 0 --equal N`; any other
+// rule, a JUMP, or a DROP policy sets every bit.
 struct CompiledChain {
   const Chain* chain = nullptr;
   uint64_t op_mask = 0;
+  uint64_t nr_mask = ~0ull;
   std::array<OpBucket, sim::kOpCount> ops;
   int32_t program_chain = -1;  // id of this chain in CompiledRuleset::program
 };
@@ -312,7 +233,7 @@ struct CompiledChain {
 // One published generation of the rule base: a structural copy of the
 // staging RuleSet (sharing the heap-allocated Rule objects) with the builtin
 // chains resolved once and the commit-time compilation results (per-op
-// dispatch tables, transitive purity) attached.
+// dispatch tables) attached.
 struct CompiledRuleset {
   RuleSet rules;
   uint64_t generation = 0;
@@ -345,138 +266,20 @@ struct CompiledRuleset {
   const CompiledChain* FindCompiled(const std::string& chain) const;
 };
 
-// Verdict-cache key: every input a *pure* traversal can read. The ruleset
-// generation covers rule commits, the MAC epoch covers policy/label mutation
-// (adversary accessibility, SYSHIGH), the object generation covers inode
-// recycling, and relabels move object_sid. Entrypoint fields participate
-// only when some applicable rule needs entrypoint context (kEptInKey), so
-// pure non-entrypoint rulesets never force an unwind. Per-task state is
-// never an input to a pure traversal, and the task-varying inputs that are
-// (subject sid, entrypoint) sit in the key — so execve/exit need no sweep.
-// The stateful tier (EngineConfig::automata) extends the same key with the
-// inputs an automaton-lowered traversal can additionally read, each probed
-// at key-build time so a change re-keys instead of staling: the task's
-// folded automaton state (kStateInKey), the syscall number when a
-// SYSCALL_ARGS --arg 0 guard is reachable (kNrInKey), and the
-// SIGNAL_MATCH predicate — handler installed and signal blockable — as one
-// bit (kSigHandled, meaningful under kSigInKey).
-struct VerdictKey {
-  enum Flags : uint32_t {
-    kHasObject = 1u << 0,
-    kEptInKey = 1u << 1,
-    kEptValid = 1u << 2,
-    kStateInKey = 1u << 3,
-    kNrInKey = 1u << 4,
-    kSigInKey = 1u << 5,
-    kSigHandled = 1u << 6,
-  };
-
-  uint64_t generation = 0;
-  uint64_t mac_epoch = 0;
-  uint32_t op = 0;
-  uint32_t flags = 0;
-  sim::Sid subject_sid = sim::kInvalidSid;
-  sim::Sid object_sid = sim::kInvalidSid;
-  sim::FileId object;
-  uint64_t object_generation = 0;
-  sim::FileId ept_image;
-  uint64_t ept_offset = 0;
-  uint64_t astate = 0;      // FoldAutomatonState product (kStateInKey)
-  uint32_t syscall_nr = 0;  // request syscall number (kNrInKey)
-
-  bool operator==(const VerdictKey&) const = default;
-};
-
-struct VerdictKeyHash {
-  size_t operator()(const VerdictKey& k) const {
-    size_t h = std::hash<uint64_t>()(k.generation);
-    h = HashCombine(h, std::hash<uint64_t>()(k.mac_epoch));
-    h = HashCombine(h, std::hash<uint64_t>()((static_cast<uint64_t>(k.op) << 32) | k.flags));
-    h = HashCombine(h, std::hash<uint64_t>()((static_cast<uint64_t>(k.subject_sid) << 32) |
-                                             k.object_sid));
-    h = HashCombine(h, sim::FileIdHash()(k.object));
-    h = HashCombine(h, std::hash<uint64_t>()(k.object_generation));
-    h = HashCombine(h, sim::FileIdHash()(k.ept_image));
-    h = HashCombine(h, std::hash<uint64_t>()(k.ept_offset));
-    h = HashCombine(h, std::hash<uint64_t>()(
-                           k.astate ^ (static_cast<uint64_t>(k.syscall_nr) << 40)));
-    return h;
-  }
-};
-
-// One recorded STATE-dictionary write (or unset) of a stateful miss
-// traversal, keyed by value (not pool index) so replay is independent of the
-// evaluation path — compiled or legacy — that recorded it.
-struct DictDelta {
-  std::string key;
-  bool unset = false;
-  int64_t value = 0;
-};
-
-// The side effects a stateful cache hit must replay to stay bit-identical
-// with a traversal: the rules whose hit counters a traversal from this exact
-// key would bump (in traversal order) and the literal dictionary writes it
-// would perform (which advance the automaton — the next probe re-derives the
-// state vector from the mutated dictionary). Automaton-lowered buckets admit
-// no LOG rules, so log order is preserved trivially. The Rule pointers stay
-// valid while the entry's generation is pinned (same lifetime contract as
-// the compiled program itself).
-struct StatefulEffects {
-  std::vector<const Rule*> hits;
-  std::vector<DictDelta> deltas;
-};
-
-// A cached final verdict. `fx` is null for pure entries; stateful entries
-// carry the replayable effects above. chain_id/rule_index name the rule that
-// produced the verdict when the entry was inserted (-1 when the chain policy
-// decided) — a pure function of the key, so replaying it on every hit keeps
-// audit attribution of cached denials exact without a traversal.
-struct CachedVerdict {
-  bool drop = false;
-  int32_t chain_id = -1;
-  int32_t rule_index = -1;
-  std::shared_ptr<const StatefulEffects> fx;
-};
-
-// Sharded, lock-striped verdict cache (the SELinux AVC analogue). Stores the
-// final accept/drop of pure traversals — plus replayable effects for
-// automaton-lowered stateful traversals; invalidation is by key construction
-// (see VerdictKey), so the only maintenance is clearing dead generations on
-// commit and dumping a shard that grows past its cap — the cache is a memo,
-// never a source of truth.
-class VerdictCache {
- public:
-  static constexpr size_t kShards = 16;        // power of two
-  static constexpr size_t kMaxPerShard = 4096; // dump-and-refill threshold
-
-  std::optional<CachedVerdict> Lookup(const VerdictKey& key, size_t hash) const;
-  void Insert(const VerdictKey& key, size_t hash, CachedVerdict verdict);
-  void Clear();
-  size_t size() const;
-
- private:
-  struct alignas(64) Shard {
-    mutable std::mutex mu;
-    std::unordered_map<VerdictKey, CachedVerdict, VerdictKeyHash> map;
-  };
-
-  std::array<Shard, kShards> shards_;
-};
-
-// Stateful-miss capture hooks. While Engine::Authorize runs a miss traversal
-// it intends to cache with automaton state in the key, a thread-local
-// capture is armed and every evaluation path — the compiled handlers in
-// exec_insn.inc, the legacy walker's hit bump, StateTarget::Fire — reports
-// rule hits and dictionary writes through these (no-ops when unarmed, one
-// predictable branch). The capture becomes the entry's StatefulEffects.
-void NoteRuleHit(const Rule* rule);
-void NoteDictDelta(const std::string& key, bool unset, int64_t value);
+// The builtin chains `req` traverses under `rs`, in order (syscallbegin, or
+// create -> output -> input per paper template T2), written to `out`. A
+// chain is skipped when the commit-time op mask shows no rule can match the
+// op, or the syscall-number mask shows no syscallbegin rule can match the
+// number — unless its policy is DROP. Returns how many were written; 0 is
+// the fast-path allow, which builds no Packet and touches no per-task state.
+size_t ApplicableChains(const CompiledRuleset& rs, const sim::AccessRequest& req,
+                        const CompiledChain* out[3]);
 
 // Audit-observer hook: while Engine::Authorize runs with the audit pipeline
 // enabled, a thread-local observer is armed and every `@phase` dictionary
-// write site — the compiled kStateSet handler, StateTarget/PhaseTarget::Fire,
-// the stateful cache-hit replay — reports the transition through this (no-op
-// when unarmed, one predictable branch on a path that already took a mutex).
+// write site — the compiled kStateSet handler, StateTarget/PhaseTarget::Fire
+// — reports the transition through this (no-op when unarmed, one
+// predictable branch on a path that already took a mutex).
 void NotePhaseTransition(int64_t from, int64_t to);
 
 class Engine : public sim::SecurityModule {
@@ -498,8 +301,13 @@ class Engine : public sim::SecurityModule {
   LogSink& log() { return log_; }
   sim::Kernel& kernel() { return kernel_; }
   sim::MacPolicy& policy() { return kernel_.policy(); }
-  void set_slot(size_t slot) { slot_ = slot; }
-  size_t slot() const { return slot_; }
+  // The sim::Task::security slot holding this engine's PfTaskState.
+  // Registration assigns it: InstallProcessFirewall, or set_slot() with the
+  // index Kernel::AddModule returned, before the first hook. An engine that
+  // is never registered (pfexplain, pfdiff, ...) reserves a slot of its own
+  // on first use, so two engines on one kernel never share per-task state.
+  void set_slot(size_t slot) { slot_.store(slot, std::memory_order_release); }
+  size_t slot();
 
   // Aggregates the per-worker counter blocks.
   //
@@ -535,9 +343,9 @@ class Engine : public sim::SecurityModule {
   const audit::AuditHub& audit() const { return audit_; }
 
   // Prometheus text-exposition (format 0.0.4) of the engine counters, the
-  // verdict-cache rates, the ring drop counters, and every non-empty
-  // (op, path) latency histogram. `pfshell stats --prom` and the benches
-  // serve this verbatim. Implemented in metrics.cc.
+  // ring drop counters, and every non-empty (op, path) latency histogram.
+  // `pfshell stats --prom` and the benches serve this verbatim. Implemented
+  // in metrics.cc.
   std::string MetricsText() const;
 
   // Publishes the staging rule base as a new immutable generation. Called by
@@ -584,9 +392,8 @@ class Engine : public sim::SecurityModule {
   uint64_t delta_commits() const { return delta_commits_.load(std::memory_order_relaxed); }
   uint64_t full_commits() const { return full_commits_.load(std::memory_order_relaxed); }
 
-  // Per-task state, created on demand in the shard table.
+  // The task's PfTaskState, created on first use in the task's slot.
   PfTaskState& TaskState(sim::Task& task);
-  size_t task_state_count() const { return states_.size(); }
 
   // Context-module dispatch: collects every field in `mask` not yet in the
   // packet. Fields that cannot be collected are marked collected-but-absent
@@ -659,10 +466,9 @@ class Engine : public sim::SecurityModule {
   EngineConfig config_;
   RuleSet ruleset_;  // staging copy (control plane)
   LogSink log_;
-  size_t slot_ = 0;
+  static constexpr size_t kNoSlot = ~size_t{0};
+  std::atomic<size_t> slot_{kNoSlot};
 
-  TaskStateStore states_;
-  VerdictCache vcache_;
   trace::TraceHub trace_;
   audit::AuditHub audit_;
   std::atomic<uint64_t> stats_gen_{0};  // even: stable; odd: mutation running

@@ -1,7 +1,7 @@
 // Engine::MetricsText(): Prometheus text exposition of the engine's
-// counters, verdict-cache rates, trace-ring health, and decision-latency
-// histograms. Served verbatim by `pfshell stats --prom` and the pftrace CLI;
-// the format is tested against a real exposition-format parser in
+// counters, trace-ring health, and decision-latency histograms. Served
+// verbatim by `pfshell stats --prom` and the pftrace CLI; the format is
+// tested against a real exposition-format parser in
 // tests/trace/trace_export_test.cc.
 #include "src/audit/export.h"
 #include "src/core/engine.h"
@@ -63,26 +63,6 @@ std::string Engine::MetricsText() const {
   w.Counter("pf_unwind_cache_hits_total", {}, s.unwind_cache_hits);
   w.Family("pf_ruleset_refreshes_total", "Per-worker ruleset snapshot re-pins", "counter");
   w.Counter("pf_ruleset_refreshes_total", {}, s.ruleset_refreshes);
-
-  w.Family("pf_vcache_probes_total", "Verdict-cache probe outcomes", "counter");
-  w.Counter("pf_vcache_probes_total", {{"result", "hit"}}, s.vcache_hits);
-  w.Counter("pf_vcache_probes_total", {{"result", "miss"}}, s.vcache_misses);
-  w.Counter("pf_vcache_probes_total", {{"result", "bypass"}}, s.vcache_bypasses);
-  w.Family("pf_vcache_hit_ratio", "Verdict-cache hits / (hits + misses)", "gauge");
-  const uint64_t probes = s.vcache_hits + s.vcache_misses;
-  w.Gauge("pf_vcache_hit_ratio", {},
-          probes == 0 ? 0.0 : static_cast<double>(s.vcache_hits) / probes);
-  w.Family("pf_vcache_state_probes_total",
-           "Stateful-tier probes served with an automaton-extended key", "counter");
-  w.Counter("pf_vcache_state_probes_total", {{"result", "hit"}}, s.vcache_state_hits);
-  w.Counter("pf_vcache_state_probes_total", {{"result", "miss"}}, s.vcache_state_misses);
-  w.Family("pf_vcache_bypasses_total", "Verdict-cache bypasses by primary cause",
-           "counter");
-  for (size_t i = 0; i < s.vcache_bypass_causes.size(); ++i) {
-    w.Counter("pf_vcache_bypasses_total",
-              {{"cause", BypassCauseName(static_cast<uint8_t>(1u << i))}},
-              s.vcache_bypass_causes[i]);
-  }
 
   w.Family("pf_ctx_fetches_total", "Context-module fetches by kind", "counter");
   for (size_t i = 0; i < s.ctx_fetches.size(); ++i) {

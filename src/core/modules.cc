@@ -120,26 +120,6 @@ CtxMask Operand::Needs() const {
   return 0;
 }
 
-bool Operand::CoveredByVerdictKey() const {
-  if (!is_var) {
-    return true;
-  }
-  switch (var) {
-    case CtxVar::kIno:
-    case CtxVar::kGen:
-    case CtxVar::kDev:
-    case CtxVar::kSid:
-      // Object identity fields; all present in the verdict-cache key, and
-      // relabels / inode replacement move the key with them.
-      return true;
-    default:
-      // C_DAC_OWNER changes under chown without moving any key component;
-      // symlink-target fields are re-resolved per access (TOCTTOU window);
-      // pid/uid/sig/syscall vary per request outside the key.
-      return false;
-  }
-}
-
 std::string Operand::Render() const {
   if (is_var) {
     return std::string(CtxVarName(var));
@@ -465,8 +445,6 @@ TargetKind StateTarget::Fire(Packet& pkt, Engine& engine) const {
   std::lock_guard<std::mutex> lock(state.mu);
   if (unset) {
     state.dict.erase(key);
-    ++state.dict_seq;
-    NoteDictDelta(key, /*unset=*/true, 0);
     return TargetKind::kContinue;
   }
   if (auto v = value.Eval(pkt)) {
@@ -478,8 +456,6 @@ TargetKind StateTarget::Fire(Packet& pkt, Engine& engine) const {
                           *v);
     }
     state.dict[key] = *v;
-    ++state.dict_seq;
-    NoteDictDelta(key, /*unset=*/false, *v);
   }
   return TargetKind::kContinue;
 }
@@ -515,8 +491,6 @@ TargetKind PhaseTarget::Fire(Packet& pkt, Engine& engine) const {
   NotePhaseTransition(it != state.dict.end() ? it->second : PhaseId(kPhaseInitName),
                       PhaseId(phase));
   state.dict[std::string(kPhaseKeyName)] = PhaseId(phase);
-  ++state.dict_seq;
-  NoteDictDelta(std::string(kPhaseKeyName), /*unset=*/false, PhaseId(phase));
   return TargetKind::kContinue;
 }
 
@@ -609,8 +583,7 @@ bool CompareMatch::Lower(ProgramBuilder& b) const {
 bool PhaseMatch::Lower(ProgramBuilder& b) const {
   // Phase names compile down to their stable 63-bit ids, so the handler is a
   // single integer compare against the task's "@phase" entry (absent means
-  // PhaseId("init")) and the automaton pass can treat the guard as a
-  // literal-domain digit check.
+  // PhaseId("init")).
   PfInsn insn{};
   insn.op = static_cast<uint8_t>(PfOp::kMatchPhase);
   insn.a = b.InternString(phase);  // keeps the listing symbolic
@@ -721,8 +694,8 @@ bool StateTarget::Lower(ProgramBuilder& b) const {
 
 bool PhaseTarget::Lower(ProgramBuilder& b) const {
   // A phase entry is a literal STATE write of the phase id to the reserved
-  // key, so the existing kStateSet handler (and the automaton pass's
-  // literal-write classification) covers it with no new target opcode.
+  // key, so the existing kStateSet handler covers it with no new target
+  // opcode.
   PfInsn insn{};
   insn.op = static_cast<uint8_t>(PfOp::kStateSet);
   insn.a = b.InternString(std::string(kPhaseKeyName));

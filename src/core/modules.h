@@ -23,7 +23,7 @@ namespace pf::core {
 // -j PHASE --enter NAME (an execve-milestone rule swaps the active rule
 // subset by entering "serving") and tested by -m PHASE --is NAME. Phase
 // names are stored as stable 63-bit FNV-1a ids so phase guards lower to
-// literal-compare instructions the automaton pass can prove digit-pure.
+// literal-compare instructions.
 inline constexpr std::string_view kPhaseKeyName = "@phase";
 // The phase every task is in until a PHASE target fires: the "@phase" key
 // is simply absent, and every phase guard treats absent as this name.
@@ -47,12 +47,6 @@ struct Operand {
   static std::optional<Operand> Parse(const std::string& token);
   std::optional<int64_t> Eval(const Packet& pkt) const;
   CtxMask Needs() const;
-  // Whether the operand's value is determined by the engine's verdict-cache
-  // key: literals and the object-identity variables (C_INO, C_GEN, C_DEV,
-  // C_SID). Owner uids (chown does not move any key component), symlink
-  // targets (re-resolved per access), and process/syscall/signal variables
-  // are not covered.
-  bool CoveredByVerdictKey() const;
   std::string Render() const;
 };
 
@@ -111,9 +105,6 @@ class CompareMatch : public MatchModule {
                        std::unique_ptr<MatchModule>* out);
   std::string_view Name() const override { return "COMPARE"; }
   CtxMask Needs() const override { return v1.Needs() | v2.Needs(); }
-  bool CacheableByKey() const override {
-    return v1.CoveredByVerdictKey() && v2.CoveredByVerdictKey();
-  }
   bool Matches(Packet& pkt, Engine& engine) const override;
   bool Lower(ProgramBuilder& b) const override;
   bool Symbolize(SymbolicSink& sink) const override;
@@ -167,7 +158,6 @@ class VerdictTarget : public TargetModule {
  public:
   explicit VerdictTarget(TargetKind kind) : kind_(kind) {}
   std::string_view Name() const override;
-  bool CacheableByKey() const override { return true; }  // pure verdict
   std::optional<TargetKind> StaticKind() const override { return kind_; }
   bool Lower(ProgramBuilder& b) const override;
   TargetKind Fire(Packet& pkt, Engine& engine) const override;
@@ -181,9 +171,6 @@ class JumpTarget : public TargetModule {
  public:
   explicit JumpTarget(std::string chain) : chain_(std::move(chain)) {}
   std::string_view Name() const override { return "JUMP"; }
-  // The jump itself is pure; the reachable chain's purity is folded in by
-  // the commit-time transitive closure.
-  bool CacheableByKey() const override { return true; }
   std::optional<TargetKind> StaticKind() const override { return TargetKind::kJump; }
   bool Lower(ProgramBuilder& b) const override;
   TargetKind Fire(Packet&, Engine&) const override { return TargetKind::kJump; }

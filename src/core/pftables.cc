@@ -4,14 +4,12 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <sstream>
 
 #include "src/analysis/analyzer.h"
 #include "src/analysis/symbolic/diff.h"
 #include "src/audit/export.h"
-#include "src/core/automata.h"
 #include "src/core/modules.h"
 #include "src/trace/export.h"
 
@@ -611,15 +609,6 @@ Status Pftables::Exec(const std::string& command) {
                  "pftables --check: classifier tables=%u tuples=%u max_slice=%u "
                  "residual=%u\n",
                  cstats.tables, cstats.tuples, cstats.max_slice, cstats.residual_rules);
-    if (checked->program.automata_built) {
-      const AutomataStats astats = ComputeAutomataStats(checked->program);
-      std::fprintf(stderr,
-                   "pftables --check: automata protocols=%u keys=%u states=%llu "
-                   "lowered=%u bypass=%u state_buckets=%u\n",
-                   astats.protocols, astats.keys,
-                   static_cast<unsigned long long>(astats.states),
-                   astats.lowered_rules, astats.bypass_rules, astats.state_buckets);
-    }
   }
   if (widening_gate && need_commit) {
     // Semantic no-unintended-widening gate: diff the staged base against the
@@ -738,35 +727,6 @@ std::string Pftables::List(const std::string& table_name, bool verbose) const {
     return "unknown table\n";
   }
   const sim::LabelRegistry& labels = engine_->kernel().labels();
-  // Verbose listings annotate each rule with the automaton pass's verdict:
-  // which STATE protocol covers it (cacheable via the stateful tier) or
-  // which construct keeps its decisions on the verdict-cache bypass path.
-  std::shared_ptr<CompiledRuleset> compiled;
-  std::map<const Rule*, const RuleRecord*> records;
-  if (verbose && table_name == "filter") {
-    compiled = engine_->CompileRuleset();
-    if (compiled->program.automata_built) {
-      for (const RuleRecord& rec : compiled->program.rules) {
-        if (rec.rule != nullptr) {
-          records[rec.rule] = &rec;
-        }
-      }
-    }
-  }
-  auto automaton_note = [&](const Rule* r) -> std::string {
-    auto it = records.find(r);
-    if (it == records.end()) {
-      return "";
-    }
-    const RuleRecord& rec = *it->second;
-    if (rec.astate_causes != 0) {
-      return " bypass=" + RenderBypassCauses(rec.astate_causes);
-    }
-    if (rec.astate_protocol >= 0) {
-      return " automaton=p" + std::to_string(rec.astate_protocol);
-    }
-    return "";  // pure rule: no stateful decision to attribute
-  };
   for (const auto& [name, chain] : table->chains()) {
     uint64_t chain_evals = 0;
     uint64_t chain_hits = 0;
@@ -793,7 +753,6 @@ std::string Pftables::List(const std::string& table_name, bool verbose) const {
         // Wall time attributed by the per-rule tracepoint (Event::kRule);
         // zero unless rule tracing has been enabled on the engine.
         oss << " time=" << r->eval_ns.load() << "ns";
-        oss << automaton_note(r.get());
       }
       oss << "]\n";
     }

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "src/core/automata.h"
 
 namespace pf::core {
 
@@ -394,26 +393,6 @@ std::string DisassemblePfProgram(const PfProgram& prog, const sim::LabelRegistry
   const ClassifierStats cs = ComputeClassifierStats(prog);
   oss << ";; classifier: tables=" << cs.tables << " tuples=" << cs.tuples
       << " max_slice=" << cs.max_slice << " residual=" << cs.residual_rules << "\n";
-  if (prog.automata_built) {
-    const AutomataStats as = ComputeAutomataStats(prog);
-    oss << ";; automata: protocols=" << as.protocols << " keys=" << as.keys
-        << " states=" << as.states << " lowered=" << as.lowered_rules
-        << " bypass=" << as.bypass_rules << " state_buckets=" << as.state_buckets
-        << "\n";
-    for (size_t p = 0; p < prog.automaton_protocols.size(); ++p) {
-      const AutomatonProtocol& proto = prog.automaton_protocols[p];
-      oss << ";;   p" << p << (proto.phase != 0 ? " (phase)" : "")
-          << ": states=" << proto.state_count << " keys=";
-      for (uint32_t k = 0; k < proto.key_cnt; ++k) {
-        const AutomatonKey& ak = prog.automaton_keys[proto.key_off + k];
-        if (k != 0) {
-          oss << ",";
-        }
-        oss << prog.strings[ak.name] << "(r" << ak.radix << ")";
-      }
-      oss << "\n";
-    }
-  }
   for (const ProgramChain& chain : prog.chains) {
     oss << "chain " << chain.name << " (" << (chain.builtin ? "builtin" : "user")
         << ", policy " << (chain.policy_drop ? "DROP" : "ACCEPT") << ", "

@@ -134,30 +134,6 @@ struct alignas(8) LabelSetRef {
 // the side-table links the analyzer and the stats counters need. `rule`
 // points into the Rule objects shared with the owning CompiledRuleset, so a
 // record is valid exactly as long as its program.
-// Why a rule (and therefore any bucket that can reach it) cannot be served
-// through the stateful verdict-cache tier (DESIGN.md §5i). One bit per
-// cause so the engine's bypass counters and `pftables -L -v` can attribute
-// the residual bypass share after automaton lowering.
-inline constexpr uint8_t kBypassState = 1u << 0;        // unlowerable STATE op
-inline constexpr uint8_t kBypassSyscallArgs = 1u << 1;  // arg >= 1 guard
-inline constexpr uint8_t kBypassLog = 1u << 2;          // LOG side effect
-inline constexpr uint8_t kBypassInterp = 1u << 3;       // interpreter stack
-inline constexpr uint8_t kBypassCompare = 1u << 4;      // un-keyed COMPARE vars
-inline constexpr uint8_t kBypassNative = 1u << 5;       // opaque native module
-inline constexpr size_t kBypassCauseCount = 6;
-
-const char* BypassCauseName(uint8_t bit);  // automata.cc
-std::string RenderBypassCauses(uint8_t causes);
-
-// RuleRecord::astate_flags — the pool-independent half of a record's
-// automaton classification, written by the same scan that collects the
-// chain's STATE facts so classification never re-reads the instruction
-// stream of a record that touches no state (the common case).
-inline constexpr uint8_t kAstateScanned = 1u << 0;   // raw scan happened
-inline constexpr uint8_t kAstateNrInKey = 1u << 1;   // syscall-nr guard
-inline constexpr uint8_t kAstateSigInKey = 1u << 2;  // signal-bit guard
-inline constexpr uint8_t kAstateHasState = 1u << 3;  // has STATE/PHASE ops
-
 struct RuleRecord {
   uint32_t entry = 0;  // arena word offset of kRuleBegin
   uint32_t end = 0;    // one past the rule's last word
@@ -175,15 +151,6 @@ struct RuleRecord {
   uint32_t chain_index = 0;
   std::optional<TargetKind> static_kind;  // terminal kind, when static
   const Rule* rule = nullptr;
-  // Automaton lowering annotation (BuildAutomata): why this rule keeps a
-  // stateful decision on the bypass path (0 = pure or automaton-lowered),
-  // and the STATE protocol its keys belong to (-1 = touches no state).
-  // `pftables -L -v` and pfcheck's JSON automata block render these.
-  // `astate_flags` (kAstate*) caches the pool-independent scan results so
-  // reclassification against new pools only rescans records with STATE ops.
-  uint8_t astate_causes = 0;
-  uint8_t astate_flags = 0;
-  int16_t astate_protocol = -1;
 };
 
 // Tuple-space classifier (DESIGN.md §5g). At lowering time every rule in a
@@ -236,69 +203,6 @@ struct TupleTable {
   uint32_t used = 0;  // occupied slots (tuples)
 };
 
-// ---------------------------------------------------------------------------
-// STATE-protocol automata (DESIGN.md §5i). BuildAutomata (automata.cc) groups
-// the program's STATE keys into protocols (connected components of keys that
-// co-occur in a rule) and compiles each into a mixed-radix DFA over per-key
-// abstract domains: digit 0 = key absent, digits 1..n = the n literal values
-// any rule in the program compares or stores, digit n+1 = present with some
-// other value. The product of a protocol's key digits is the task's current
-// automaton state — a pure function of the STATE dictionary — and joining it
-// to the VerdictKey makes previously-bypassing stateful decisions cacheable:
-// a cached entry replays the recorded literal dictionary writes (advancing
-// the automaton) and per-rule hit counters bit-identically to a traversal.
-
-// Per-key domain caps. A key with more distinct literals, or a protocol
-// whose digit product overflows, keeps its rules on the bypass path
-// (cause kBypassState) instead of lowering unsoundly.
-inline constexpr uint32_t kMaxAutomatonValues = 14;
-inline constexpr uint32_t kMaxAutomatonStates = 1u << 16;
-
-// One STATE key of a protocol: its interned name, the sorted unique literal
-// slice in PfProgram::automaton_values, and its mixed-radix weight.
-struct AutomatonKey {
-  uint32_t name = 0;       // string pool idx
-  uint32_t value_off = 0;  // slice of automaton_values (sorted, unique)
-  uint32_t value_cnt = 0;
-  uint32_t radix = 0;   // value_cnt + 2: absent / each literal / other
-  uint32_t stride = 0;  // product of the protocol's preceding radices
-  uint8_t phase = 0;    // "@phase" key: absent digit means the init phase
-};
-
-// One protocol: a key slice of PfProgram::automaton_keys (name-sorted) and
-// the total state count (the product of the key radices — every digit vector
-// maps to exactly one state, so the transition function is total).
-struct AutomatonProtocol {
-  uint32_t key_off = 0;  // slice of automaton_keys
-  uint32_t key_cnt = 0;
-  uint32_t state_count = 0;
-  uint8_t phase = 0;  // distinguished temporal-phase automaton
-};
-
-// Automaton classification of one (chain, op) bucket: the causes that keep
-// it off the stateful cache tier (0 = every reachable rule is pure or
-// automaton-lowered), which extra request fields must join the VerdictKey,
-// and the sorted protocol ids whose state the bucket's rules read or write.
-// All three are transitively closed over JUMP edges, mirroring OpBucket's
-// purity closure.
-struct BucketAutomata {
-  uint8_t causes = 0;
-  bool nr_in_key = false;   // syscall-number guard: req.syscall_nr joins key
-  bool sig_in_key = false;  // SIGNAL_MATCH guard: handler bit joins key
-  std::vector<uint16_t> protocols;
-  bool operator==(const BucketAutomata&) const = default;
-};
-
-// Per-chain STATE facts, cached on ProgramChain so a delta commit can prove
-// the automaton pools unchanged without rescanning clean chains: the key
-// groups each state-touching rule co-occurs (protocol edges) and the literal
-// domain each key contributes. Compared by value across generations.
-struct ChainStateFacts {
-  std::vector<std::vector<std::string>> rule_keys;
-  std::map<std::string, std::vector<int64_t>> domains;
-  bool operator==(const ChainStateFacts&) const = default;
-};
-
 // Per-(chain, op) dispatch bucket, the program-form twin of OpBucket
 // (engine.h) with the rule pointers re-pointed at entry-table slices.
 struct ProgramBucket {
@@ -306,8 +210,6 @@ struct ProgramBucket {
   uint32_t all_len = 0;    //   can match the op, in chain order
   uint32_t plain_off = 0;  // the non-entrypoint-indexed subset
   uint32_t plain_len = 0;
-  CtxMask needs = 0;
-  bool cacheable = true;
   bool has_indexed = false;
   // Tuple-space classifier over the `all` slice: `residual` holds the rules
   // with no exact dimension (always evaluated), `tuple_off/cnt` the per-mask
@@ -319,17 +221,6 @@ struct ProgramBucket {
   uint32_t tuple_cnt = 0;
   uint8_t tuple_dims = 0;
   bool has_classifier = false;
-  // Automaton classification (valid when PfProgram::automata_built):
-  // `astate_base` from the bucket's own rules, `astate` after the JUMP-edge
-  // closure. A bucket with astate.causes == 0 is *state-cacheable*: its
-  // verdict is a pure function of the VerdictKey extended with the listed
-  // protocols' automaton state (and nr/sig fields), so Authorize may serve
-  // it from the verdict cache instead of bypassing.
-  BucketAutomata astate_base;
-  BucketAutomata astate;
-  // Distinct JUMP-target chain ids of this bucket's rules, collected with
-  // the base classification so the closure never rescans rule bodies.
-  std::vector<int32_t> astate_jumps;
 };
 
 // Entrypoint index of one lowered chain: key -> an entry-table slice.
@@ -355,11 +246,6 @@ struct ProgramChain {
   // copy shares every clean chain's map instead of re-hashing it, which is
   // what keeps a one-rule edit from paying O(total rules) per generation.
   std::shared_ptr<const EptSliceMap> ept;
-  // STATE facts of this chain's live rules, cached for delta commits: when
-  // the dirty chains' facts are value-equal across generations the automaton
-  // pools are provably unchanged and BuildAutomataDelta reclassifies only
-  // the dirty chains' buckets.
-  ChainStateFacts state_facts;
 };
 
 // The compiled program artifact: one relocatable arena plus interned pools.
@@ -390,16 +276,6 @@ struct PfProgram {
   std::vector<TupleTable> tuple_tables;
   std::vector<TupleSlot> tuple_slots;
   uint64_t classifier_build_ns = 0;
-
-  // STATE-protocol automaton pools (see AutomatonProtocol above). Valid —
-  // and the per-bucket astate classifications meaningful — only when
-  // `automata_built` is set by BuildAutomata; an engine configured with
-  // automata off skips the pass and every consumer ignores the fields.
-  std::vector<AutomatonKey> automaton_keys;
-  std::vector<int64_t> automaton_values;
-  std::vector<AutomatonProtocol> automaton_protocols;
-  bool automata_built = false;
-  uint64_t automata_build_ns = 0;
 
   // Delta-commit bookkeeping. A delta lowering (LowerProgramDelta) copies the
   // previous generation's program, marks the dirty chains' records dead

@@ -52,14 +52,6 @@ class MatchModule {
   // Context fields that must be collected before Matches() runs.
   virtual CtxMask Needs() const { return 0; }
   virtual bool Matches(Packet& pkt, Engine& engine) const = 0;
-  // True when Matches() is a pure function of the engine's verdict-cache key
-  // (ruleset generation, op, subject sid, object identity + generation + sid,
-  // MAC-policy epoch, entrypoint image + offset — see engine.h). Modules that
-  // read anything else — per-task STATE, syscall arguments, signal info, the
-  // full stack, interpreter frames, symlink targets, owner uids — must keep
-  // the conservative default of false, or stale cached verdicts could be
-  // served after the un-keyed input changes.
-  virtual bool CacheableByKey() const { return false; }
   // Subsumption hook for the static analyzer (src/analysis): true when this
   // module's accepted packet set is a superset of `other`'s — every packet
   // `other` matches, this module matches too. The default — exact equality
@@ -99,11 +91,6 @@ class TargetModule {
   virtual ~TargetModule() = default;
   virtual std::string_view Name() const = 0;
   virtual CtxMask Needs() const { return 0; }
-  // True when Fire() is deterministic in the verdict-cache key and free of
-  // side effects. STATE writes and LOG records are side effects (a cache hit
-  // would silently skip them); JUMP is cacheable itself — the jumped-to
-  // chain is folded in transitively by Engine::CommitRuleset.
-  virtual bool CacheableByKey() const { return false; }
   // The verdict kind Fire() produces, when it is statically determinable
   // (ACCEPT/DROP/RETURN/JUMP and side-effect-only targets always return the
   // same kind). Custom targets with data-dependent verdicts keep the nullopt
@@ -151,19 +138,6 @@ struct Rule {
 
   bool has_program() const { return program_file.ino != sim::kInvalidIno; }
   bool IndexableByEntrypoint() const { return has_program() && entrypoint.has_value(); }
-
-  // Verdict-cache purity of this rule in isolation. The default matches only
-  // read key fields, so the rule is cacheable iff every -m module and the
-  // target are. Chain-level purity additionally requires every JUMP-reachable
-  // rule to be cacheable (computed at commit time).
-  bool CacheableByKey() const {
-    for (const auto& match : matches) {
-      if (!match->CacheableByKey()) {
-        return false;
-      }
-    }
-    return target == nullptr || target->CacheableByKey();
-  }
 };
 
 }  // namespace pf::core

@@ -1,5 +1,7 @@
 #include "src/core/unwind.h"
 
+#include <algorithm>
+
 #include "src/sim/mm.h"
 
 namespace pf::core {
@@ -58,6 +60,9 @@ UnwindResult UnwindUserStack(const Task& task) {
     return result;
   }
 
+  // One allocation per unwind: the task's frame count is a good size hint
+  // (only a hint — the walk below trusts nothing but validated reads).
+  result.frames.reserve(std::min<size_t>(task.mm.frames().size(), kMaxUnwindFrames));
   for (int n = 0; n < kMaxUnwindFrames; ++n) {
     if (!mm.ContainsUser(cur, sim::kFrameRecordSize)) {
       // FP register or chain points outside the stack: malicious/corrupt.
@@ -80,9 +85,8 @@ UnwindResult UnwindUserStack(const Task& task) {
     BinFrame frame;
     frame.pc = ret_pc;
     frame.image = map->file;
-    frame.image_path = map->path;
     frame.offset = ret_pc - map->base;
-    result.frames.push_back(std::move(frame));
+    result.frames.push_back(frame);
 
     if (saved_fp == 0) {
       result.status = UnwindStatus::kOk;  // outermost frame reached

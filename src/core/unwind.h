@@ -31,11 +31,12 @@ enum class UnwindStatus {
   kAborted,    // inconsistent/malicious state; result must not be trusted
 };
 
-// One unwound binary frame.
+// One unwound binary frame. Plain data on purpose: snapshots copy frames on
+// every hook, and a pathname here would make each copy a heap allocation
+// (the mapping at `pc` still names the image when a LOG record needs it).
 struct BinFrame {
   sim::Addr pc = 0;
   sim::FileId image;        // identity of the mapped binary
-  std::string image_path;   // pathname of the mapping
   uint64_t offset = 0;      // pc - mapping base (what rules match on)
 };
 

@@ -498,154 +498,6 @@ struct Verifier {
     }
   }
 
-  // --- automaton-table proof ------------------------------------------------
-  //
-  // Substituting a cached (VerdictKey + automaton state) verdict for a
-  // traversal is only sound if the tables that fold the state are themselves
-  // well-formed. Three properties are proved per protocol: every slice is in
-  // bounds (automaton-oob), the encoding is total and consistent — each key's
-  // radix is exactly value_cnt + 2 (absent / each literal / other), strides
-  // are the running radix product, and the product equals state_count
-  // (automaton-malformed) — and no two digits alias one literal, which would
-  // make the fold ambiguous (automaton-unsound). A radix strictly above
-  // value_cnt + 2 encodes digits no dictionary can ever produce; those states
-  // are dead, a space bug rather than a soundness bug (automaton-dead,
-  // warning). Bucket classifications are then checked: a state-cacheable
-  // bucket may only cite real protocols, and every JUMP edge's target bucket
-  // must be subsumed by the closure (causes and protocols), else Authorize
-  // would serve a cached verdict whose key misses state the jump target
-  // reads.
-  void CheckAutomata() {
-    const uint64_t nkeys = prog.automaton_keys.size();
-    const uint64_t nvalues = prog.automaton_values.size();
-    RuleLocus l;
-    l.chain = "(automata)";
-    for (size_t p = 0; p < prog.automaton_protocols.size(); ++p) {
-      const AutomatonProtocol& proto = prog.automaton_protocols[p];
-      const std::string pname = "protocol " + std::to_string(p);
-      if (proto.key_cnt == 0) {
-        Err(l, "automaton-malformed", pname + " has no keys");
-        continue;
-      }
-      if (static_cast<uint64_t>(proto.key_off) + proto.key_cnt > nkeys) {
-        Err(l, "automaton-oob",
-            pname + " key slice [" + std::to_string(proto.key_off) + ", " +
-                std::to_string(proto.key_off + proto.key_cnt) +
-                ") outside key pool of " + std::to_string(nkeys));
-        continue;
-      }
-      uint64_t product = 1;
-      bool consistent = true;
-      for (uint32_t k = 0; k < proto.key_cnt; ++k) {
-        const AutomatonKey& ak = prog.automaton_keys[proto.key_off + k];
-        const std::string kname = pname + " key " + std::to_string(k);
-        if (ak.name >= nstrings) {
-          Err(l, "automaton-oob", kname + " name ref " + std::to_string(ak.name) +
-                                      " outside string pool of " +
-                                      std::to_string(prog.strings.size()));
-          consistent = false;
-          continue;
-        }
-        if (static_cast<uint64_t>(ak.value_off) + ak.value_cnt > nvalues) {
-          Err(l, "automaton-oob",
-              kname + " value slice [" + std::to_string(ak.value_off) + ", " +
-                  std::to_string(ak.value_off + ak.value_cnt) +
-                  ") outside value pool of " + std::to_string(nvalues));
-          consistent = false;
-          continue;
-        }
-        if (ak.value_cnt > kMaxAutomatonValues) {
-          Err(l, "automaton-malformed",
-              kname + " carries " + std::to_string(ak.value_cnt) +
-                  " literals, above the domain cap of " +
-                  std::to_string(kMaxAutomatonValues));
-          consistent = false;
-        }
-        if (ak.radix < ak.value_cnt + 2) {
-          Err(l, "automaton-malformed",
-              kname + " radix " + std::to_string(ak.radix) +
-                  " cannot encode absent + " + std::to_string(ak.value_cnt) +
-                  " literals + other; the transition function is not total");
-          consistent = false;
-        } else if (ak.radix > ak.value_cnt + 2) {
-          report->Add(Severity::kWarning, "automaton-dead", l,
-                      kname + " radix " + std::to_string(ak.radix) + " exceeds " +
-                          std::to_string(ak.value_cnt + 2) +
-                          "; the surplus digits name states no dictionary can reach");
-        }
-        for (uint32_t v = 1; v < ak.value_cnt; ++v) {
-          const int64_t prev = prog.automaton_values[ak.value_off + v - 1];
-          const int64_t curr = prog.automaton_values[ak.value_off + v];
-          if (prev >= curr) {
-            Err(l, "automaton-unsound",
-                kname + " literal domain is not strictly ascending at slot " +
-                    std::to_string(v) + "; duplicate digits make the fold ambiguous");
-            consistent = false;
-            break;
-          }
-        }
-        if (ak.stride != product) {
-          Err(l, "automaton-malformed",
-              kname + " stride " + std::to_string(ak.stride) +
-                  " differs from the running radix product " + std::to_string(product));
-          consistent = false;
-        }
-        product *= ak.radix;
-      }
-      if (consistent && product != proto.state_count) {
-        Err(l, "automaton-malformed",
-            pname + " records " + std::to_string(proto.state_count) +
-                " states but the radix product is " + std::to_string(product));
-      }
-      if (proto.state_count > kMaxAutomatonStates) {
-        Err(l, "automaton-malformed",
-            pname + " state count " + std::to_string(proto.state_count) +
-                " exceeds the cap of " + std::to_string(kMaxAutomatonStates));
-      }
-    }
-    // Bucket classification proof.
-    const size_t nprotocols = prog.automaton_protocols.size();
-    for (const ProgramChain& pc : prog.chains) {
-      RuleLocus cl;
-      cl.chain = pc.name;
-      for (size_t op = 0; op < sim::kOpCount; ++op) {
-        const ProgramBucket& b = pc.ops[op];
-        if (b.astate.causes == 0) {
-          for (size_t i = 0; i < b.astate.protocols.size(); ++i) {
-            if (b.astate.protocols[i] >= nprotocols) {
-              Err(cl, "automaton-unsound",
-                  "state-cacheable bucket cites protocol " +
-                      std::to_string(b.astate.protocols[i]) + " outside table of " +
-                      std::to_string(nprotocols));
-            }
-            if (i > 0 && b.astate.protocols[i - 1] >= b.astate.protocols[i]) {
-              Err(cl, "automaton-unsound",
-                  "bucket protocol list is not sorted-unique");
-            }
-          }
-        }
-        for (int32_t jid : b.astate_jumps) {
-          if (jid < 0 || static_cast<uint64_t>(jid) >= nchains) {
-            continue;  // unresolved jump: closure already treats it as bypass
-          }
-          const ProgramBucket& t = prog.chains[static_cast<size_t>(jid)].ops[op];
-          if ((t.astate.causes & ~b.astate.causes) != 0) {
-            Err(cl, "automaton-unsound",
-                "JUMP edge to " + prog.chains[static_cast<size_t>(jid)].name +
-                    " carries bypass causes the source bucket's closure misses");
-          }
-          if (b.astate.causes == 0 &&
-              !std::includes(b.astate.protocols.begin(), b.astate.protocols.end(),
-                             t.astate.protocols.begin(), t.astate.protocols.end())) {
-            Err(cl, "automaton-unsound",
-                "JUMP edge to " + prog.chains[static_cast<size_t>(jid)].name +
-                    " reads protocols the source bucket's key would not fold");
-          }
-        }
-      }
-    }
-  }
-
   // --- depth proof ----------------------------------------------------------
   //
   // BFS over resolved JUMP edges from the builtin roots gives each chain its
@@ -728,9 +580,6 @@ VerifyResult VerifyProgram(const PfProgram& prog, const VerifyOptions& opts) {
     v.CheckRecord(i);
   }
   v.CheckChainTables();
-  if (prog.automata_built) {
-    v.CheckAutomata();  // pools are rebuilt whole even on delta commits
-  }
   v.CheckDepth();
   result.report.Sort();
   return result;

@@ -69,9 +69,7 @@ struct VerifyResult {
 // codes: arena-truncated, rule-malformed, bad-opcode, pool-oob,
 // state-slot-oob, native-oob, jump-target-oob, syscall-arg-oob,
 // ctx-mask-invalid, chain-table-oob, classifier-oob, classifier-coverage,
-// depth-exceeded, automaton-oob, automaton-malformed, automaton-unsound,
-// automaton-dead (warning). The automaton proofs run only when the program
-// carries built automaton tables (PfProgram::automata_built).
+// depth-exceeded.
 VerifyResult VerifyProgram(const PfProgram& prog, const VerifyOptions& opts = {});
 
 }  // namespace pf::core

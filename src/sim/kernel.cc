@@ -1,7 +1,8 @@
 #include "src/sim/kernel.h"
 
-#include <cassert>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 
 namespace pf::sim {
 
@@ -18,9 +19,18 @@ Kernel::Kernel(uint64_t seed) : rng_(seed) {
 Kernel::~Kernel() = default;
 
 size_t Kernel::AddModule(std::unique_ptr<SecurityModule> module) {
-  assert(modules_.size() < kMaxSecuritySlots);
   modules_.push_back(std::move(module));
-  return modules_.size() - 1;
+  return ReserveSecuritySlot();
+}
+
+size_t Kernel::ReserveSecuritySlot() {
+  const size_t slot = next_security_slot_.fetch_add(1, std::memory_order_relaxed);
+  if (slot >= kMaxSecuritySlots) {
+    std::fprintf(stderr, "kernel: all %zu per-task security slots are taken\n",
+                 kMaxSecuritySlots);
+    std::abort();
+  }
+  return slot;
 }
 
 SecurityModule* Kernel::FindModule(std::string_view name) {

@@ -8,6 +8,7 @@
 #define SRC_SIM_KERNEL_H_
 
 #include <array>
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -86,6 +87,11 @@ class Kernel {
 
   // Registers a security module; returns its per-task state slot index.
   size_t AddModule(std::unique_ptr<SecurityModule> module);
+  // Hands out an unused per-task state slot (Task::security index) without
+  // registering a module: for a consumer that keeps per-task state but is
+  // not behind the hooks. AddModule draws from the same pool, so no two
+  // consumers share a slot. Thread-safe; aborts once the pool is exhausted.
+  size_t ReserveSecuritySlot();
   SecurityModule* FindModule(std::string_view name);
 
   // Registers a program entry function under a key named by BinaryImage.
@@ -211,6 +217,7 @@ class Kernel {
   Scheduler* sched_ = nullptr;
 
   std::vector<std::unique_ptr<SecurityModule>> modules_;
+  std::atomic<size_t> next_security_slot_{0};
   std::map<std::string, ProgMain> programs_;
 
   std::unique_ptr<Task> init_task_;  // used for setup-mode walks

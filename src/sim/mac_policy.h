@@ -70,8 +70,7 @@ class MacPolicy {
   // Monotonic mutation counter, bumped on every policy change (allow rules,
   // untrusted set, enforcing mode). Derived queries such as adversary
   // accessibility and SYSHIGH membership can only change when the epoch
-  // moves, so caches keyed on the epoch (the engine's verdict cache) are
-  // invalidated by construction.
+  // moves, so a cache keyed on the epoch is invalidated by construction.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   // Enforcement query (subject to `enforcing()`, root is not exempt in MAC).

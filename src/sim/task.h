@@ -5,6 +5,7 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -62,8 +63,11 @@ struct Task {
 
   int exit_code = 0;
 
-  // Opaque per-task state owned by security modules.
+  // Opaque per-task state owned by security modules. A module creates its
+  // slot's state under the slot's once_flag, so concurrent first touches of
+  // one task's slot from several threads create it exactly once.
   std::array<std::shared_ptr<void>, kMaxSecuritySlots> security;
+  std::array<std::once_flag, kMaxSecuritySlots> security_once;
 
   // Registers a script path, returning its id.
   uint32_t RegisterScript(const std::string& path) {

@@ -68,19 +68,6 @@ std::string VerdictString(const TraceRecord& rec) {
   return (rec.flags & kFlagAudited) != 0 ? "drop(audited)" : "drop";
 }
 
-std::string_view CacheString(uint8_t cache) {
-  switch (cache) {
-    case kCacheHit:
-      return "hit";
-    case kCacheMiss:
-      return "miss";
-    case kCacheBypass:
-      return "bypass";
-    default:
-      return "none";
-  }
-}
-
 std::string RenderText(const std::vector<TraceRecord>& records, const NameTable& names) {
   std::ostringstream out;
   char buf[64];
@@ -94,7 +81,7 @@ std::string RenderText(const std::vector<TraceRecord>& records, const NameTable&
       case Event::kDecision:
         out << " subj=" << names.SidName(rec.subject_sid)
             << " obj=" << names.SidName(rec.object_sid) << " verdict=" << VerdictString(rec)
-            << " path=" << PathName(PathOf(rec)) << " cache=" << CacheString(rec.cache);
+            << " path=" << PathName(PathOf(rec));
         if (rec.chain_id >= 0) {
           out << " chain=" << rec.chain_id << " rule=" << rec.rule_index;
         }
@@ -114,9 +101,6 @@ std::string RenderText(const std::vector<TraceRecord>& records, const NameTable&
         std::snprintf(buf, sizeof(buf), " mask=0x%x", static_cast<uint32_t>(rec.chain_id));
         out << buf << " fetch=" << rec.eval_ns << "ns";
         break;
-      case Event::kVcache:
-        out << " probe=" << CacheString(rec.cache);
-        break;
       case Event::kCount:
         break;
     }
@@ -132,8 +116,8 @@ std::string RenderJsonLines(const std::vector<TraceRecord>& records, const NameT
         << EventName(EventOf(rec)) << "\",\"op\":\"" << JsonEscape(NameTable::OpName(rec.op))
         << "\",\"subject\":\"" << JsonEscape(names.SidName(rec.subject_sid))
         << "\",\"object\":\"" << JsonEscape(names.SidName(rec.object_sid)) << "\",\"verdict\":\""
-        << VerdictString(rec) << "\",\"path\":\"" << PathName(PathOf(rec)) << "\",\"cache\":\""
-        << CacheString(rec.cache) << "\",\"chain\":" << rec.chain_id
+        << VerdictString(rec) << "\",\"path\":\"" << PathName(PathOf(rec))
+        << "\",\"chain\":" << rec.chain_id
         << ",\"rule\":" << rec.rule_index << ",\"ctx_ns\":" << rec.ctx_ns
         << ",\"eval_ns\":" << rec.eval_ns << ",\"total_ns\":" << rec.total_ns
         << ",\"ept_valid\":" << (((rec.flags & kFlagEptValid) != 0) ? "true" : "false")
@@ -172,8 +156,7 @@ std::string RenderChromeTrace(const std::vector<TraceRecord>& records, const Nam
     out << buf;
     out << ",\"args\":{\"subject\":\"" << JsonEscape(names.SidName(rec.subject_sid))
         << "\",\"object\":\"" << JsonEscape(names.SidName(rec.object_sid)) << "\",\"path\":\""
-        << PathName(PathOf(rec)) << "\",\"cache\":\"" << CacheString(rec.cache)
-        << "\",\"ctx_ns\":" << rec.ctx_ns << ",\"eval_ns\":" << rec.eval_ns << "}}";
+        << PathName(PathOf(rec)) << "\",\"ctx_ns\":" << rec.ctx_ns << ",\"eval_ns\":" << rec.eval_ns << "}}";
   }
   out << "],\"displayTimeUnit\":\"ns\"}";
   return out.str();

@@ -30,7 +30,7 @@ struct NameTable {
 
 // One record per line:
 //   [123.456789] w03 decision op=stat subj=httpd_t obj=passwd_t verdict=drop
-//   path=COMPILED cache=miss chain=2 rule=0 ctx=120ns eval=340ns total=980ns
+//   path=COMPILED chain=2 rule=0 ctx=120ns eval=340ns total=980ns
 std::string RenderText(const std::vector<TraceRecord>& records, const NameTable& names);
 
 // One JSON object per line (jq-friendly), every field present.
@@ -51,8 +51,6 @@ void WriteRingFamilies(PromWriter& w, const TraceHub& hub);
 
 // "drop" / "drop(audited)" / "accept" from record flags.
 std::string VerdictString(const TraceRecord& rec);
-// "hit" / "miss" / "bypass" / "none" from a kCache* value.
-std::string_view CacheString(uint8_t cache);
 
 }  // namespace pf::trace
 

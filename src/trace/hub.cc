@@ -12,8 +12,6 @@ std::string_view EventName(Event e) {
       return "rule";
     case Event::kCtxFetch:
       return "ctx_fetch";
-    case Event::kVcache:
-      return "vcache";
     case Event::kCount:
       break;
   }
@@ -26,8 +24,6 @@ std::string_view PathName(Path p) {
       return "FULL";
     case Path::kCompiled:
       return "COMPILED";
-    case Path::kVcache:
-      return "VCACHE";
     case Path::kCount:
       break;
   }

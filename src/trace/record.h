@@ -1,7 +1,7 @@
 // pftrace record format (DESIGN.md §5e "Observability").
 //
 // One TraceRecord describes one engine event: a full authorization decision,
-// a rule evaluation, a context fetch, or a verdict-cache probe. Records are
+// a rule evaluation, or a context fetch. Records are
 // fixed-size (64 bytes), trivially copyable, and hold only plain integers —
 // no pointers, no strings — so a producer can publish one into a lock-free
 // ring with eight relaxed word stores and a consumer in another thread (or a
@@ -33,10 +33,9 @@ inline constexpr bool kTraceCompiledIn = true;
 // always-cheap default (one record per Authorize that reached a rule base);
 // the others are verbose attribution streams for deep dives.
 enum class Event : uint8_t {
-  kDecision = 0,  // one Authorize: verdict + per-stage ns + cache outcome
+  kDecision = 0,  // one Authorize: verdict + per-stage ns
   kRule,          // one rule evaluation that produced a verdict
   kCtxFetch,      // one EnsureContext round-trip that fetched something
-  kVcache,        // one verdict-cache probe (hit / miss / bypass)
   kCount,
 };
 
@@ -45,12 +44,11 @@ inline constexpr uint32_t EventBit(Event e) {
 }
 inline constexpr uint32_t kAllEvents = (1u << static_cast<uint32_t>(Event::kCount)) - 1;
 
-// How the decision was served. The histogram axis of the ISSUE's
-// (op × {FULL, COMPILED, VCACHE}) latency matrix.
+// Which evaluator served the decision: the histogram axis of the
+// (op × {FULL, COMPILED}) latency matrix.
 enum class Path : uint8_t {
   kFull = 0,   // legacy tree-walker traversal
   kCompiled,   // arena-program evaluator traversal
-  kVcache,     // served from the verdict cache, no traversal
   kCount,
 };
 
@@ -59,20 +57,10 @@ inline constexpr size_t kPathCount = static_cast<size_t>(Path::kCount);
 std::string_view EventName(Event e);
 std::string_view PathName(Path p);
 
-// Verdict-cache outcome of one decision.
-inline constexpr uint8_t kCacheNone = 0;    // cache disabled / not consulted
-inline constexpr uint8_t kCacheHit = 1;
-inline constexpr uint8_t kCacheMiss = 2;
-inline constexpr uint8_t kCacheBypass = 3;  // stateful bucket: never cached
-
 // Record flags.
 inline constexpr uint8_t kFlagDrop = 1u << 0;      // verdict was a denial
 inline constexpr uint8_t kFlagAudited = 1u << 1;   // denial suppressed (audit)
 inline constexpr uint8_t kFlagEptValid = 1u << 2;  // entrypoint fields are set
-// The decision was keyed on the task's automaton state (stateful verdict-
-// cache tier). On kVcache records the otherwise-unused total_ns field then
-// carries the folded automaton state of the probe.
-inline constexpr uint8_t kFlagStateKey = 1u << 3;
 
 // One fixed-size trace record. Field use by event kind:
 //
@@ -84,8 +72,6 @@ inline constexpr uint8_t kFlagStateKey = 1u << 3;
 //   kRule      chain_id/rule_index = the rule, eval_ns = its evaluation ns,
 //              flags kFlagDrop when it dropped.
 //   kCtxFetch  chain_id = the CtxMask fetched (reused field), eval_ns = ns.
-//   kVcache    cache = probe outcome; no timing fields (total_ns instead
-//              carries the folded automaton state under kFlagStateKey).
 struct TraceRecord {
   uint64_t ts_ns = 0;       // steady-clock ns when the record was emitted
   uint64_t ept_ino = 0;     // entrypoint image inode (kFlagEptValid)
@@ -102,9 +88,8 @@ struct TraceRecord {
   uint8_t op = 0;           // sim::Op of the request
   uint8_t event = 0;        // Event
   uint8_t path = 0;         // Path (kDecision only)
-  uint8_t cache = 0;        // kCache* (kDecision / kVcache)
   uint8_t flags = 0;        // kFlag*
-  uint8_t reserved = 0;     // pad to 64 bytes
+  uint8_t reserved[2] = {}; // pad to 64 bytes
 };
 
 static_assert(sizeof(TraceRecord) == 64, "one cache line, eight ring words");

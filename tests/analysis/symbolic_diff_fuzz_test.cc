@@ -188,7 +188,6 @@ Env BootEnv(uint64_t seed, bool ept, bool scratch_second_engine) {
   apps::InstallPrograms(*env.kernel);
   core::EngineConfig cfg;
   cfg.ept_chains = ept;
-  cfg.verdict_cache = false;
   env.engine = core::InstallProcessFirewall(*env.kernel, cfg);
   env.pft = std::make_unique<core::Pftables>(env.engine);
   RegisterStaticFuzzModules(*env.pft, &env.count_fires);

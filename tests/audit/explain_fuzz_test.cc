@@ -4,8 +4,8 @@
 // the engine's verdict) *and* with the symbolic decision-space model (the
 // region containing the request's atom assignment predicts the same
 // outcome), while the provenance tree stays internally consistent: a denial
-// served by a traversal tier names a rule whose eval counter moved, and the
-// serving tier matches the verdict-cache counter movement.
+// served by a traversal tier names a rule whose eval counter moved, and a
+// fast-path decision evaluated no rule.
 //
 // Seed control: PF_FUZZ_SEEDS=N runs N consecutive seeds (default 16).
 #include <gtest/gtest.h>
@@ -181,7 +181,7 @@ std::vector<uint32_t> Assignment(const sym::Universe& u, sim::Kernel& kernel,
 
 // The tiers whose name ExplainRequest may report, for the consistency check.
 bool IsTraversalTier(const std::string& tier) {
-  return tier == "compiled" || tier == "legacy" || tier == "bypass";
+  return tier == "compiled" || tier == "legacy";
 }
 
 void RunExplainProof(uint64_t seed, bool ept) {

@@ -1,5 +1,5 @@
 // Ablation equivalence: the engine optimizations (context caching, lazy
-// context, entrypoint chains, and the verdict cache) are performance knobs,
+// context, entrypoint chains, the compiled evaluator) are performance knobs,
 // not semantics. All Table-6 configurations must produce byte-identical
 // verdict sequences — and identical per-task STATE dictionaries — on a
 // randomized workload of opens, binds, signal deliveries, and syscall
@@ -27,24 +27,20 @@ constexpr int kTasks = 3;
 constexpr uint64_t kWorkloadSeed = 0xab1a7e5eedull;
 
 EngineConfig MakeConfig(bool lazy, bool cache, bool ept, bool compiled = false,
-                        bool vcache = false, bool threaded = true,
-                        bool verify = true, bool tuple = false,
-                        bool automata = true) {
+                        bool threaded = true, bool verify = true, bool tuple = false) {
   EngineConfig cfg;
   cfg.lazy_context = lazy;
   cfg.cache_context = cache;
   cfg.ept_chains = ept;
   cfg.compiled_eval = compiled;
-  cfg.verdict_cache = vcache;
   cfg.threaded_eval = threaded;
   cfg.verify_programs = verify;
   cfg.tuple_dispatch = tuple;
-  cfg.automata = automata;
   return cfg;
 }
 
-// The Table-6 ablation ladder (the lower rungs pin compiled_eval and
-// verdict_cache off so each rung isolates exactly one optimization). The
+// The Table-6 ablation ladder (the lower rungs pin compiled_eval off so each
+// rung isolates exactly one optimization). The
 // SWITCHED rung runs the compiled evaluator through the portable switch
 // loop and COMPILED through the threaded dispatcher, so the dispatch
 // strategy itself is proven to be semantics-free. The VERIFY rung turns the
@@ -53,14 +49,9 @@ EngineConfig MakeConfig(bool lazy, bool cache, bool ept, bool compiled = false,
 // The TRACE rung re-runs the top configuration with every tracepoint stream
 // enabled: observability must be a pure observer — verdicts, STATE dicts,
 // and the decision counters all stay byte-identical. The TUPLE rung turns
-// the tuple-space classifier on above COMPILED (verdict cache off so every
-// op actually traverses): probing per-mask hash tables and k-way-merging
-// candidate slices must pick exactly the rules a linear scan would. The
-// AUTOMATA rung re-runs the verdict-cache configuration with STATE-protocol
-// lowering ablated: with lowering off every stateful decision bypasses and
-// traverses, with it on (the VCACHE rung's default) those decisions are
-// cached under automaton-extended keys and their effects replayed — the two
-// must be indistinguishable in verdicts and dictionaries. The AUDIT rung
+// the tuple-space classifier on above COMPILED: probing per-mask hash tables
+// and k-way-merging candidate slices must pick exactly the rules a linear
+// scan would. The AUDIT rung
 // re-runs the top configuration with the security-event audit pipeline
 // armed (suppression off, every kind enabled): like TRACE, audit must be a
 // pure observer of verdicts, STATE dicts, and decision counters.
@@ -74,15 +65,12 @@ const struct {
     {"CONCACHE", MakeConfig(false, true, false)},
     {"LAZYCON", MakeConfig(true, true, false)},
     {"EPTSPC", MakeConfig(true, true, true)},
-    {"SWITCHED", MakeConfig(true, true, true, true, false, /*threaded=*/false)},
+    {"SWITCHED", MakeConfig(true, true, true, true, /*threaded=*/false)},
     {"COMPILED", MakeConfig(true, true, true, true)},
-    {"TUPLE", MakeConfig(true, true, true, true, false, true, true, /*tuple=*/true)},
-    {"VCACHE", MakeConfig(true, true, true, true, true)},
-    {"AUTOMATA", MakeConfig(true, true, true, true, true, true, true, false,
-                            /*automata=*/false)},
-    {"VERIFY", MakeConfig(true, true, true, true, true, true, /*verify=*/false)},
-    {"TRACE", MakeConfig(true, true, true, true, true), true},
-    {"AUDIT", MakeConfig(true, true, true, true, true), false, true},
+    {"TUPLE", MakeConfig(true, true, true, true, true, true, /*tuple=*/true)},
+    {"VERIFY", MakeConfig(true, true, true, true, true, /*verify=*/false)},
+    {"TRACE", MakeConfig(true, true, true, true), true},
+    {"AUDIT", MakeConfig(true, true, true, true), false, true},
 };
 
 // A rule base mixing every decision source: entrypoint-indexed drops (some
@@ -164,10 +152,9 @@ struct Workload {
 // The decision counters that must not notice tracing (trace_records,
 // trace_drops and stats_generation legitimately differ).
 std::vector<uint64_t> DecisionCounters(const EngineStats& s) {
-  std::vector<uint64_t> out = {s.invocations, s.drops,        s.audited_drops,
+  std::vector<uint64_t> out = {s.invocations,     s.drops,          s.audited_drops,
                                s.rules_evaluated, s.ept_chain_hits, s.unwinds,
-                               s.unwind_cache_hits, s.vcache_hits, s.vcache_misses,
-                               s.vcache_bypasses};
+                               s.unwind_cache_hits};
   out.insert(out.end(), s.ctx_fetches.begin(), s.ctx_fetches.end());
   return out;
 }
@@ -276,7 +263,7 @@ TEST(AblationEquivalenceTest, TracingIsAPureObserver) {
   // all tracepoints live must reproduce not just the verdict sequence but
   // the decision counters bit for bit — tracing may add trace_records, but
   // it may not perturb what the engine counted about its own decisions.
-  const EngineConfig cfg = MakeConfig(true, true, true, true, true);
+  const EngineConfig cfg = MakeConfig(true, true, true, true);
   std::vector<std::map<std::string, int64_t>> dicts_off, dicts_on;
   std::vector<uint64_t> counters_off, counters_on;
   std::vector<int64_t> off = Replay(cfg, &dicts_off, false, &counters_off);
@@ -294,7 +281,7 @@ TEST(AblationEquivalenceTest, AuditIsAPureObserver) {
   if (!audit::kAuditCompiledIn) {
     GTEST_SKIP() << "audit compiled out (PF_AUDIT=OFF)";
   }
-  const EngineConfig cfg = MakeConfig(true, true, true, true, true);
+  const EngineConfig cfg = MakeConfig(true, true, true, true);
   std::vector<std::map<std::string, int64_t>> dicts_off, dicts_on;
   std::vector<uint64_t> counters_off, counters_on;
   std::vector<int64_t> off = Replay(cfg, &dicts_off, false, &counters_off);
@@ -314,8 +301,7 @@ TEST(AblationEquivalenceTest, TupleClassifierPreservesHitCountersAndOnlySkipsWor
   // be strictly narrower than the full chain (total rules_evaluated drops).
   const auto replay = [](bool tuple, std::vector<uint64_t>* evals,
                          std::vector<uint64_t>* hits, EngineStats* stats) {
-    const EngineConfig cfg =
-        MakeConfig(true, true, true, true, false, true, true, tuple);
+    const EngineConfig cfg = MakeConfig(true, true, true, true, true, true, tuple);
     Workload w(cfg);
     std::vector<int64_t> verdicts;
     std::mt19937_64 rng(kWorkloadSeed);
@@ -355,94 +341,6 @@ TEST(AblationEquivalenceTest, TupleClassifierPreservesHitCountersAndOnlySkipsWor
       << "classifier never narrowed a candidate slice on a workload built "
       << "around exact-match dimensions";
   EXPECT_EQ(tup_stats.drops, scan_stats.drops);
-}
-
-TEST(AblationEquivalenceTest, AutomataLoweringPreservesHitCountersAndRemovesBypasses) {
-  // The AUTOMATA rung, isolated and strengthened: with lowering on, the
-  // workload's stateful decisions (binds, tmp-opens, signals over key b) are
-  // served from the stateful cache tier with their effects replayed; with it
-  // off they bypass and traverse. Verdicts, dictionaries AND per-rule hit
-  // counters must be bit-identical — a hit counter is bumped by the replay on
-  // one side and by the traversal on the other.
-  const auto replay = [](bool automata, std::vector<uint64_t>* hits,
-                         std::vector<std::map<std::string, int64_t>>* dicts,
-                         EngineStats* stats) {
-    const EngineConfig cfg =
-        MakeConfig(true, true, true, true, true, true, true, false, automata);
-    std::vector<int64_t> verdicts = Replay(cfg, dicts);
-    // Replay tears the workload down, so run it again inline to read hit
-    // counters off the live ruleset.
-    Workload w(cfg);
-    std::mt19937_64 rng(kWorkloadSeed);
-    const char* paths[] = {"/etc/passwd", "/etc/shadow", "/tmp/t"};
-    for (int i = 0; i < kOps; ++i) {
-      sim::Task& task = *w.tasks[rng() % kTasks];
-      if (rng() % 4 != 0) {
-        ++task.syscall_count;
-      }
-      sim::AccessRequest req;
-      switch (rng() % 8) {
-        case 0:
-        case 1:
-        case 2:
-        case 3:
-          req = w.OpenRequest(task, paths[rng() % 3]);
-          break;
-        case 4:
-          req = w.OpenRequest(task, "/etc/shadow");
-          break;
-        case 5: {
-          req.task = &task;
-          req.op = sim::Op::kSocketBind;
-          req.name = "/tmp/sock";
-          req.syscall_nr = sim::SyscallNr::kBind;
-          break;
-        }
-        case 6: {
-          req.task = &task;
-          req.op = sim::Op::kSignalDeliver;
-          req.sig = sim::kSigUsr1;
-          req.sig_sender = 1;
-          req.syscall_nr = sim::SyscallNr::kKill;
-          break;
-        }
-        default: {
-          req.task = &task;
-          req.op = sim::Op::kSyscallBegin;
-          req.syscall_nr = sim::SyscallNr::kNull;
-          break;
-        }
-      }
-      w.engine->Authorize(req);
-    }
-    for (const auto& [name, chain] : w.engine->ruleset().filter().chains()) {
-      for (const auto& r : chain.rules()) {
-        hits->push_back(r->hits.load(std::memory_order_relaxed));
-      }
-    }
-    *stats = w.engine->stats();
-    return verdicts;
-  };
-
-  std::vector<uint64_t> on_hits, off_hits;
-  std::vector<std::map<std::string, int64_t>> on_dicts, off_dicts;
-  EngineStats on_stats, off_stats;
-  std::vector<int64_t> on = replay(true, &on_hits, &on_dicts, &on_stats);
-  std::vector<int64_t> off = replay(false, &off_hits, &off_dicts, &off_stats);
-
-  ASSERT_EQ(on, off) << "automaton lowering changed a verdict";
-  EXPECT_EQ(on_dicts, off_dicts) << "automaton lowering changed STATE side effects";
-  EXPECT_EQ(on_hits, off_hits)
-      << "stateful hit replay diverged from the bypass traversal's counters";
-
-  // And the rung is not vacuous: this rule base is fully lowerable, so the
-  // automata build serves its stateful decisions as (state-keyed) cache
-  // traffic while the ablated build bypasses every one of them.
-  EXPECT_GT(on_stats.vcache_state_hits, 0u);
-  EXPECT_EQ(on_stats.vcache_bypasses, 0u)
-      << "a fully lowerable rule base must not bypass with automata on";
-  EXPECT_GT(off_stats.vcache_bypasses, 0u);
-  EXPECT_EQ(off_stats.vcache_state_hits, 0u);
 }
 
 TEST(AblationEquivalenceTest, ReplayIsDeterministic) {

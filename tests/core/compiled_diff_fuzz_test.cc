@@ -8,14 +8,6 @@
 // and the engine statistics, including the context-fetch counters that would
 // expose a divergent EnsureContext order.
 //
-// A second three-way diff covers the stateful verdict-cache tier: automata
-// on (STATE decisions cached under automaton-extended keys, effects replayed
-// on hits) vs automata off (STATE decisions bypass and traverse every time)
-// vs the uncached legacy walker. Everything a caller or auditor can observe
-// — verdicts, dictionaries, LOG records, native fires, drop totals — must be
-// bit-identical across the three builds, and the per-rule hit counters must
-// agree between the two cached builds (stateful replay == bypass traversal).
-//
 // Seed control (for CI sharding and reproduction):
 //   --pf_fuzz_seed=0xNNN   run exactly one seed (also env PF_FUZZ_SEED)
 //   PF_FUZZ_SEEDS=N        run N consecutive seeds from the fixed base
@@ -87,20 +79,12 @@ struct FuzzRun {
 
 // Builds a kernel (fixed sim seed: all runs see identical inode numbers and
 // labels), installs the seed's flavor-specific rule base, and replays the
-// seeded operation stream under the requested evaluator. `vcache`/`automata`
-// select the stateful-tier build for the cache equivalence diff; the
-// evaluator diffs keep the cache off, as it would hide traversal differences.
-// `rules` overrides the seed-derived rule base (the seed still drives the
-// operation stream).
-FuzzRun Replay(uint64_t seed, Mode mode, bool ept, bool vcache = false,
-               bool automata = true,
-               const std::vector<std::string>* rules = nullptr) {
+// seeded operation stream under the requested evaluator.
+FuzzRun Replay(uint64_t seed, Mode mode, bool ept) {
   EngineConfig cfg;
   cfg.compiled_eval = mode != Mode::kLegacy;
   cfg.threaded_eval = mode == Mode::kThreaded;
   cfg.ept_chains = ept;
-  cfg.verdict_cache = vcache;
-  cfg.automata = automata;
 
   FuzzRun out;
   sim::Kernel kernel{0x5eed};
@@ -111,10 +95,8 @@ FuzzRun Replay(uint64_t seed, Mode mode, bool ept, bool vcache = false,
   fuzzgen::RegisterFuzzModules(pft, &out.count_fires);
 
   std::mt19937_64 rule_rng(seed);
-  Status s = pft.ExecAll(rules != nullptr
-                             ? *rules
-                             : fuzzgen::RandomRules(rule_rng,
-                                                    fuzzgen::FlavorForSeed(seed)));
+  Status s =
+      pft.ExecAll(fuzzgen::RandomRules(rule_rng, fuzzgen::FlavorForSeed(seed)));
   if (!s.ok()) {
     ADD_FAILURE() << "rule install failed: " << s.message();
     return out;
@@ -260,98 +242,6 @@ TEST(CompiledDiffFuzzTest, ThreeWayEquivalenceAcrossSeeds) {
       }
     }
   }
-}
-
-// The cached builds legitimately differ from the walker in traversal-shaped
-// stats (rules_evaluated, ctx_fetches) — a cache hit skips both — so this
-// narrower comparator pins only what callers and auditors can observe.
-void ExpectObservablyEquivalent(const FuzzRun& want, const FuzzRun& got,
-                                const std::string& what) {
-  ASSERT_EQ(want.verdicts.size(), got.verdicts.size()) << what;
-  for (size_t i = 0; i < want.verdicts.size(); ++i) {
-    ASSERT_EQ(got.verdicts[i], want.verdicts[i])
-        << what << ": verdicts diverge at op " << i;
-  }
-  EXPECT_EQ(got.dicts, want.dicts)
-      << what << ": STATE dicts diverge (delta replay is not bit-identical)";
-  EXPECT_EQ(got.log_lines, want.log_lines) << what << ": LOG records diverge";
-  EXPECT_EQ(got.count_fires, want.count_fires)
-      << what << ": native target fire counts diverge";
-  EXPECT_EQ(got.stats.invocations, want.stats.invocations) << what;
-  EXPECT_EQ(got.stats.drops, want.stats.drops)
-      << what << ": drop totals diverge";
-}
-
-// Stateful-tier three-way diff over the fuzz corpus: automata-cached vs
-// interpreted-STATE-cached vs uncached legacy. The fuzz flavors sprinkle LOG
-// and native escapes through nearly every chain, so most decisions ride the
-// bypass path in both cached builds — which is exactly what this sweep pins
-// down: lowering must classify those closures identically and the bypass
-// traversal must stay bit-identical to the walker.
-TEST(CompiledDiffFuzzTest, AutomataCacheEquivalenceAcrossSeeds) {
-  uint64_t interp_bypasses = 0;
-  for (uint64_t seed : SeedList()) {
-    const std::string tag =
-        "seed=" + std::to_string(seed) + " flavor=" +
-        fuzzgen::FlavorName(fuzzgen::FlavorForSeed(seed));
-    FuzzRun legacy =
-        Replay(seed, Mode::kLegacy, /*ept=*/true, /*vcache=*/false, /*automata=*/false);
-    FuzzRun interp =
-        Replay(seed, Mode::kThreaded, /*ept=*/true, /*vcache=*/true, /*automata=*/false);
-    FuzzRun automata =
-        Replay(seed, Mode::kThreaded, /*ept=*/true, /*vcache=*/true, /*automata=*/true);
-    ExpectObservablyEquivalent(legacy, interp, tag + " interp-cache-vs-legacy");
-    ExpectObservablyEquivalent(legacy, automata, tag + " automata-cache-vs-legacy");
-    // Pure cache hits skip the traversal and its per-rule hit bumps in both
-    // cached builds (long-standing cache semantics), so counters are compared
-    // between the two cached builds: a stateful hit's effect replay must bump
-    // exactly what the interpreted bypass traversal would have.
-    EXPECT_EQ(automata.hits, interp.hits)
-        << tag << ": per-rule hit counters diverge (hit replay missed a rule)";
-    if (::testing::Test::HasFailure()) {
-      DumpFailure(seed, /*ept=*/true, automata);
-      return;
-    }
-    interp_bypasses += interp.stats.vcache_bypasses;
-    EXPECT_EQ(interp.stats.vcache_state_hits, 0u)
-        << tag << ": ablated build must not reach the stateful tier";
-  }
-  EXPECT_GT(interp_bypasses, 0u)
-      << "no seed bypassed in the ablated build; the sweep is vacuous";
-}
-
-// The engagement leg the LOG-saturated fuzz corpus cannot provide: a clean
-// STATE protocol (set / unset / compare, all literal) over the same seeded
-// operation stream. The automata build must serve this workload from the
-// stateful tier with zero bypasses and still be observably identical to the
-// interpreted-bypass build and the uncached walker — including per-rule hit
-// counters, whose only source on a stateful hit is the effect replay.
-TEST(CompiledDiffFuzzTest, AutomataTierEngagesAndMatchesUncachedBuilds) {
-  const std::vector<std::string> rules = {
-      "pftables -o SOCKET_BIND -j STATE --set --key b --value 1",
-      "pftables -o PROCESS_SIGNAL_DELIVERY -m STATE --key b --cmp 1 -j DROP",
-      "pftables -o FILE_OPEN -d tmp_t -j STATE --set --key k0 --value 2",
-      "pftables -o FILE_GETATTR -d etc_t -j STATE --unset --key b",
-      "pftables -A syscallbegin -m STATE --key k0 --cmp 2 -j DROP",
-  };
-  const uint64_t seed = SeedList().empty() ? kSeedBase : SeedList().front();
-  FuzzRun legacy = Replay(seed, Mode::kLegacy, /*ept=*/true, /*vcache=*/false,
-                          /*automata=*/false, &rules);
-  FuzzRun interp = Replay(seed, Mode::kThreaded, /*ept=*/true, /*vcache=*/true,
-                          /*automata=*/false, &rules);
-  FuzzRun automata = Replay(seed, Mode::kThreaded, /*ept=*/true, /*vcache=*/true,
-                            /*automata=*/true, &rules);
-  ExpectObservablyEquivalent(legacy, interp, "stateful interp-cache-vs-legacy");
-  ExpectObservablyEquivalent(legacy, automata, "stateful automata-cache-vs-legacy");
-  EXPECT_EQ(automata.hits, interp.hits)
-      << "per-rule hit counters diverge (hit replay missed a rule)";
-
-  EXPECT_GT(automata.stats.vcache_state_hits, 0u)
-      << "the automaton tier never engaged on a fully lowerable protocol";
-  EXPECT_EQ(automata.stats.vcache_bypasses, 0u)
-      << "a fully lowerable protocol must not bypass";
-  EXPECT_GT(interp.stats.vcache_bypasses, 0u)
-      << "the ablated build must interpret these STATE decisions every time";
 }
 
 TEST(CompiledDiffFuzzTest, ReplayIsDeterministic) {

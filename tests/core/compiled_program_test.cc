@@ -124,8 +124,6 @@ TEST_F(CompiledProgramTest, BucketsRePointAtEntrySlices) {
       const ProgramBucket& pb = pc.ops[op];
       ASSERT_EQ(pb.all_len, ob.all.size());
       ASSERT_EQ(pb.plain_len, ob.plain.size());
-      EXPECT_EQ(pb.needs, ob.needs);
-      EXPECT_EQ(pb.cacheable, ob.cacheable);
       EXPECT_EQ(pb.has_indexed, ob.has_indexed);
       // The entry-table slice resolves to exactly the bucket's rules, in
       // bucket order.

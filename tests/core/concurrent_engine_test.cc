@@ -192,8 +192,8 @@ TEST(ConcurrentEngineTest, SharedTaskVerdictsStayConsistent) {
   uint64_t total = static_cast<uint64_t>(kThreads) * kItersPerThread;
   EXPECT_EQ(stats.invocations, total);
   EXPECT_EQ(stats.drops, total / 2);
-  // The shared task holds exactly one state entry; nothing leaked.
-  EXPECT_EQ(rig.engine->task_state_count(), 1u);
+  // The shared task's state sits in its own slot, owned by the task alone.
+  EXPECT_EQ(task->security[rig.engine->slot()].use_count(), 1);
 }
 
 TEST(ConcurrentEngineTest, ConcurrentRunMatchesSerialReplay) {
@@ -231,14 +231,13 @@ TEST(ConcurrentEngineTest, ConcurrentRunMatchesSerialReplay) {
 }
 
 TEST(ConcurrentEngineTest, VerdictCacheConsistentUnderCommitAndPolicyChurn) {
-  // The verdict cache (on by default) under the worst invalidation churn we
-  // can produce: one thread commits rule reloads (generation bumps + cache
-  // clears), another mutates the MAC policy (epoch bumps). Both kinds of
-  // churn only touch an unreferenced chain / unreferenced labels, so every
-  // verdict stays exactly what the rule base dictates — any stale or torn
-  // cache entry shows up as a wrong verdict.
+  // Decisions under the worst publication churn we can produce: one thread
+  // commits rule reloads (generation bumps), another mutates the MAC policy
+  // (epoch bumps). Both kinds of churn only touch an unreferenced chain /
+  // unreferenced labels, so every verdict stays exactly what the rule base
+  // dictates — a stale or torn snapshot (or any verdict memo a future change
+  // adds) shows up as a wrong verdict.
   Rig rig;
-  ASSERT_TRUE(rig.engine->config().verdict_cache);
   auto shadow = rig.kernel.LookupNoHooks("/etc/shadow");
   auto passwd = rig.kernel.LookupNoHooks("/etc/passwd");
   std::vector<std::unique_ptr<sim::Task>> tasks;
@@ -290,16 +289,12 @@ TEST(ConcurrentEngineTest, VerdictCacheConsistentUnderCommitAndPolicyChurn) {
     }
   }
 
-  // Every FILE_OPEN here runs a fully cacheable bucket, so each invocation
-  // is accounted a hit or a miss — no torn counters, no bypasses.
   EngineStats stats = rig.engine->stats();
   uint64_t total = static_cast<uint64_t>(kThreads) * kItersPerThread;
   EXPECT_EQ(stats.invocations, total);
-  EXPECT_EQ(stats.vcache_hits + stats.vcache_misses, total);
-  EXPECT_EQ(stats.vcache_bypasses, 0u);
   EXPECT_EQ(stats.drops, total / 2);
 
-  // Once the churn quiesces the cache must converge, not stay poisoned.
+  // Once the churn quiesces, decisions must still follow the rule base.
   sim::AccessRequest deny = rig.OpenRequest(*tasks[0], shadow.get());
   sim::AccessRequest allow = rig.OpenRequest(*tasks[0], passwd.get());
   for (int i = 0; i < 8; ++i) {

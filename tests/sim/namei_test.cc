@@ -12,18 +12,17 @@ namespace {
 
 class NameiTest : public pf::testing::SimTest {
  protected:
-  Task MakeTask(Cred cred) {
-    Task t;
+  void InitTask(Task& t, Cred cred) {
     t.pid = 99;
     t.comm = "namei-test";
     t.cred = cred;
     t.cwd = kernel().vfs().root()->id();
-    return t;
   }
 };
 
 TEST_F(NameiTest, ResolvesAbsolutePath) {
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   Nameidata nd;
   ASSERT_EQ(kernel().PathWalk(t, "/etc/passwd", kFollowFinal, &nd), 0);
   ASSERT_NE(nd.inode, nullptr);
@@ -33,7 +32,8 @@ TEST_F(NameiTest, ResolvesAbsolutePath) {
 }
 
 TEST_F(NameiTest, ResolvesRelativePathFromCwd) {
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   auto etc = kernel().LookupNoHooks("/etc");
   t.cwd = etc->id();
   Nameidata nd;
@@ -42,13 +42,15 @@ TEST_F(NameiTest, ResolvesRelativePathFromCwd) {
 }
 
 TEST_F(NameiTest, MissingFinalComponentIsENOENT) {
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   Nameidata nd;
   EXPECT_EQ(kernel().PathWalk(t, "/etc/nope", kFollowFinal, &nd), SysError(Err::kNoEnt));
 }
 
 TEST_F(NameiTest, WantParentToleratesMissingFinal) {
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   Nameidata nd;
   ASSERT_EQ(kernel().PathWalk(t, "/etc/newfile", kWantParent, &nd), 0);
   EXPECT_EQ(nd.inode, nullptr);
@@ -57,14 +59,16 @@ TEST_F(NameiTest, WantParentToleratesMissingFinal) {
 }
 
 TEST_F(NameiTest, MissingIntermediateIsENOENTEvenWithWantParent) {
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   Nameidata nd;
   EXPECT_EQ(kernel().PathWalk(t, "/no/such/dir/file", kWantParent, &nd),
             SysError(Err::kNoEnt));
 }
 
 TEST_F(NameiTest, NonDirectoryIntermediateIsENOTDIR) {
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   Nameidata nd;
   EXPECT_EQ(kernel().PathWalk(t, "/etc/passwd/x", kFollowFinal, &nd),
             SysError(Err::kNotDir));
@@ -72,7 +76,8 @@ TEST_F(NameiTest, NonDirectoryIntermediateIsENOTDIR) {
 
 TEST_F(NameiTest, FollowsFinalSymlinkOnlyWhenAsked) {
   kernel().MkSymlinkAt("/tmp/link", "/etc/passwd", kMalloryUid, kMalloryUid, "tmp_t");
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   Nameidata nd;
   ASSERT_EQ(kernel().PathWalk(t, "/tmp/link", kFollowFinal, &nd), 0);
   EXPECT_TRUE(nd.inode->IsRegular());
@@ -83,7 +88,8 @@ TEST_F(NameiTest, FollowsFinalSymlinkOnlyWhenAsked) {
 
 TEST_F(NameiTest, FollowsIntermediateSymlinksAlways) {
   kernel().MkSymlinkAt("/tmp/etclink", "/etc", 0, 0, "tmp_t");
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   Nameidata nd;
   ASSERT_EQ(kernel().PathWalk(t, "/tmp/etclink/passwd", 0, &nd), 0);
   EXPECT_EQ(nd.inode->id(), kernel().LookupNoHooks("/etc/passwd")->id());
@@ -92,7 +98,8 @@ TEST_F(NameiTest, FollowsIntermediateSymlinksAlways) {
 TEST_F(NameiTest, RelativeSymlinkResolvesAgainstLinkDirectory) {
   kernel().MkFileAt("/tmp/real", "data", 0644, 0, 0, "tmp_t");
   kernel().MkSymlinkAt("/tmp/rel", "real", 0, 0, "tmp_t");
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   Nameidata nd;
   ASSERT_EQ(kernel().PathWalk(t, "/tmp/rel", kFollowFinal, &nd), 0);
   EXPECT_EQ(nd.inode->id(), kernel().LookupNoHooks("/tmp/real")->id());
@@ -101,20 +108,23 @@ TEST_F(NameiTest, RelativeSymlinkResolvesAgainstLinkDirectory) {
 TEST_F(NameiTest, SymlinkLoopIsELOOP) {
   kernel().MkSymlinkAt("/tmp/a", "/tmp/b", 0, 0, "tmp_t");
   kernel().MkSymlinkAt("/tmp/b", "/tmp/a", 0, 0, "tmp_t");
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   Nameidata nd;
   EXPECT_EQ(kernel().PathWalk(t, "/tmp/a", kFollowFinal, &nd), SysError(Err::kLoop));
 }
 
 TEST_F(NameiTest, DotAndDotDotNavigate) {
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   Nameidata nd;
   ASSERT_EQ(kernel().PathWalk(t, "/etc/./../etc/passwd", kFollowFinal, &nd), 0);
   EXPECT_EQ(nd.inode->id(), kernel().LookupNoHooks("/etc/passwd")->id());
 }
 
 TEST_F(NameiTest, DotDotAtRootStaysAtRoot) {
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   Nameidata nd;
   ASSERT_EQ(kernel().PathWalk(t, "/../../etc/passwd", kFollowFinal, &nd), 0);
   EXPECT_EQ(nd.inode->id(), kernel().LookupNoHooks("/etc/passwd")->id());
@@ -125,29 +135,34 @@ TEST_F(NameiTest, SearchPermissionRequiredOnIntermediateDirs) {
   auto alice = kernel().LookupNoHooks("/home/alice");
   alice->mode = 0700;
   kernel().MkFileAt("/home/alice/secret", "x", 0644, kAliceUid, kAliceUid, "user_home_t");
-  Task t = MakeTask(UserCred(kMalloryUid));
+  Task t;
+  InitTask(t, UserCred(kMalloryUid));
   Nameidata nd;
   EXPECT_EQ(kernel().PathWalk(t, "/home/alice/secret", kFollowFinal, &nd),
             SysError(Err::kAcces));
-  Task rt = MakeTask(RootCred());
+  Task rt;
+  InitTask(rt, RootCred());
   EXPECT_EQ(kernel().PathWalk(rt, "/home/alice/secret", kFollowFinal, &nd), 0);
 }
 
 TEST_F(NameiTest, EmptyPathIsENOENT) {
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   Nameidata nd;
   EXPECT_EQ(kernel().PathWalk(t, "", kFollowFinal, &nd), SysError(Err::kNoEnt));
 }
 
 TEST_F(NameiTest, RootPathResolvesToRoot) {
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   Nameidata nd;
   ASSERT_EQ(kernel().PathWalk(t, "/", kFollowFinal, &nd), 0);
   EXPECT_EQ(nd.inode->id(), kernel().vfs().root()->id());
 }
 
 TEST_F(NameiTest, OverlongPathIsENAMETOOLONG) {
-  Task t = MakeTask(RootCred());
+  Task t;
+  InitTask(t, RootCred());
   std::string path = "/";
   path.append(5000, 'a');
   Nameidata nd;

@@ -1,5 +1,5 @@
 // Engine-side tracing semantics: what the tracepoints in Authorize /
-// ExecEntries / EnsureContext / the verdict cache actually record, that
+// ExecEntries / EnsureContext actually record, that
 // per-rule time attribution lands in the pftables counters, that `-Z`
 // zeroing is transactional (stats_generation), and that `-L -v` exposes
 // the attribution without changing the non-verbose rendering.
@@ -22,12 +22,6 @@ namespace {
 using trace::Event;
 using trace::TraceRecord;
 
-EngineConfig FullConfig() {
-  EngineConfig cfg;
-  cfg.verdict_cache = false;  // deterministic traversal counts
-  return cfg;
-}
-
 // Kernel + engine + a raw task on /bin/true with one user frame, same shape
 // as the verdict-cache rig.
 struct Rig {
@@ -36,7 +30,7 @@ struct Rig {
   sim::Task task;
   std::vector<std::shared_ptr<sim::Inode>> pins;
 
-  explicit Rig(const EngineConfig& cfg = FullConfig()) {
+  explicit Rig(const EngineConfig& cfg = {}) {
     sim::BuildSysImage(kernel);
     apps::InstallPrograms(kernel);
     engine = InstallProcessFirewall(kernel, cfg);
@@ -158,33 +152,6 @@ TEST(TraceEngineTest, RuleEventsAttributeTimeToCounters) {
   EXPECT_NE(verbose.find("evals="), std::string::npos);
   const std::string plain = pft.List("filter");
   EXPECT_EQ(plain.find("time="), std::string::npos) << plain;
-}
-
-TEST(TraceEngineTest, VcacheProbesAreTraced) {
-  if (!trace::kTraceCompiledIn) {
-    GTEST_SKIP() << "tracing compiled out (PF_NO_TRACE)";
-  }
-  EngineConfig cfg;  // verdict cache on
-  Rig rig(cfg);
-  ASSERT_TRUE(rig.Install({"pftables -o FILE_OPEN -d shadow_t -j DROP"}).ok());
-  rig.engine->trace().Enable();
-  EXPECT_LT(rig.Open("/etc/shadow"), 0);  // miss
-  EXPECT_LT(rig.Open("/etc/shadow"), 0);  // hit
-  rig.engine->trace().Disable();
-
-  std::vector<TraceRecord> all = rig.engine->trace().Drain();
-  std::vector<TraceRecord> probes = OfKind(all, Event::kVcache);
-  ASSERT_EQ(probes.size(), 2u);
-  EXPECT_EQ(probes[0].cache, trace::kCacheMiss);
-  EXPECT_EQ(probes[1].cache, trace::kCacheHit);
-
-  // The hit decision is attributed to the VCACHE path, the miss to the
-  // traversal that filled it.
-  std::vector<TraceRecord> decisions = OfKind(all, Event::kDecision);
-  ASSERT_EQ(decisions.size(), 2u);
-  EXPECT_EQ(decisions[0].cache, trace::kCacheMiss);
-  EXPECT_EQ(decisions[1].cache, trace::kCacheHit);
-  EXPECT_EQ(decisions[1].path, static_cast<uint8_t>(trace::Path::kVcache));
 }
 
 TEST(TraceEngineTest, OpFilterSelectsOps) {

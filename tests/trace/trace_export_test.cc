@@ -387,7 +387,6 @@ TraceRecord MakeDecision(uint64_t ts, uint16_t worker, bool drop) {
   r.worker = worker;
   r.event = static_cast<uint8_t>(Event::kDecision);
   r.path = static_cast<uint8_t>(Path::kCompiled);
-  r.cache = kCacheMiss;
   r.subject_sid = 7;
   r.object_sid = 9;
   r.chain_id = 2;
@@ -413,11 +412,12 @@ std::vector<TraceRecord> SyntheticRecords() {
   rule.eval_ns = 55;
   rule.flags = kFlagDrop;
   recs.push_back(rule);
-  TraceRecord vc;
-  vc.ts_ns = 3000;
-  vc.event = static_cast<uint8_t>(Event::kVcache);
-  vc.cache = kCacheHit;
-  recs.push_back(vc);
+  TraceRecord ctx;
+  ctx.ts_ns = 3000;
+  ctx.event = static_cast<uint8_t>(Event::kCtxFetch);
+  ctx.chain_id = 0x8;  // the fetched CtxMask
+  ctx.eval_ns = 77;
+  recs.push_back(ctx);
   return recs;
 }
 
@@ -463,23 +463,19 @@ TEST(TraceExportTest, TextRendersVerdictsAndEvents) {
   const std::string text = RenderText(SyntheticRecords(), names);
   EXPECT_NE(text.find("decision"), std::string::npos);
   EXPECT_NE(text.find("rule"), std::string::npos);
-  EXPECT_NE(text.find("vcache"), std::string::npos);
+  EXPECT_NE(text.find("ctx_fetch"), std::string::npos);
   EXPECT_NE(text.find("drop"), std::string::npos);
   EXPECT_NE(text.find("accept"), std::string::npos);
-  EXPECT_NE(text.find("hit"), std::string::npos);
+  EXPECT_NE(text.find("mask=0x8"), std::string::npos);
 }
 
-TEST(TraceExportTest, VerdictAndCacheStrings) {
+TEST(TraceExportTest, VerdictStrings) {
   TraceRecord r;
   EXPECT_EQ(VerdictString(r), "accept");
   r.flags = kFlagDrop;
   EXPECT_EQ(VerdictString(r), "drop");
   r.flags = kFlagDrop | kFlagAudited;
   EXPECT_EQ(VerdictString(r), "drop(audited)");
-  EXPECT_EQ(CacheString(kCacheHit), "hit");
-  EXPECT_EQ(CacheString(kCacheMiss), "miss");
-  EXPECT_EQ(CacheString(kCacheBypass), "bypass");
-  EXPECT_EQ(CacheString(kCacheNone), "none");
 }
 
 TEST(TraceExportTest, JsonEscapingSurvivesHostileLabelNames) {
