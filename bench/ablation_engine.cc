@@ -2,7 +2,8 @@
 // out, measured in isolation against a hand-built authorization request —
 // no scheduler in the loop.
 //
-//   * linear rule scan vs. entrypoint-indexed chains, over rule-base size
+//   * linear rule scan vs. entrypoint-indexed chains vs. the tuple
+//     classifier, over rule-base size, and the two dispatch strategies
 //   * user-stack unwinding vs. call depth, and the per-syscall context cache
 //   * lazy vs. eager context retrieval
 //   * pftables rule compilation throughput
@@ -28,9 +29,6 @@ struct EngineFixture {
       sys.InstallRules(SyntheticRuleBase(rules));
     }
     sys.engine->config().ept_chains = indexed;
-    // Off by default so each ablation measures its own mechanism; the
-    // BM_AuthorizeCompiled* benchmarks re-enable the program evaluator.
-    sys.engine->config().compiled_eval = false;
     task.pid = 77;
     task.comm = "bench";
     task.exe = sim::kBinTrue;
@@ -59,37 +57,12 @@ struct EngineFixture {
   std::shared_ptr<sim::Inode> keep_alive_;
 };
 
-void BM_AuthorizeLinearScan(benchmark::State& state) {
-  EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
-                   /*indexed=*/false);
-  sim::AccessRequest req = fx.OpenRequest();
-  for (auto _ : state) {
-    ++fx.task.syscall_count;  // new syscall: invalidates the context cache
-    benchmark::DoNotOptimize(fx.sys.engine->Authorize(req));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AuthorizeLinearScan)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->Arg(2048);
-
-void BM_AuthorizeIndexedChains(benchmark::State& state) {
-  EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
-                   /*indexed=*/true);
-  sim::AccessRequest req = fx.OpenRequest();
-  for (auto _ : state) {
-    ++fx.task.syscall_count;
-    benchmark::DoNotOptimize(fx.sys.engine->Authorize(req));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AuthorizeIndexedChains)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->Arg(2048);
-
-// The arena-program evaluator against the legacy tree walker, on the same
-// Authorize path (fresh syscall every iteration). Compare against BM_AuthorizeLinearScan / BM_AuthorizeIndexedChains
-// at equal rule counts: the delta is pure dispatch cost.
+// Authorize over a synthetic base of range(0) rules, with a fresh syscall
+// every iteration (the context cache never hits), scanning every rule of
+// the op's bucket.
 void BM_AuthorizeCompiledScan(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/false);
-  fx.sys.engine->config().compiled_eval = true;
   sim::AccessRequest req = fx.OpenRequest();
   for (auto _ : state) {
     ++fx.task.syscall_count;
@@ -119,7 +92,6 @@ BENCHMARK(BM_AuthorizeCompiledScan)
 void BM_AuthorizeTupleScan(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/false);
-  fx.sys.engine->config().compiled_eval = true;
   fx.sys.engine->config().tuple_dispatch = true;
   sim::AccessRequest req = fx.OpenRequest();
   for (auto _ : state) {
@@ -146,7 +118,6 @@ BENCHMARK(BM_AuthorizeTupleScan)
 void BM_AuthorizeTupleIndexed(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/true);
-  fx.sys.engine->config().compiled_eval = true;
   fx.sys.engine->config().tuple_dispatch = true;
   sim::AccessRequest req = fx.OpenRequest();
   for (auto _ : state) {
@@ -162,14 +133,13 @@ BENCHMARK(BM_AuthorizeTupleIndexed)
     ->Arg(100000)
     ->Arg(200000);
 
-// The compiled evaluator with the computed-goto threaded dispatcher turned
+// The program evaluator with the computed-goto threaded dispatcher turned
 // off: the same arena program run through the portable switch loop. The
 // delta against BM_AuthorizeCompiledScan is the pure dispatch-strategy win;
-// the bench-smoke CI job asserts threaded <= switch <= legacy medians.
+// the bench-smoke CI job asserts threaded <= switch * 1.15 medians.
 void BM_AuthorizeSwitchScan(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/false);
-  fx.sys.engine->config().compiled_eval = true;
   fx.sys.engine->config().threaded_eval = false;
   sim::AccessRequest req = fx.OpenRequest();
   for (auto _ : state) {
@@ -183,7 +153,6 @@ BENCHMARK(BM_AuthorizeSwitchScan)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->Arg(2
 void BM_AuthorizeCompiledIndexed(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/true);
-  fx.sys.engine->config().compiled_eval = true;
   sim::AccessRequest req = fx.OpenRequest();
   for (auto _ : state) {
     ++fx.task.syscall_count;
@@ -201,7 +170,6 @@ BENCHMARK(BM_AuthorizeCompiledIndexed)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->
 void BM_AuthorizeCompiledTraced(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/true);
-  fx.sys.engine->config().compiled_eval = true;
   fx.sys.engine->trace().Enable();
   sim::AccessRequest req = fx.OpenRequest();
   for (auto _ : state) {
@@ -226,7 +194,6 @@ BENCHMARK(BM_AuthorizeCompiledTraced)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->A
 void BM_AuthorizeCompiledAudited(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/true);
-  fx.sys.engine->config().compiled_eval = true;
   audit::AuditHub::Config acfg;
   acfg.bucket_capacity = 0;
   fx.sys.engine->audit().Enable(acfg);

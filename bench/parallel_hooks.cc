@@ -211,10 +211,7 @@ int Main(int argc, char** argv) {
     core::EngineConfig cfg;
   };
   std::vector<NamedConfig> configs;
-  core::EngineConfig compiled;  // defaults: lazy+cache+ept+compiled evaluator
-  configs.push_back({"COMPILED", compiled});
-  core::EngineConfig eptspc = compiled;
-  eptspc.compiled_eval = false;  // legacy tree walker from here down
+  core::EngineConfig eptspc;  // defaults: lazy + cache + entrypoint chains
   configs.push_back({"EPTSPC", eptspc});
   if (all_configs) {
     core::EngineConfig full = eptspc;

@@ -2,10 +2,11 @@
 # Runs the engine-focused benchmarks and folds their machine-readable
 # outputs into one BENCH_engine.json:
 #
-#   table6_lmbench   us/op for every (syscall, config) cell, incl. COMPILED
-#   table7_macro     macro means (Without PF / PF Base / PF Legacy / PF Full)
-#   ablation_engine  legacy walker vs switch loop vs threaded evaluator,
-#                    BM_CompileProgram + BM_VerifyProgram (commit-time costs)
+#   table6_lmbench   us/op for every (syscall, config) cell
+#   table7_macro     macro means (Without PF / PF Base / PF Full)
+#   ablation_engine  switch loop vs threaded evaluator, scan vs indexed vs
+#                    tuple dispatch, BM_CompileProgram + BM_VerifyProgram
+#                    (commit-time costs)
 #   pfcheck          static-analyzer wall time over the shipped rule base
 #
 # Usage: bench/run_bench.sh [build-dir] [output.json]
@@ -23,7 +24,7 @@ trap 'rm -rf "$TMP"' EXIT
 # Medians of 3 repetitions: the dispatch-ladder and verifier-share summary
 # numbers gate CI, and single-shot runs swing +-20% on shared machines.
 "$BUILD/bench/ablation_engine" \
-  --benchmark_filter='BM_AuthorizeCompiled|BM_AuthorizeIndexedChains|BM_AuthorizeLinearScan|BM_AuthorizeSwitchScan|BM_AuthorizeTuple|BM_CompileProgram|BM_VerifyProgram|BM_IncrementalCommit|BM_BuildSymbolicModel' \
+  --benchmark_filter='BM_AuthorizeCompiled|BM_AuthorizeSwitchScan|BM_AuthorizeTuple|BM_CompileProgram|BM_VerifyProgram|BM_IncrementalCommit|BM_BuildSymbolicModel' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_out="$TMP/ablation.json" --benchmark_out_format=json
 "$BUILD/src/apps/pfcheck" --library --json > "$TMP/pfcheck.json"
@@ -58,31 +59,23 @@ with open(os.path.join(tmp, "pfcheck.json")) as f:
 t6 = out["table6"]
 ae = out["ablation_engine"]
 # Dispatch cost on the linear-scan pair: the indexed pair at 1218 is
-# fixed-overhead dominated (hashing + unwinding), so the evaluator speedup
-# is measured legacy-walker scan vs threaded compiled scan, verifier on.
-legacy_1218 = ae.get("BM_AuthorizeLinearScan/1218", {}).get("ns_per_op")
+# fixed-overhead dominated (hashing + unwinding), so the dispatch-strategy
+# ratio is measured switch-loop scan vs threaded scan, verifier on.
 switch_1218 = ae.get("BM_AuthorizeSwitchScan/1218", {}).get("ns_per_op")
 compiled_1218 = ae.get("BM_AuthorizeCompiledScan/1218", {}).get("ns_per_op")
 out["summary"] = {
     "analyzer_us": out["pfcheck"]["analysis_us"],
     "stat_full_us": t6["stat"]["FULL"],
     "stat_eptspc_us": t6["stat"]["EPTSPC"],
-    "stat_compiled_us": t6["stat"]["COMPILED"],
     "open_close_full_us": t6["open+close"]["FULL"],
     "open_close_eptspc_us": t6["open+close"]["EPTSPC"],
-    "open_close_compiled_us": t6["open+close"]["COMPILED"],
-    # Compiled-program evaluator: Authorize on a fresh syscall, 1218-rule base,
-    # legacy walker vs switch loop vs threaded arena program (ns/op), the
-    # one-time lowering cost, and the load-time verifier's share of it.
-    "authorize_legacy_1218_ns": legacy_1218,
+    # Program evaluator: Authorize on a fresh syscall, 1218-rule base, switch
+    # loop vs threaded dispatch (ns/op), the one-time lowering cost, and the
+    # load-time verifier's share of it.
     "authorize_switch_1218_ns": switch_1218,
     "authorize_compiled_1218_ns": compiled_1218,
-    "authorize_indexed_1218_ns":
-        ae.get("BM_AuthorizeIndexedChains/1218", {}).get("ns_per_op"),
     "authorize_compiled_indexed_1218_ns":
         ae.get("BM_AuthorizeCompiledIndexed/1218", {}).get("ns_per_op"),
-    "compiled_speedup_1218": (legacy_1218 / compiled_1218
-                              if legacy_1218 and compiled_1218 else None),
     "threaded_speedup_vs_switch_1218": (switch_1218 / compiled_1218
                                         if switch_1218 and compiled_1218 else None),
     "compile_program_1218_ns": ae.get("BM_CompileProgram/1218", {}).get("ns_per_op"),
@@ -135,8 +128,8 @@ out["summary"].update({
 tt = out.get("table6_trace", {})
 out["summary"]["trace_overhead_pct"] = (
     tt.get("stat", {}).get("FULL", {}).get("overhead_pct"))
-out["summary"]["trace_overhead_compiled_pct"] = (
-    tt.get("stat", {}).get("COMPILED", {}).get("overhead_pct"))
+out["summary"]["trace_overhead_eptspc_pct"] = (
+    tt.get("stat", {}).get("EPTSPC", {}).get("overhead_pct"))
 traced_1218 = ae.get("BM_AuthorizeCompiledTraced/1218", {}).get("ns_per_op")
 out["summary"]["authorize_traced_1218_ns"] = traced_1218
 

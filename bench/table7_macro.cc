@@ -13,10 +13,8 @@
 // Paper shape: every macrobenchmark stays within ~4% overhead for PF Full
 // and within ~1% for PF Base.
 //
-// PF Legacy runs the full rule base on the legacy tree walker
-// (compiled_eval off); PF Full is the default shipping config, the compiled
-// program evaluator. With --json PATH, results also go to PATH for
-// bench/run_bench.sh to fold into BENCH_engine.json.
+// PF Full is the default shipping config. With --json PATH, results also go
+// to PATH for bench/run_bench.sh to fold into BENCH_engine.json.
 
 #include "bench/bench_util.h"
 #include "src/apps/dbus.h"
@@ -34,15 +32,8 @@ using sim::Proc;
 constexpr int kRepeats = 9;
 constexpr uint64_t kSyscallCostNs = 6000;  // calibrated kernel-entry cost
 
-enum class Mode { kWithoutPf, kPfBase, kPfLegacy, kPfFull };
-const char* ModeName(Mode m) {
-  switch (m) {
-    case Mode::kWithoutPf: return "Without PF";
-    case Mode::kPfBase: return "PF Base";
-    case Mode::kPfLegacy: return "PF Legacy";
-    default: return "PF Full";
-  }
-}
+enum class Mode { kWithoutPf, kPfBase, kPfFull };
+constexpr int kModes = 3;
 
 std::unique_ptr<System> MakeSystem(Mode mode) {
   auto sys = std::make_unique<System>();
@@ -53,13 +44,6 @@ std::unique_ptr<System> MakeSystem(Mode mode) {
       break;
     case Mode::kPfBase:
       break;  // enabled, empty rule base
-    case Mode::kPfLegacy:
-      // Full rule base on the legacy tree walker: the compiled-program
-      // column's baseline.
-      sys->engine->config().compiled_eval = false;
-      sys->InstallRules(apps::RuleLibrary::DefaultRuleBase());
-      sys->InstallRules(SyntheticRuleBase(1200));
-      break;
     case Mode::kPfFull:
       sys->InstallRules(apps::RuleLibrary::DefaultRuleBase());
       sys->InstallRules(SyntheticRuleBase(1200));
@@ -266,9 +250,9 @@ struct Cell {
   Sample sample;
 };
 
-void PrintRow(const char* name, const char* unit, const Sample (&cells)[4]) {
+void PrintRow(const char* name, const char* unit, const Sample (&cells)[kModes]) {
   std::printf("%-18s", name);
-  for (int m = 0; m < 4; ++m) {
+  for (int m = 0; m < kModes; ++m) {
     double pct = OverheadPct(cells[0].mean, cells[m].mean);
     // For throughput, positive overhead means fewer Kb/s.
     if (m == 0) {
@@ -280,12 +264,11 @@ void PrintRow(const char* name, const char* unit, const Sample (&cells)[4]) {
   std::printf(" %s\n", unit);
 }
 
-void EmitRow(JsonWriter& json, const std::string& name, const Sample (&cells)[4]) {
+void EmitRow(JsonWriter& json, const std::string& name, const Sample (&cells)[kModes]) {
   json.BeginObject(name);
   json.Number("without_pf", cells[0].mean);
   json.Number("pf_base", cells[1].mean);
-  json.Number("pf_legacy", cells[2].mean);
-  json.Number("pf_full", cells[3].mean);
+  json.Number("pf_full", cells[2].mean);
   json.EndObject();
 }
 
@@ -293,18 +276,17 @@ void EmitRow(JsonWriter& json, const std::string& name, const Sample (&cells)[4]
 
 void Run(const char* json_path) {
   Caption("Table 7: macrobenchmarks (mean ± 95% CI; % overhead vs Without PF)");
-  std::printf("%-18s  %16s        %16s        %16s        %16s\n", "benchmark",
-              "Without PF", "PF Base", "PF Legacy", "PF Full");
+  std::printf("%-18s  %16s        %16s        %16s\n", "benchmark", "Without PF",
+              "PF Base", "PF Full");
 
-  const Mode modes[] = {Mode::kWithoutPf, Mode::kPfBase, Mode::kPfLegacy, Mode::kPfFull};
-  (void)ModeName;
+  const Mode modes[kModes] = {Mode::kWithoutPf, Mode::kPfBase, Mode::kPfFull};
   JsonWriter json;
   json.BeginObject("table7");
 
   // Apache Build.
   {
-    Sample cells[4];
-    for (int m = 0; m < 4; ++m) {
+    Sample cells[kModes];
+    for (int m = 0; m < kModes; ++m) {
       std::vector<double> runs;
       for (int r = 0; r < kRepeats; ++r) {
         auto sys = MakeSystem(modes[m]);
@@ -317,8 +299,8 @@ void Run(const char* json_path) {
   }
   // Boot.
   {
-    Sample cells[4];
-    for (int m = 0; m < 4; ++m) {
+    Sample cells[kModes];
+    for (int m = 0; m < kModes; ++m) {
       std::vector<double> runs;
       for (int r = 0; r < kRepeats; ++r) {
         auto sys = MakeSystem(modes[m]);
@@ -331,8 +313,8 @@ void Run(const char* json_path) {
   }
   // Web.
   for (int clients : {1, 1000}) {
-    Sample lat[4], thr[4];
-    for (int m = 0; m < 4; ++m) {
+    Sample lat[kModes], thr[kModes];
+    for (int m = 0; m < kModes; ++m) {
       std::vector<double> lat_runs, thr_runs;
       for (int r = 0; r < kRepeats; ++r) {
         auto sys = MakeSystem(modes[m]);
@@ -354,8 +336,7 @@ void Run(const char* json_path) {
   json.EndObject();
   json.WriteTo(json_path);
   std::printf("\nExpected shape (paper): PF Base within ~1%%, PF Full within ~4%% on\n"
-              "every macrobenchmark (PF Legacy = full rules on the legacy tree walker;\n"
-              "PF Full = full rules on the compiled evaluator).\n");
+              "every macrobenchmark.\n");
 }
 
 }  // namespace pf::bench

@@ -224,7 +224,8 @@ bool IsTerminal(std::optional<TargetKind> k) {
 
 // True when every packet rule `b` matches is also matched by rule `a`
 // (match-space containment). Sound under the engine's traversal: the
-// default-match comparisons mirror DefaultMatches field by field, and -m
+// default-match comparisons mirror the guard ops (kCheckProgram,
+// kCheckEptOff, kCheckIno, kMatchSubject/kMatchObject) field by field, and -m
 // modules compare through MatchModule::Subsumes. Note the entrypoint index
 // cannot reorder a subsuming pair past each other: `a` carrying a program or
 // entrypoint constraint forces `b` to carry the same one, so the pair always
@@ -276,7 +277,7 @@ Severity DropAware(std::optional<TargetKind> kind) {
 }
 
 // Why `info.rule` can never match at `op`, or "" when it can. Mirrors the
-// runtime behavior: DefaultMatches fails when a required object is absent,
+// runtime behavior: kCheckIno/kMatchObject fail when the object is absent,
 // SIGNAL_MATCH pins the op, and STATE/COMPARE operands resolve per op.
 std::string BlockReason(const RuleInfo& info, sim::Op op) {
   const Rule& rule = *info.rule;

@@ -265,12 +265,12 @@ class Builder {
     reach.subjects = DimSet::Union(reach.subjects, item.region.dims[kDimSubject]);
   }
 
-  // --- symbolic twins of EvalRule / EvalRules / TraverseChain ---
+  // --- symbolic twins of ExecRule / ExecEntryList / ExecChain ---
 
   // Evaluates one rule over one item: terminal paths append to `out`,
   // keep-going paths (no match, or side-effect-only target) to `next`.
-  void EvalRuleSym(const Rule& rule, Item item, sim::Op op, int depth,
-                   std::vector<Outcome>* out, std::vector<Item>* next) {
+  void RuleSym(const Rule& rule, Item item, sim::Op op, int depth,
+               std::vector<Outcome>* out, std::vector<Item>* next) {
     const RulePred& pred = PredFor(rule);
     if (pred.never || (pred.op && *pred.op != op) ||
         (pred.requires_object && !OpHasObject(op))) {
@@ -397,7 +397,7 @@ class Builder {
       }
       std::vector<Item> next;
       for (Item& item : items) {
-        EvalRuleSym(*rule, std::move(item), op, depth, out, &next);
+        RuleSym(*rule, std::move(item), op, depth, out, &next);
       }
       items = std::move(next);
     }
@@ -569,7 +569,7 @@ class Builder {
       std::vector<Item> next;
       for (Item& item : pending) {
         for (Outcome& o : RunChain(cc, std::move(item), op, 0)) {
-          // RunBuiltin: RETURN in a root chain falls through, and a
+          // RunRootChain: RETURN in a root chain falls through, and a
           // fallthrough under a DROP-policy builtin denies.
           if (o.verdict == CV::kFallthrough || o.verdict == CV::kReturn) {
             if (cc.chain->policy() == Chain::Policy::kDrop) {

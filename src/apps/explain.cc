@@ -41,8 +41,8 @@ ExplainResult ExplainRequest(core::Engine& engine, sim::AccessRequest& req) {
   (void)hub.Drain();  // discard any backlog: drained events must be ours alone
 
   // Per-rule counter snapshot over the published program's live records. The
-  // Rule atomics are shared with the staging base, so both evaluators (the
-  // compiled program and the legacy walker) move the same counters.
+  // Rule atomics are shared with the staging base, so the snapshot sees
+  // exactly the counters the evaluator moves.
   const std::shared_ptr<const core::CompiledRuleset> rs = engine.PublishedRuleset();
   std::vector<RuleCounter> counters;
   if (rs != nullptr) {
@@ -85,9 +85,7 @@ ExplainResult ExplainRequest(core::Engine& engine, sim::AccessRequest& req) {
     out.rule_index = deny->rule_index;
   } else if (engine.config().enabled && req.task != nullptr && rs != nullptr &&
              core::ApplicableChains(*rs, req, chains) != 0) {
-    out.tier = std::string(audit::TierName(engine.config().compiled_eval
-                                               ? audit::Tier::kCompiled
-                                               : audit::Tier::kLegacy));
+    out.tier = std::string(audit::TierName(audit::Tier::kCompiled));
   } else {
     out.tier = "fast-path";  // no applicable chain: Authorize never built a packet
   }
@@ -156,7 +154,7 @@ std::string ExplainResult::Render(const trace::NameTable& names) const {
   if (drop) {
     os << "  matched rule: ";
     if (chain_id < 0) {
-      os << "(chain policy or legacy walker — no compiled attribution)";
+      os << "(chain policy — no rule attribution)";
     } else {
       os << chain_id << ":" << rule_index;
       for (const ExplainStep& s : steps) {

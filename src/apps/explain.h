@@ -42,7 +42,7 @@ struct ExplainResult {
   int64_t verdict = 0;  // Authorize's return value
   bool drop = false;
   bool audited = false;  // audit-only mode: denial recorded, access allowed
-  // Serving tier ("compiled" or "legacy"). From the deny AuditRecord when
+  // Serving tier ("compiled"). From the deny AuditRecord when
   // the request denied; from the engine's chain selection otherwise
   // ("fast-path" when no chain applied and the engine never built a packet).
   std::string tier;

@@ -22,8 +22,6 @@ std::string_view KindName(Kind k) {
 
 std::string_view TierName(Tier t) {
   switch (t) {
-    case Tier::kLegacy:
-      return "legacy";
     case Tier::kCompiled:
       return "compiled";
     case Tier::kCount:

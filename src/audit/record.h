@@ -49,10 +49,10 @@ inline constexpr uint32_t KindBit(Kind k) {
 }
 inline constexpr uint32_t kAllKinds = (1u << static_cast<uint32_t>(Kind::kCount)) - 1;
 
-// Which evaluator served the decision the event belongs to.
+// Which evaluator served the decision the event belongs to. The engine has
+// one evaluator, the arena program.
 enum class Tier : uint8_t {
-  kLegacy = 0,  // legacy tree-walker traversal
-  kCompiled,    // arena-program evaluator traversal
+  kCompiled = 0,  // arena-program evaluator traversal
   kCount,
 };
 
@@ -75,10 +75,10 @@ inline constexpr uint16_t kFlagTimed = 1u << 4;
 //
 //   kDeny /        everything below. chain_id/rule_index name the
 //   kAuditedDeny   verdict-producing rule in the compiled program (-1 when
-//                  the chain policy decided or the legacy walker ran);
-//                  tier says which evaluator served the decision.
-//   kLogHit        chain_id/rule_index = the LOG rule (compiled path; -1
-//                  from the legacy walker), other fields as for kDeny.
+//                  the chain policy decided); tier says which evaluator
+//                  served the decision.
+//   kLogHit        chain_id/rule_index = the LOG rule, other fields as
+//                  for kDeny.
 //   kPhase         phase_from/phase_to carry the @phase transition as
 //                  PhaseId values; chain_id/rule_index are -1.
 //

@@ -4,9 +4,9 @@
 // Lowering runs after the OpBucket pass so it can re-point the per-(chain,
 // op) dispatch tables and the entrypoint index at entry-table slices instead
 // of Rule pointers. Rule bodies are emitted in chain order, one guard/match
-// instruction sequence per rule, mirroring the legacy walker's evaluation
-// order exactly (op precheck, subject precheck, one context round-trip, the
-// entrypoint/object default matches, -m modules, target).
+// instruction sequence per rule, in a fixed evaluation order (op precheck,
+// subject precheck, one context round-trip, the entrypoint/object default
+// matches, -m modules, target).
 //
 // Two entry points share the per-chain machinery: LowerProgram builds a
 // program from scratch, LowerProgramDelta copies the previous generation's
@@ -31,7 +31,23 @@ PfInsn Op0(PfOp op) {
   return insn;
 }
 
-RuleRecord LowerRule(ProgramBuilder& b, const Rule& rule, uint32_t rec_idx) {
+// Appends a module-unlowerable error for a module that emitted no
+// instructions and has no native implementation to escape into.
+void RefuseModule(analysis::AnalysisReport& report, const std::string& chain, size_t pos0,
+                  std::string_view kind, std::string_view name) {
+  report.Add(analysis::Severity::kError, "module-unlowerable",
+             analysis::RuleLocus{"filter", chain, pos0 + 1},
+             std::string(kind) + " module " + std::string(name) +
+                 " neither lowers to instructions nor provides a native implementation");
+}
+
+// Lowers rule `pos0` of `chain`. A module that declines to lower and is not
+// native has no implementation at all: it emits nothing and is reported as
+// an error, so the commit fails instead of the module evaluating as a
+// silent no-match.
+RuleRecord LowerRule(ProgramBuilder& b, const Rule& rule, uint32_t rec_idx,
+                     const std::string& chain, size_t pos0,
+                     analysis::AnalysisReport& report) {
   PfProgram& prog = b.program();
   RuleRecord rec;
   rec.rule = &rule;
@@ -41,7 +57,7 @@ RuleRecord LowerRule(ProgramBuilder& b, const Rule& rule, uint32_t rec_idx) {
   begin.a = rec_idx;
   b.Emit(begin);
 
-  // Contextless prechecks first (EvalRule's order): -o, then -s.
+  // Contextless prechecks first: -o, then -s.
   if (rule.op) {
     PfInsn insn = Op0(PfOp::kCheckOp);
     insn.a = static_cast<uint32_t>(*rule.op);
@@ -87,20 +103,29 @@ RuleRecord LowerRule(ProgramBuilder& b, const Rule& rule, uint32_t rec_idx) {
     insn.a = b.InternLabelSet(rule.object);
     b.Emit(insn);
   }
-  // -m modules in install order. Builtins lower to inline ops; extension
-  // modules become virtual escapes.
+  // -m modules in install order. Builtins lower to inline ops; native
+  // extension modules become virtual escapes.
   for (const auto& match : rule.matches) {
-    if (!match->Lower(b)) {
+    if (match->Lower(b)) {
+      continue;
+    }
+    if (const auto* native = dynamic_cast<const NativeMatchModule*>(match.get())) {
       PfInsn insn = Op0(PfOp::kMatchNative);
-      insn.a = b.AddNativeMatch(match.get());
+      insn.a = b.AddNativeMatch(native);
       b.Emit(insn);
+    } else {
+      RefuseModule(report, chain, pos0, "match", match->Name());
     }
   }
   // The target terminates the rule body.
   if (!rule.target->Lower(b)) {
-    PfInsn insn = Op0(PfOp::kTargetNative);
-    insn.a = b.AddNativeTarget(rule.target.get());
-    b.Emit(insn);
+    if (const auto* native = dynamic_cast<const NativeTargetModule*>(rule.target.get())) {
+      PfInsn insn = Op0(PfOp::kTargetNative);
+      insn.a = b.AddNativeTarget(native);
+      b.Emit(insn);
+    } else {
+      RefuseModule(report, chain, pos0, "target", rule.target->Name());
+    }
   }
   rec.end = static_cast<uint32_t>(prog.arena.size());
 
@@ -230,11 +255,12 @@ void BuildBucketClassifier(PfProgram& prog, ProgramBucket& pb) {
 // --- per-chain lowering helpers (shared by full and delta builds) ------------
 
 void LowerChainRules(ProgramBuilder& b, PfProgram& prog, int32_t id, const Chain& chain,
-                     std::unordered_map<const Rule*, uint32_t>& rec_of) {
+                     std::unordered_map<const Rule*, uint32_t>& rec_of,
+                     analysis::AnalysisReport& report) {
   ProgramChain& pc = prog.chains[static_cast<size_t>(id)];
   for (const auto& rule : chain.rules()) {
     const uint32_t rec_idx = static_cast<uint32_t>(prog.rules.size());
-    prog.rules.push_back(LowerRule(b, *rule, rec_idx));
+    prog.rules.push_back(LowerRule(b, *rule, rec_idx, pc.name, pc.rules.size(), report));
     RuleRecord& rec = prog.rules.back();
     rec.chain_id = id;
     rec.chain_index = static_cast<uint32_t>(pc.rules.size());
@@ -281,7 +307,8 @@ void BuildChainTables(CompiledRuleset& snap, const Chain& chain, int32_t id,
 
 }  // namespace
 
-void LowerProgram(CompiledRuleset& snap) {
+analysis::AnalysisReport LowerProgram(CompiledRuleset& snap) {
+  analysis::AnalysisReport report;
   PfProgram& prog = snap.program;
   ProgramBuilder b(prog);
   Table& filter = snap.rules.filter();
@@ -307,7 +334,7 @@ void LowerProgram(CompiledRuleset& snap) {
   // Phase 2: lower every rule body, chain by chain in id order.
   std::unordered_map<const Rule*, uint32_t> rec_of;
   for (const auto& [name, chain] : filter.chains()) {
-    LowerChainRules(b, prog, prog.chain_ids.at(name), chain, rec_of);
+    LowerChainRules(b, prog, prog.chain_ids.at(name), chain, rec_of, report);
   }
 
   // Phase 3: re-point the OpBucket tables and the entrypoint index at
@@ -327,10 +354,12 @@ void LowerProgram(CompiledRuleset& snap) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
                                                            t0)
           .count());
+  return report;
 }
 
-void LowerProgramDelta(CompiledRuleset& snap, const PfProgram& prev,
-                       const std::vector<std::string>& dirty_names) {
+analysis::AnalysisReport LowerProgramDelta(CompiledRuleset& snap, const PfProgram& prev,
+                                          const std::vector<std::string>& dirty_names) {
+  analysis::AnalysisReport report;
   PfProgram& prog = snap.program;
   // Prime the append-heavy pools with headroom before the base copy. When
   // `snap` recycles a retired generation's buffers (Engine::CompileRulesetDelta)
@@ -398,7 +427,7 @@ void LowerProgramDelta(CompiledRuleset& snap, const PfProgram& prev,
     ProgramChain& pc = prog.chains[static_cast<size_t>(id)];
     pc.policy_drop = chain->policy() == Chain::Policy::kDrop;
     pc.index_built = chain->index_built();
-    LowerChainRules(b, prog, id, *chain, rec_of);
+    LowerChainRules(b, prog, id, *chain, rec_of, report);
   }
   for (const std::string& name : dirty) {
     const Chain* chain = filter.Find(name);
@@ -415,6 +444,7 @@ void LowerProgramDelta(CompiledRuleset& snap, const PfProgram& prev,
       std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
                                                            t0)
           .count());
+  return report;
 }
 
 }  // namespace pf::core

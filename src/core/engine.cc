@@ -30,7 +30,7 @@ constexpr bool kObsCompiledIn = trace::kTraceCompiledIn || audit::kAuditCompiled
 // whole mechanism compiles out under PF_NO_TRACE.
 struct DecisionScratch {
   uint64_t ctx_ns = 0;       // summed EnsureContext time of this decision
-  int32_t chain_id = -1;     // verdict-producing rule, compiled path only
+  int32_t chain_id = -1;     // verdict-producing rule
   int32_t rule_index = -1;
   uint16_t worker = 0;
   uint8_t op = 0;
@@ -52,16 +52,15 @@ thread_local DecisionScratch* g_scratch = nullptr;
 struct AuditScratch {
   static constexpr uint32_t kMaxPending = 4;
 
-  // LOG hits: the compiled kLog handler deposits its RuleRecord identity
-  // here just before EmitLog; the legacy walker leaves -1 (same attribution
-  // convention as tracing).
+  // LOG hits: the kLog handler deposits its RuleRecord identity here just
+  // before EmitLog.
   int32_t cur_chain = -1;
   int32_t cur_rule = -1;
   int32_t log_chain[kMaxPending];
   int32_t log_rule[kMaxPending];
   uint32_t log_count = 0;
 
-  // @phase transitions observed by the dictionary write sites.
+  // @phase transitions observed by the kStateSet handler.
   int64_t phase_from[kMaxPending];
   int64_t phase_to[kMaxPending];
   uint32_t phase_count = 0;
@@ -88,17 +87,6 @@ struct AuditScratch {
 
 thread_local AuditScratch* g_audit = nullptr;
 }  // namespace
-
-void NotePhaseTransition(int64_t from, int64_t to) {
-  if constexpr (audit::kAuditCompiledIn) {
-    if (AuditScratch* as = g_audit) {
-      as->NotePhase(from, to);
-    }
-  } else {
-    (void)from;
-    (void)to;
-  }
-}
 
 bool IsOutputOp(sim::Op op) {
   switch (op) {
@@ -205,6 +193,25 @@ void BuildChainBuckets(const Chain& chain, CompiledChain& cc) {
   }
 }
 
+// Pass 3 of both compiles: the load-time verifier (verify.h). The evaluator
+// trusts every arena fetch; this pass is where that trust is earned. The
+// lowering pass's refusals join the verifier's findings, and CommitRuleset
+// refuses to publish a snapshot with errors of either kind.
+void VerifySnapshot(CompiledRuleset& snap, const analysis::AnalysisReport& lowering,
+                    const VerifyOptions& opts) {
+  const auto t0 = std::chrono::steady_clock::now();
+  VerifyResult vr = VerifyProgram(snap.program, opts);
+  snap.verify_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  for (const analysis::Diagnostic& d : lowering.diagnostics()) {
+    vr.report.Add(d);
+  }
+  snap.verified = vr.ok();
+  snap.verify_report = std::move(vr.report);
+}
+
 }  // namespace
 
 std::shared_ptr<CompiledRuleset> Engine::CompileRuleset() const {
@@ -229,31 +236,17 @@ std::shared_ptr<CompiledRuleset> Engine::CompileRuleset() const {
   snap->cc_syscallbegin = snap->FindCompiled("syscallbegin");
   // Pass 2: lower the whole generation into the arena-packed program form
   // (compile.cc) — re-points the buckets just built at entry-table slices.
-  LowerProgram(*snap);
-  // Pass 3: the load-time verifier (verify.h). The evaluator trusts every
-  // arena fetch; this pass is where that trust is earned. CommitRuleset
-  // refuses to publish on errors.
-  if (config_.verify_programs) {
-    const auto t0 = std::chrono::steady_clock::now();
-    VerifyResult vr = VerifyProgram(snap->program);
-    snap->verify_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    snap->verified = vr.ok();
-    snap->verify_report = std::move(vr.report);
-  }
+  const analysis::AnalysisReport lowering = LowerProgram(*snap);
+  // Pass 3: the load-time verifier.
+  VerifySnapshot(*snap, lowering, VerifyOptions{});
   return snap;
 }
 
 bool Engine::CanDeltaCompile(const CompiledRuleset& prev,
                              std::vector<std::string>* dirty) const {
+  // Delta verification relies on the base program's untouched prefix having
+  // been proven when it published, which every published generation was.
   if (!config_.incremental_commits) {
-    return false;
-  }
-  // Delta verification assumes the base program's untouched prefix was
-  // proven when it published; never build on an unverified base.
-  if (config_.verify_programs && !prev.verified) {
     return false;
   }
   // Compaction threshold: once half the arena is dead, relower from scratch
@@ -336,28 +329,19 @@ std::shared_ptr<CompiledRuleset> Engine::CompileRulesetDelta(
   snap->cc_syscallbegin = snap->FindCompiled("syscallbegin");
   // Pass 2: splice — copy the base program, kill the dirty chains' records,
   // append their relowered bodies and tables (compile.cc).
-  LowerProgramDelta(*snap, prev.program, dirty);
+  const analysis::AnalysisReport lowering = LowerProgramDelta(*snap, prev.program, dirty);
   // Pass 3: delta verification. The untouched prefix was proven when the
   // base generation published and the splice never rewrites it (dead
   // marking only clears RuleRecord::rule), so the verifier re-checks the
   // appended records, the rebuilt chains' dispatch tables, and the global
   // properties (arena alignment, jump-depth proof) that span generations.
-  if (config_.verify_programs) {
-    const auto t0 = std::chrono::steady_clock::now();
-    VerifyOptions opts;
-    opts.delta = true;
-    opts.from_record = static_cast<uint32_t>(prev.program.rules.size());
-    for (const std::string& name : dirty_set) {
-      opts.recheck_chains.push_back(snap->program.chain_ids.at(name));
-    }
-    VerifyResult vr = VerifyProgram(snap->program, opts);
-    snap->verify_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    snap->verified = vr.ok();
-    snap->verify_report = std::move(vr.report);
+  VerifyOptions opts;
+  opts.delta = true;
+  opts.from_record = static_cast<uint32_t>(prev.program.rules.size());
+  for (const std::string& name : dirty_set) {
+    opts.recheck_chains.push_back(snap->program.chain_ids.at(name));
   }
+  VerifySnapshot(*snap, lowering, opts);
   return snap;
 }
 
@@ -371,7 +355,7 @@ Status Engine::CommitRuleset() {
   const bool delta = prev != nullptr && CanDeltaCompile(*prev, &dirty);
   std::shared_ptr<CompiledRuleset> snap =
       delta ? CompileRulesetDelta(*prev, dirty) : CompileRuleset();
-  if (config_.verify_programs && !snap->verified) {
+  if (!snap->verified) {
     // Abort the publish: hook evaluation keeps serving the previous
     // generation, exactly as if the commit never happened. (The staging
     // RuleSet keeps the caller's edit — pftables rolls it back when it holds
@@ -709,11 +693,10 @@ void Engine::EmitLog(Packet& pkt, const std::string& prefix) {
   rec.prefix = prefix;
   log_.Append(std::move(rec));
   // Audit hook: a LOG fired during an audited decision becomes a kLogHit
-  // record in the epilogue. The compiled kLog handler parked its rule
-  // identity in cur_chain/cur_rule just before calling here; the legacy
-  // walker's LogTarget::Fire leaves -1 (the tracing convention). The
-  // audit-drop EmitLog in Authorize runs after the scratch is popped, so a
-  // denial never double-reports as a log hit.
+  // record in the epilogue. The kLog handler parked its rule identity in
+  // cur_chain/cur_rule just before calling here. The audit-drop EmitLog in
+  // Authorize runs after the scratch is popped, so a denial never
+  // double-reports as a log hit.
   if constexpr (audit::kAuditCompiledIn) {
     if (AuditScratch* as = g_audit) {
       as->NoteLog();
@@ -721,166 +704,12 @@ void Engine::EmitLog(Packet& pkt, const std::string& prefix) {
   }
 }
 
-// --- rule evaluation -------------------------------------------------------------
-
-bool Engine::DefaultMatches(const Rule& rule, Packet& pkt) {
-  const sim::AccessRequest& req = *pkt.req;
-  if (rule.op && *rule.op != req.op) {
-    return false;
-  }
-  if (!rule.subject.wildcard &&
-      !rule.subject.MatchesSubject(req.task->cred.sid, kernel_.policy())) {
-    return false;
-  }
-  if (rule.has_program() || rule.entrypoint) {
-    EnsureContext(pkt, CtxBit(Ctx::kEntrypoint));
-    if (!pkt.entrypoint_valid) {
-      return false;  // unusable stack forfeits only this process's protection
-    }
-    if (rule.has_program() && !(pkt.entrypoint.image == rule.program_file)) {
-      return false;
-    }
-    if (rule.entrypoint && pkt.entrypoint.offset != *rule.entrypoint) {
-      return false;
-    }
-  }
-  if (!rule.object.wildcard || rule.ino) {
-    EnsureContext(pkt, CtxBit(Ctx::kObject));
-    if (!pkt.has_object) {
-      return false;
-    }
-    if (rule.ino && pkt.object_id.ino != *rule.ino) {
-      return false;
-    }
-    if (!rule.object.wildcard) {
-      // SYSHIGH membership is a policy (adversary accessibility) question.
-      if (rule.object.syshigh) {
-        EnsureContext(pkt, CtxBit(Ctx::kAdversaryAccess));
-      }
-      if (!rule.object.MatchesObject(pkt.object_sid, kernel_.policy())) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-Engine::Verdict Engine::EvalRule(const CompiledRuleset& rs, const Rule& rule, Packet& pkt,
-                                 int depth) {
-  StatsLocal().rules_evaluated.fetch_add(1, kRelaxed);
-  rule.evals.fetch_add(1, kRelaxed);
-  const sim::AccessRequest& req = *pkt.req;
-  // Contextless prechecks first, then one context round-trip: rule.needs is
-  // the install-time union of the default matches, every -m module, and the
-  // target, so the EnsureContext calls inside DefaultMatches and the modules
-  // all short-circuit on the bitmask.
-  if (rule.op && *rule.op != req.op) {
-    return Verdict::kFallthrough;
-  }
-  if (!rule.subject.wildcard &&
-      !rule.subject.MatchesSubject(req.task->cred.sid, kernel_.policy())) {
-    return Verdict::kFallthrough;
-  }
-  EnsureContext(pkt, rule.needs);
-  if (!DefaultMatches(rule, pkt)) {
-    return Verdict::kFallthrough;
-  }
-  for (const auto& match : rule.matches) {
-    if (!match->Matches(pkt, *this)) {
-      return Verdict::kFallthrough;
-    }
-  }
-  rule.hits.fetch_add(1, kRelaxed);
-  switch (rule.target->Fire(pkt, *this)) {
-    case TargetKind::kAccept:
-      return Verdict::kAccept;
-    case TargetKind::kDrop:
-      return Verdict::kDrop;
-    case TargetKind::kContinue:
-      return Verdict::kFallthrough;
-    case TargetKind::kReturn:
-      return Verdict::kReturn;  // ends this chain; caller continues
-    case TargetKind::kJump: {
-      const CompiledChain* next = rs.FindCompiled(rule.target->jump_chain());
-      if (next != nullptr && depth < kMaxChainDepth) {
-        Verdict v = TraverseChain(rs, *next, pkt, depth + 1);
-        if (v == Verdict::kAccept || v == Verdict::kDrop) {
-          return v;
-        }
-      }
-      return Verdict::kFallthrough;
-    }
-  }
-  return Verdict::kFallthrough;
-}
-
-Engine::Verdict Engine::EvalRules(const CompiledRuleset& rs,
-                                  const std::vector<const Rule*>& rules, Packet& pkt,
-                                  int depth) {
-  for (const Rule* rule : rules) {
-    Verdict v = EvalRule(rs, *rule, pkt, depth);
-    if (v != Verdict::kFallthrough) {
-      return v;  // accept, drop, or RETURN to the calling chain
-    }
-  }
-  return Verdict::kFallthrough;
-}
-
-Engine::Verdict Engine::TraverseChain(const CompiledRuleset& rs, const CompiledChain& cc,
-                                      Packet& pkt, int depth) {
-  if (depth >= kMaxChainDepth) {
-    return Verdict::kFallthrough;
-  }
-  const Chain& chain = *cc.chain;
-  const OpBucket& bucket = cc.ops[static_cast<size_t>(pkt.req->op)];
-  if (config_.ept_chains && chain.index_built()) {
-    // Non-entrypoint rules first (paper §4.3), then the hash-selected
-    // entrypoint chain. The per-op bucket already excludes rules whose -o
-    // operand cannot match.
-    Verdict v = EvalRules(rs, bucket.plain, pkt, depth);
-    if (v != Verdict::kFallthrough) {
-      return v;
-    }
-    if (bucket.has_indexed) {
-      EnsureContext(pkt, CtxBit(Ctx::kEntrypoint));
-      if (pkt.entrypoint_valid) {
-        const auto* rules =
-            chain.EptRules(EptKey{pkt.entrypoint.image, pkt.entrypoint.offset});
-        if (rules != nullptr) {
-          StatsLocal().ept_chain_hits.fetch_add(1, kRelaxed);
-          return EvalRules(rs, *rules, pkt, depth);
-        }
-      }
-    }
-    return Verdict::kFallthrough;
-  }
-  // Linear traversal of the op's bucket (chain order preserved).
-  return EvalRules(rs, bucket.all, pkt, depth);
-}
-
-// Runs one builtin chain and applies its default policy on fallthrough.
-Engine::Verdict Engine::RunBuiltin(const CompiledRuleset& rs, const CompiledChain& cc,
-                                   Packet& pkt) {
-  Verdict v = TraverseChain(rs, cc, pkt, 0);
-  if (v == Verdict::kReturn) {
-    v = Verdict::kFallthrough;
-  }
-  if (v == Verdict::kFallthrough && cc.chain->policy() == Chain::Policy::kDrop) {
-    v = Verdict::kDrop;
-  }
-  return v;
-}
-
-// --- compiled evaluator ----------------------------------------------------------
+// --- program evaluator ------------------------------------------------------------
 //
-// The program-form twin of EvalRule/EvalRules/TraverseChain/RunBuiltin: an
-// instruction interpreter over the arena. Every handler replicates its
-// legacy counterpart bit for bit — same counter totals, same EnsureContext
-// semantics (each guard op fetches exactly what the tree walker's
-// DefaultMatches would), same side effects — which the COMPILED ablation
-// rung and the differential fuzz test enforce. Builtin matches and targets
-// execute inline from pool operands; kMatchNative/kTargetNative escape into
-// the extension module's virtual Matches()/Fire().
+// The engine's one evaluator: an instruction interpreter over the verified
+// arena. Builtin matches and targets execute inline from pool operands, and
+// their handlers are their only implementation; kMatchNative/kTargetNative
+// escape into a native extension module's virtual Matches()/Fire().
 //
 // The handler bodies live once, in src/core/exec_insn.inc, and are expanded
 // into two dispatch strategies:
@@ -1022,8 +851,8 @@ Engine::Verdict Engine::ExecEntryList(const CompiledRuleset& rs, const uint32_t*
     ds = g_scratch;
   }
   // rules_evaluated is batched: one thread-local lookup and one atomic add
-  // per entry list instead of per rule. Totals match the legacy walker
-  // exactly (every return path below flushes); the per-rule `evals` counter
+  // per entry list instead of per rule. Every return path below flushes, so
+  // the total still counts each rule entered; the per-rule `evals` counter
   // stays per rule — `pftables -L -v` prints it.
   EngineStatsBlock& sb = StatsLocal();
   uint32_t evals = 0;
@@ -1215,8 +1044,8 @@ Engine::Verdict Engine::ExecChain(const CompiledRuleset& rs, const ProgramChain&
                      depth);
 }
 
-Engine::Verdict Engine::RunBuiltinCompiled(const CompiledRuleset& rs,
-                                           const ProgramChain& pc, Packet& pkt) {
+Engine::Verdict Engine::RunRootChain(const CompiledRuleset& rs, const ProgramChain& pc,
+                                     Packet& pkt) {
   Verdict v = ExecChain(rs, pc, pkt, 0);
   if (v == Verdict::kReturn) {
     v = Verdict::kFallthrough;
@@ -1338,16 +1167,8 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
   }
 
   Verdict verdict = Verdict::kFallthrough;
-  [[maybe_unused]] trace::Path path = trace::Path::kCompiled;
   for (size_t i = 0; i < num_applicable && verdict == Verdict::kFallthrough; ++i) {
-    const CompiledChain* cc = applicable[i];
-    if (config_.compiled_eval && cc->program_chain >= 0) {
-      path = trace::Path::kCompiled;
-      verdict = RunBuiltinCompiled(rs, rs.program.chains[cc->program_chain], pkt);
-    } else {
-      path = trace::Path::kFull;
-      verdict = RunBuiltin(rs, *cc, pkt);
-    }
+    verdict = RunRootChain(rs, rs.program.chains[applicable[i]->program_chain], pkt);
   }
   const bool drop = verdict == Verdict::kDrop;
 
@@ -1367,13 +1188,13 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
   // record covering context fetch and traversal of this request.
   if constexpr (trace::kTraceCompiledIn) {
     if (trace_decision) {
-      trace_.RecordLatency(static_cast<uint32_t>(req.op), path, total);
+      trace_.RecordLatency(static_cast<uint32_t>(req.op), trace::Path::kCompiled, total);
       trace::TraceRecord rec;
       rec.ts_ns = trace::NowNs();
       rec.worker = scratch.worker;
       rec.op = scratch.op;
       rec.event = static_cast<uint8_t>(trace::Event::kDecision);
-      rec.path = static_cast<uint8_t>(path);
+      rec.path = static_cast<uint8_t>(trace::Path::kCompiled);
       rec.subject_sid = req.task->cred.sid;
       rec.object_sid = pkt.has_object ? pkt.object_sid : sim::kInvalidSid;
       rec.chain_id = scratch.chain_id;
@@ -1432,10 +1253,7 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
         base.pid = static_cast<uint32_t>(req.task->pid);
         base.worker = static_cast<uint16_t>(w);
         base.op = static_cast<uint8_t>(req.op);
-        // Serving-path attribution: which evaluator produced the verdict.
-        base.tier = static_cast<uint8_t>(path == trace::Path::kCompiled
-                                             ? audit::Tier::kCompiled
-                                             : audit::Tier::kLegacy);
+        base.tier = static_cast<uint8_t>(audit::Tier::kCompiled);
         if (req.inode != nullptr) {
           base.flags |= audit::kFlagHasObject;
           base.object_sid = req.inode->sid;

@@ -3,7 +3,7 @@
 // Registered as a SecurityModule behind the kernel's authorization hooks, it
 // builds a Packet for each mediated operation, fetches process/resource
 // context through context modules (lazily, with per-syscall caching), and
-// traverses the rule base — using entrypoint-specific chains where enabled.
+// runs the rule base — using entrypoint-specific chains where enabled.
 // The three optimizations are independently toggleable to reproduce the
 // ablation columns of paper Table 6:
 //
@@ -11,11 +11,11 @@
 //   CONCACHE = {lazy_context=false, cache_context=true,  ept_chains=false}
 //   LAZYCON  = {lazy_context=true,  cache_context=true,  ept_chains=false}
 //   EPTSPC   = {lazy_context=true,  cache_context=true,  ept_chains=true}
-//   COMPILED = EPTSPC + compiled_eval (arena-packed program evaluator; see
-//              DESIGN.md "Compiled PF programs")
+//              (the default)
 //
-// Every decision evaluates the published program; nothing memoizes verdicts
-// (DESIGN.md "Why there is no verdict cache").
+// Every rung runs the one evaluator: the verified arena program (DESIGN.md
+// "Compiled PF programs"). Every decision evaluates the published program;
+// nothing memoizes verdicts (DESIGN.md "Why there is no verdict cache").
 //
 // Concurrency model (paper §5.1 makes the hooks re-entrant "without
 // disabling interrupts"; here the same property is carried to real worker
@@ -58,7 +58,7 @@
 namespace pf::core {
 
 // Maximum JUMP nesting depth. A chain entered at this depth is not
-// evaluated (TraverseChain falls through), so rules only reachable beyond
+// evaluated (ExecChain falls through), so rules only reachable beyond
 // the bound are dead — the static analyzer (src/analysis) flags them.
 inline constexpr int kMaxChainDepth = 8;
 
@@ -75,13 +75,7 @@ struct EngineConfig {
   bool lazy_context = true;   // fetch context only when a rule needs it
   bool cache_context = true;  // reuse unwinds across hooks within a syscall
   bool ept_chains = true;     // entrypoint-specific chain index
-  // Evaluate hooks with the instruction interpreter over the commit-time
-  // arena-packed program (program.h) instead of the legacy shared_ptr<Rule>
-  // tree walker. Both produce bit-identical verdicts, stats, and side
-  // effects (enforced by the COMPILED ablation rung and the differential
-  // fuzz test); the flag exists for the ablation ladder and as a fallback.
-  bool compiled_eval = true;
-  // Dispatch the compiled evaluator through the computed-goto threaded
+  // Dispatch the program evaluator through the computed-goto threaded
   // interpreter instead of the switch loop. Both are generated from the same
   // handler bodies (src/core/exec_insn.inc) and are bit-identical; the flag
   // exists for A/B benchmarking and as a portability fallback. Ignored (the
@@ -105,12 +99,6 @@ struct EngineConfig {
   // delta program is bit-equivalent to a from-scratch relower (churn test)
   // and is still verifier-gated before publication.
   bool incremental_commits = true;
-  // Run the load-time PfInsn verifier (src/core/verify.h) as a mandatory
-  // pass of CompileRuleset. A program with verification errors refuses to
-  // publish: CommitRuleset returns the report as a Status error and the live
-  // generation is left untouched. A pure gate for accepted programs
-  // (enforced by the VERIFY ablation rung).
-  bool verify_programs = true;
   // Audit mode: evaluate rules and count/log would-be denials, but allow
   // everything. This is how an OS distributor shakes out false positives
   // before enforcing a generated rule base (paper §6.3.2).
@@ -255,10 +243,10 @@ struct CompiledRuleset {
   // compiled evaluator, the static analyzer, and `pftables -L --compiled`.
   PfProgram program;
 
-  // Load-time verification of `program` (src/core/verify.h), run by
-  // CompileRuleset when EngineConfig::verify_programs is on. `verified` is
-  // true iff the pass ran and proved the program safe; CommitRuleset refuses
-  // to publish otherwise. pfcheck and pftables --check surface the report.
+  // Load-time verification of `program` (src/core/verify.h), run by every
+  // compile. The report also carries lowering refusals (module-unlowerable).
+  // `verified` is true iff it holds no errors; CommitRuleset refuses to
+  // publish otherwise. pfcheck and pftables --check surface the report.
   analysis::AnalysisReport verify_report;
   bool verified = false;
   uint64_t verify_ns = 0;
@@ -274,13 +262,6 @@ struct CompiledRuleset {
 // the fast-path allow, which builds no Packet and touches no per-task state.
 size_t ApplicableChains(const CompiledRuleset& rs, const sim::AccessRequest& req,
                         const CompiledChain* out[3]);
-
-// Audit-observer hook: while Engine::Authorize runs with the audit pipeline
-// enabled, a thread-local observer is armed and every `@phase` dictionary
-// write site — the compiled kStateSet handler, StateTarget/PhaseTarget::Fire
-// — reports the transition through this (no-op when unarmed, one
-// predictable branch on a path that already took a mutex).
-void NotePhaseTransition(int64_t from, int64_t to);
 
 class Engine : public sim::SecurityModule {
  public:
@@ -351,8 +332,8 @@ class Engine : public sim::SecurityModule {
   // Publishes the staging rule base as a new immutable generation. Called by
   // Pftables after every successful mutating command; safe to call while
   // worker threads evaluate. When the load-time verifier rejects the
-  // compiled program (verify_programs on), nothing is published — the live
-  // generation keeps serving and the error carries the verifier's report.
+  // compiled program, or a module cannot be lowered, nothing is published —
+  // the live generation keeps serving and the error carries the report.
   Status CommitRuleset();
 
   // Compiles the staging rule base into a CompiledRuleset snapshot without
@@ -412,19 +393,10 @@ class Engine : public sim::SecurityModule {
 
   EngineStatsBlock& StatsLocal();
 
-  Verdict RunBuiltin(const CompiledRuleset& rs, const CompiledChain& cc, Packet& pkt);
-  Verdict TraverseChain(const CompiledRuleset& rs, const CompiledChain& cc, Packet& pkt,
-                        int depth);
-  Verdict EvalRules(const CompiledRuleset& rs, const std::vector<const Rule*>& rules,
-                    Packet& pkt, int depth);
-  Verdict EvalRule(const CompiledRuleset& rs, const Rule& rule, Packet& pkt, int depth);
-  bool DefaultMatches(const Rule& rule, Packet& pkt);
-
-  // Compiled-program twins of the traversal above (engine.cc "compiled
-  // evaluator"): a switch-dispatch loop over the arena, no virtual calls on
-  // the builtin-module path. Selected by EngineConfig::compiled_eval.
-  Verdict RunBuiltinCompiled(const CompiledRuleset& rs, const ProgramChain& pc,
-                             Packet& pkt);
+  // The program evaluator (engine.cc): an instruction interpreter over the
+  // arena, no virtual calls on the builtin-module path. RunRootChain runs
+  // one builtin chain and applies its default policy on fallthrough.
+  Verdict RunRootChain(const CompiledRuleset& rs, const ProgramChain& pc, Packet& pkt);
   Verdict ExecChain(const CompiledRuleset& rs, const ProgramChain& pc, Packet& pkt,
                     int depth);
   // op_checked: the entry list came from a per-op bucket (op-filtered by

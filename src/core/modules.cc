@@ -1,14 +1,11 @@
 #include "src/core/modules.h"
 
 #include <charconv>
-#include <mutex>
 #include <sstream>
 
-#include "src/core/engine.h"
 #include "src/core/program.h"
 #include "src/core/symbolize.h"
 #include "src/sim/syscall_nr.h"
-#include "src/sim/task.h"
 
 namespace pf::core {
 
@@ -153,24 +150,6 @@ Status StateMatch::Create(const std::vector<std::string>& opts,
 
 CtxMask StateMatch::Needs() const { return cmp ? cmp->Needs() : 0; }
 
-bool StateMatch::Matches(Packet& pkt, Engine& engine) const {
-  PfTaskState& state = engine.TaskState(*pkt.req->task);
-  std::lock_guard<std::mutex> lock(state.mu);
-  auto it = state.dict.find(key);
-  if (it == state.dict.end()) {
-    return false;  // absent key never matches (even with --nequal)
-  }
-  if (!cmp) {
-    return true;
-  }
-  auto want = cmp->Eval(pkt);
-  if (!want) {
-    return false;
-  }
-  bool equal = it->second == *want;
-  return negate ? !equal : equal;
-}
-
 std::string StateMatch::Render() const {
   std::ostringstream oss;
   oss << "STATE --key " << key;
@@ -189,14 +168,6 @@ Status SignalMatch::Create(const std::vector<std::string>& opts,
   }
   *out = std::make_unique<SignalMatch>();
   return Status::Ok();
-}
-
-bool SignalMatch::Matches(Packet& pkt, Engine&) const {
-  const sim::AccessRequest& req = *pkt.req;
-  if (req.op != sim::Op::kSignalDeliver) {
-    return false;
-  }
-  return req.task->signals.HasHandler(req.sig) && !sim::IsUnblockable(req.sig);
 }
 
 std::string SignalMatch::Render() const { return "SIGNAL_MATCH"; }
@@ -233,14 +204,6 @@ Status SyscallArgsMatch::Create(const std::vector<std::string>& opts,
   return Status::Ok();
 }
 
-bool SyscallArgsMatch::Matches(Packet& pkt, Engine&) const {
-  const sim::AccessRequest& req = *pkt.req;
-  int64_t actual = arg == 0 ? static_cast<int64_t>(req.syscall_nr)
-                            : req.args[static_cast<size_t>(arg - 1)];
-  bool equal = actual == value;
-  return negate ? !equal : equal;
-}
-
 std::string SyscallArgsMatch::Render() const {
   std::ostringstream oss;
   oss << "SYSCALL_ARGS --arg " << arg << (negate ? " --nequal " : " --equal ") << value;
@@ -267,16 +230,6 @@ Status CompareMatch::Create(const std::vector<std::string>& opts,
   m->negate = HasFlag(opts, "--nequal");
   *out = std::move(m);
   return Status::Ok();
-}
-
-bool CompareMatch::Matches(Packet& pkt, Engine&) const {
-  auto a = v1.Eval(pkt);
-  auto b = v2.Eval(pkt);
-  if (!a || !b) {
-    return false;  // missing context: cannot claim a match
-  }
-  bool equal = *a == *b;
-  return negate ? !equal : equal;
 }
 
 std::string CompareMatch::Render() const {
@@ -310,26 +263,6 @@ Status InterpMatch::Create(const std::vector<std::string>& opts,
   }
   *out = std::move(m);
   return Status::Ok();
-}
-
-bool InterpMatch::Matches(Packet& pkt, Engine&) const {
-  if (pkt.interp == nullptr || pkt.interp_status == UnwindStatus::kAborted ||
-      pkt.interp->empty()) {
-    return false;
-  }
-  const InterpRec& top = pkt.interp->front();
-  if (lang && top.lang != *lang) {
-    return false;
-  }
-  if (!script_suffix.empty()) {
-    const std::string& path = top.script_path;
-    if (path.size() < script_suffix.size() ||
-        path.compare(path.size() - script_suffix.size(), std::string::npos,
-                     script_suffix) != 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 bool InterpMatch::Subsumes(const MatchModule& other) const {
@@ -381,16 +314,6 @@ Status PhaseMatch::Create(const std::vector<std::string>& opts,
   return Status::Ok();
 }
 
-bool PhaseMatch::Matches(Packet& pkt, Engine& engine) const {
-  PfTaskState& state = engine.TaskState(*pkt.req->task);
-  std::lock_guard<std::mutex> lock(state.mu);
-  auto it = state.dict.find(std::string(kPhaseKeyName));
-  // Unlike STATE, an absent key is a defined phase: init.
-  int64_t current = it == state.dict.end() ? PhaseId(kPhaseInitName) : it->second;
-  bool equal = current == PhaseId(phase);
-  return negate ? !equal : equal;
-}
-
 std::string PhaseMatch::Render() const {
   std::ostringstream oss;
   oss << "PHASE --is " << phase;
@@ -410,8 +333,6 @@ std::string_view VerdictTarget::Name() const {
     default: return "CONTINUE";
   }
 }
-
-TargetKind VerdictTarget::Fire(Packet&, Engine&) const { return kind_; }
 
 Status StateTarget::Create(const std::vector<std::string>& opts,
                            std::unique_ptr<TargetModule>* out) {
@@ -440,26 +361,6 @@ Status StateTarget::Create(const std::vector<std::string>& opts,
   return Status::Ok();
 }
 
-TargetKind StateTarget::Fire(Packet& pkt, Engine& engine) const {
-  PfTaskState& state = engine.TaskState(*pkt.req->task);
-  std::lock_guard<std::mutex> lock(state.mu);
-  if (unset) {
-    state.dict.erase(key);
-    return TargetKind::kContinue;
-  }
-  if (auto v = value.Eval(pkt)) {
-    if (key == kPhaseKeyName) {
-      // Audit emit point (legacy walker): a STATE write to the @phase key is
-      // a protocol-phase transition, same as the compiled kStateSet handler.
-      auto it = state.dict.find(key);
-      NotePhaseTransition(it != state.dict.end() ? it->second : PhaseId(kPhaseInitName),
-                          *v);
-    }
-    state.dict[key] = *v;
-  }
-  return TargetKind::kContinue;
-}
-
 std::string StateTarget::Render() const {
   std::ostringstream oss;
   oss << "STATE " << (unset ? "--unset" : "--set") << " --key " << key;
@@ -484,16 +385,6 @@ Status PhaseTarget::Create(const std::vector<std::string>& opts,
   return Status::Ok();
 }
 
-TargetKind PhaseTarget::Fire(Packet& pkt, Engine& engine) const {
-  PfTaskState& state = engine.TaskState(*pkt.req->task);
-  std::lock_guard<std::mutex> lock(state.mu);
-  auto it = state.dict.find(std::string(kPhaseKeyName));
-  NotePhaseTransition(it != state.dict.end() ? it->second : PhaseId(kPhaseInitName),
-                      PhaseId(phase));
-  state.dict[std::string(kPhaseKeyName)] = PhaseId(phase);
-  return TargetKind::kContinue;
-}
-
 std::string PhaseTarget::Render() const { return "PHASE --enter " + phase; }
 
 Status LogTarget::Create(const std::vector<std::string>& opts,
@@ -506,21 +397,16 @@ Status LogTarget::Create(const std::vector<std::string>& opts,
   return Status::Ok();
 }
 
-TargetKind LogTarget::Fire(Packet& pkt, Engine& engine) const {
-  engine.EmitLog(pkt, prefix);
-  return TargetKind::kContinue;
-}
-
 std::string LogTarget::Render() const {
   return prefix.empty() ? "LOG" : "LOG --prefix " + prefix;
 }
 
 // --- lowering ----------------------------------------------------------------------
 //
-// Each builtin module compiles to exactly one inline-operand instruction whose
-// evaluator case (engine.cc ExecRule) replicates Matches()/Fire() bit for bit.
-// Extension modules keep the base-class default and run through the
-// kMatchNative/kTargetNative escapes instead.
+// Each builtin module compiles to exactly one inline-operand instruction; its
+// handler in exec_insn.inc is the module's only implementation. Extension
+// modules derive from NativeMatchModule/NativeTargetModule, keep the
+// base-class default, and run through the kMatchNative/kTargetNative escapes.
 
 bool StateMatch::Lower(ProgramBuilder& b) const {
   // The comparison-sense branch is resolved at compile time: --cmp lowers to

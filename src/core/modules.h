@@ -5,6 +5,10 @@
 // SYSCALL_ARGS, COMPARE (owner comparisons, R8), LOG (rule generation), and
 // the verdict targets ACCEPT/DROP/RETURN plus user-chain jumps. INTERP is an
 // extension matching interpreter backtraces directly.
+//
+// Each class here parses, renders, and lowers its module; what the module
+// does at decision time lives only in the instruction handlers its Lower()
+// emits (src/core/exec_insn.inc).
 #ifndef SRC_CORE_MODULES_H_
 #define SRC_CORE_MODULES_H_
 
@@ -59,7 +63,6 @@ class StateMatch : public MatchModule {
                        std::unique_ptr<MatchModule>* out);
   std::string_view Name() const override { return "STATE"; }
   CtxMask Needs() const override;
-  bool Matches(Packet& pkt, Engine& engine) const override;
   bool Lower(ProgramBuilder& b) const override;
   bool Symbolize(SymbolicSink& sink) const override;
   std::string Render() const override;
@@ -75,7 +78,6 @@ class SignalMatch : public MatchModule {
   static Status Create(const std::vector<std::string>& opts,
                        std::unique_ptr<MatchModule>* out);
   std::string_view Name() const override { return "SIGNAL_MATCH"; }
-  bool Matches(Packet& pkt, Engine& engine) const override;
   bool Lower(ProgramBuilder& b) const override;
   bool Symbolize(SymbolicSink& sink) const override;
   std::string Render() const override;
@@ -88,7 +90,6 @@ class SyscallArgsMatch : public MatchModule {
   static Status Create(const std::vector<std::string>& opts,
                        std::unique_ptr<MatchModule>* out);
   std::string_view Name() const override { return "SYSCALL_ARGS"; }
-  bool Matches(Packet& pkt, Engine& engine) const override;
   bool Lower(ProgramBuilder& b) const override;
   bool Symbolize(SymbolicSink& sink) const override;
   std::string Render() const override;
@@ -105,7 +106,6 @@ class CompareMatch : public MatchModule {
                        std::unique_ptr<MatchModule>* out);
   std::string_view Name() const override { return "COMPARE"; }
   CtxMask Needs() const override { return v1.Needs() | v2.Needs(); }
-  bool Matches(Packet& pkt, Engine& engine) const override;
   bool Lower(ProgramBuilder& b) const override;
   bool Symbolize(SymbolicSink& sink) const override;
   std::string Render() const override;
@@ -123,7 +123,6 @@ class InterpMatch : public MatchModule {
                        std::unique_ptr<MatchModule>* out);
   std::string_view Name() const override { return "INTERP"; }
   CtxMask Needs() const override { return CtxBit(Ctx::kInterpStack); }
-  bool Matches(Packet& pkt, Engine& engine) const override;
   // A shorter suffix accepts every script a longer one does (and --lang
   // unset accepts every language), so INTERP matches form a partial order
   // the shadowing analysis can exploit.
@@ -143,7 +142,6 @@ class PhaseMatch : public MatchModule {
   static Status Create(const std::vector<std::string>& opts,
                        std::unique_ptr<MatchModule>* out);
   std::string_view Name() const override { return "PHASE"; }
-  bool Matches(Packet& pkt, Engine& engine) const override;
   bool Lower(ProgramBuilder& b) const override;
   bool Symbolize(SymbolicSink& sink) const override;
   std::string Render() const override;
@@ -160,7 +158,6 @@ class VerdictTarget : public TargetModule {
   std::string_view Name() const override;
   std::optional<TargetKind> StaticKind() const override { return kind_; }
   bool Lower(ProgramBuilder& b) const override;
-  TargetKind Fire(Packet& pkt, Engine& engine) const override;
   std::string Render() const override { return std::string(Name()); }
 
  private:
@@ -173,7 +170,6 @@ class JumpTarget : public TargetModule {
   std::string_view Name() const override { return "JUMP"; }
   std::optional<TargetKind> StaticKind() const override { return TargetKind::kJump; }
   bool Lower(ProgramBuilder& b) const override;
-  TargetKind Fire(Packet&, Engine&) const override { return TargetKind::kJump; }
   const std::string& jump_chain() const override { return chain_; }
   std::string Render() const override { return chain_; }
 
@@ -191,7 +187,6 @@ class StateTarget : public TargetModule {
   CtxMask Needs() const override { return value.Needs(); }
   std::optional<TargetKind> StaticKind() const override { return TargetKind::kContinue; }
   bool Lower(ProgramBuilder& b) const override;
-  TargetKind Fire(Packet& pkt, Engine& engine) const override;
   std::string Render() const override;
 
   std::string key;
@@ -210,7 +205,6 @@ class PhaseTarget : public TargetModule {
   std::string_view Name() const override { return "PHASE"; }
   std::optional<TargetKind> StaticKind() const override { return TargetKind::kContinue; }
   bool Lower(ProgramBuilder& b) const override;
-  TargetKind Fire(Packet& pkt, Engine& engine) const override;
   std::string Render() const override;
 
   std::string phase;
@@ -229,7 +223,6 @@ class LogTarget : public TargetModule {
   }
   std::optional<TargetKind> StaticKind() const override { return TargetKind::kContinue; }
   bool Lower(ProgramBuilder& b) const override;
-  TargetKind Fire(Packet& pkt, Engine& engine) const override;
   std::string Render() const override;
 
   std::string prefix;

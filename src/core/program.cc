@@ -54,12 +54,12 @@ uint32_t ProgramBuilder::InternOperand(const Operand& op) {
   return static_cast<uint32_t>(prog_.operands.size() - 1);
 }
 
-uint32_t ProgramBuilder::AddNativeMatch(const MatchModule* m) {
+uint32_t ProgramBuilder::AddNativeMatch(const NativeMatchModule* m) {
   prog_.native_matches.push_back(m);
   return static_cast<uint32_t>(prog_.native_matches.size() - 1);
 }
 
-uint32_t ProgramBuilder::AddNativeTarget(const TargetModule* t) {
+uint32_t ProgramBuilder::AddNativeTarget(const NativeTargetModule* t) {
   prog_.native_targets.push_back(t);
   return static_cast<uint32_t>(prog_.native_targets.size() - 1);
 }

@@ -6,8 +6,8 @@
 // time every filter-table chain is *lowered* into a single relocatable arena
 // of fixed-size instruction records — default matches and builtin -m modules
 // become inline-operand match ops, verdicts become terminal ops, JUMP edges
-// become chain ids resolved at lowering, and stateful/extension modules
-// become escape ops that call back into the module object. Strings and
+// become chain ids resolved at lowering, and extension modules become
+// escape ops that call back into the module object. Strings and
 // LabelSets are interned into side pools so an instruction is 24 bytes of
 // plain integers. The engine's hot path then runs a tight switch-dispatch
 // loop over the arena (no virtual calls, no shared_ptr traffic); the
@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/analysis/diagnostics.h"
 #include "src/core/modules.h"
 #include "src/core/ruleset.h"
 
@@ -238,10 +239,10 @@ struct ProgramChain {
   uint64_t op_mask = 0;
   std::vector<uint32_t> rules;  // rule-record indices, chain order
   std::array<ProgramBucket, sim::kOpCount> ops;
-  // Entrypoint index re-pointed at entry-table slices. Like the legacy
-  // Chain index the per-key rule list is NOT op-filtered (the kCheckOp
-  // guard handles mismatches, bumping eval counters exactly as the tree
-  // walker does). Immutable once the chain is lowered and held by
+  // Entrypoint index re-pointed at entry-table slices. Like the Chain
+  // index it mirrors, the per-key rule list is NOT op-filtered (the
+  // kCheckOp guard handles mismatches, and the rule still counts as
+  // evaluated). Immutable once the chain is lowered and held by
   // shared_ptr (null = no indexed entrypoints): a delta commit's program
   // copy shares every clean chain's map instead of re-hashing it, which is
   // what keeps a one-rule edit from paying O(total rules) per generation.
@@ -269,8 +270,8 @@ struct PfProgram {
   std::vector<Operand> operands;
   // Escape-op targets: raw pointers into the module objects owned by the
   // shared Rule instances (same lifetime as the program).
-  std::vector<const MatchModule*> native_matches;
-  std::vector<const TargetModule*> native_targets;
+  std::vector<const NativeMatchModule*> native_matches;
+  std::vector<const NativeTargetModule*> native_targets;
 
   // Tuple-space classifier pools (see ProgramBucket).
   std::vector<TupleTable> tuple_tables;
@@ -346,8 +347,8 @@ class ProgramBuilder {
   uint32_t InternString(const std::string& s);
   uint32_t InternLabelSet(const LabelSet& ls);
   uint32_t InternOperand(const Operand& op);
-  uint32_t AddNativeMatch(const MatchModule* m);
-  uint32_t AddNativeTarget(const TargetModule* t);
+  uint32_t AddNativeMatch(const NativeMatchModule* m);
+  uint32_t AddNativeTarget(const NativeTargetModule* t);
 
   // Chain id for a name, or -1 when undefined. Chain records are created
   // before any rule body is lowered, so forward JUMPs resolve.
@@ -365,15 +366,17 @@ struct CompiledRuleset;  // engine.h
 // chain of `snap` into snap.program and re-points the per-(chain,op)
 // buckets and entrypoint index at arena/entry-table offsets. Requires the
 // OpBucket compilation (Engine::CompileRuleset passes 1-2) to have run.
-void LowerProgram(CompiledRuleset& snap);
+// Returns one module-unlowerable error per module that neither lowers nor
+// is native; CommitRuleset refuses to publish a program with any.
+analysis::AnalysisReport LowerProgram(CompiledRuleset& snap);
 
 // Incremental lowering: copy `prev`'s program (arena, pools, tables, intern
 // maps), mark the records of the chains named in `dirty` dead, and re-lower
 // only those chains, appending their records, slices, and classifier tables.
 // Requires the staging chain-name set to equal prev's (Engine::CommitRuleset
 // falls back to LowerProgram otherwise).
-void LowerProgramDelta(CompiledRuleset& snap, const PfProgram& prev,
-                       const std::vector<std::string>& dirty);
+analysis::AnalysisReport LowerProgramDelta(CompiledRuleset& snap, const PfProgram& prev,
+                                          const std::vector<std::string>& dirty);
 
 // Classifier shape summary for pfcheck / pftables --check.
 struct ClassifierStats {

@@ -44,14 +44,16 @@ struct LabelSet {
 };
 
 // Extensible match module instance (the kernel half; the "userspace half"
-// is its factory's option parser in pftables.cc).
+// is its factory's option parser in pftables.cc). A module has exactly one
+// implementation: either it lowers to instructions whose handlers
+// (src/core/exec_insn.inc) define its semantics, or it is a
+// NativeMatchModule whose Matches() the kMatchNative escape calls.
 class MatchModule {
  public:
   virtual ~MatchModule() = default;
   virtual std::string_view Name() const = 0;
-  // Context fields that must be collected before Matches() runs.
+  // Context fields that must be collected before the module is evaluated.
   virtual CtxMask Needs() const { return 0; }
-  virtual bool Matches(Packet& pkt, Engine& engine) const = 0;
   // Subsumption hook for the static analyzer (src/analysis): true when this
   // module's accepted packet set is a superset of `other`'s — every packet
   // `other` matches, this module matches too. The default — exact equality
@@ -62,9 +64,10 @@ class MatchModule {
     return Name() == other.Name() && Render() == other.Render();
   }
   // Lowering hook for the compiled-program form (program.h): emit the
-  // instruction(s) equivalent to Matches() and return true. The default —
-  // return false — makes the lowering pass emit a kMatchNative escape that
-  // dispatches back into this object, so extension modules work unmodified.
+  // module's instruction(s) and return true. Returning false is only legal
+  // for a NativeMatchModule, which the lowering pass turns into a
+  // kMatchNative escape; any other module that declines to lower makes the
+  // commit fail, so no module can ever evaluate as a silent no-match.
   virtual bool Lower(ProgramBuilder&) const { return false; }
   // Symbolic-lowering hook for the decision-space analyzer
   // (src/analysis/symbolic), alongside Lower()/Subsumes(): describe the
@@ -75,6 +78,14 @@ class MatchModule {
   // unmodified) but proves less shadowing and yields abstract witnesses.
   virtual bool Symbolize(SymbolicSink&) const { return false; }
   virtual std::string Render() const = 0;
+};
+
+// An extension match implemented in C++ instead of instructions
+// (Pftables::RegisterMatch). The lowering pass emits a kMatchNative escape
+// that dispatches back into Matches().
+class NativeMatchModule : public MatchModule {
+ public:
+  virtual bool Matches(Packet& pkt, Engine& engine) const = 0;
 };
 
 // Target verdicts.
@@ -91,23 +102,30 @@ class TargetModule {
   virtual ~TargetModule() = default;
   virtual std::string_view Name() const = 0;
   virtual CtxMask Needs() const { return 0; }
-  // The verdict kind Fire() produces, when it is statically determinable
+  // The verdict kind the target produces, when it is statically determinable
   // (ACCEPT/DROP/RETURN/JUMP and side-effect-only targets always return the
   // same kind). Custom targets with data-dependent verdicts keep the nullopt
   // default and the static analyzer treats them conservatively — they
   // neither shadow later rules nor count as dead when shadowed.
   virtual std::optional<TargetKind> StaticKind() const { return std::nullopt; }
   // Lowering hook, mirroring MatchModule::Lower: emit the terminal/effect
-  // instruction(s) for Fire() and return true, or keep the default and the
-  // lowering pass emits a kTargetNative escape.
+  // instruction(s) and return true. Only a NativeTargetModule may decline,
+  // and it then runs through a kTargetNative escape.
   virtual bool Lower(ProgramBuilder&) const { return false; }
-  // Fires the target; for kJump the chain name is in jump_chain().
-  virtual TargetKind Fire(Packet& pkt, Engine& engine) const = 0;
+  // The chain a kJump target pushes.
   virtual const std::string& jump_chain() const {
     static const std::string kEmpty;
     return kEmpty;
   }
   virtual std::string Render() const = 0;
+};
+
+// An extension target implemented in C++ (Pftables::RegisterTarget), run
+// through the kTargetNative escape.
+class NativeTargetModule : public TargetModule {
+ public:
+  // Fires the target; for kJump the chain name is in jump_chain().
+  virtual TargetKind Fire(Packet& pkt, Engine& engine) const = 0;
 };
 
 struct Rule {

@@ -20,8 +20,6 @@ std::string_view EventName(Event e) {
 
 std::string_view PathName(Path p) {
   switch (p) {
-    case Path::kFull:
-      return "FULL";
     case Path::kCompiled:
       return "COMPILED";
     case Path::kCount:

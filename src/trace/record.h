@@ -45,10 +45,10 @@ inline constexpr uint32_t EventBit(Event e) {
 inline constexpr uint32_t kAllEvents = (1u << static_cast<uint32_t>(Event::kCount)) - 1;
 
 // Which evaluator served the decision: the histogram axis of the
-// (op × {FULL, COMPILED}) latency matrix.
+// (op × path) latency matrix. The engine has one evaluator, the arena
+// program, so every decision is COMPILED.
 enum class Path : uint8_t {
-  kFull = 0,   // legacy tree-walker traversal
-  kCompiled,   // arena-program evaluator traversal
+  kCompiled = 0,  // arena-program evaluator traversal
   kCount,
 };
 
@@ -67,8 +67,7 @@ inline constexpr uint8_t kFlagEptValid = 1u << 2;  // entrypoint fields are set
 //   kDecision  everything below; ctx_ns/eval_ns/total_ns are the per-stage
 //              nanoseconds (eval_ns = total - context fetches), chain_id /
 //              rule_index name the verdict-producing rule in the compiled
-//              program (-1 when the default policy decided or the legacy
-//              walker ran).
+//              program (-1 when the default policy decided).
 //   kRule      chain_id/rule_index = the rule, eval_ns = its evaluation ns,
 //              flags kFlagDrop when it dropped.
 //   kCtxFetch  chain_id = the CtxMask fetched (reused field), eval_ns = ns.

@@ -209,7 +209,7 @@ TEST_F(AnalyzerTest, HonestlyNonCacheableModuleIsClean) {
   // An extension module reading symlink-target context on the one op that
   // supplies it. The engine memoizes no verdicts, so context outside any
   // cache key is no hazard: the analyzer must report nothing at all.
-  class HonestMatch : public core::MatchModule {
+  class HonestMatch : public core::NativeMatchModule {
    public:
     std::string_view Name() const override { return "HONEST"; }
     core::CtxMask Needs() const override {

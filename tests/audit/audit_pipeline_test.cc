@@ -344,7 +344,7 @@ TEST(AuditPipelineTest, EveryBlockedAccessYieldsAnExactlyAttributedRecord) {
     EXPECT_EQ(r->ept_ino, denies[0]->ept_ino);
     EXPECT_EQ(r->generation, rs->generation);
     const Tier tier = static_cast<Tier>(r->tier);
-    if (tier == Tier::kCompiled || tier == Tier::kLegacy) {
+    if (tier == Tier::kCompiled) {
       ++traversed;
     } else {
       ADD_FAILURE() << "unexpected tier " << TierName(tier);

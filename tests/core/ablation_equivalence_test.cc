@@ -1,6 +1,6 @@
 // Ablation equivalence: the engine optimizations (context caching, lazy
-// context, entrypoint chains, the compiled evaluator) are performance knobs,
-// not semantics. All Table-6 configurations must produce byte-identical
+// context, entrypoint chains, the dispatch strategy, the tuple classifier)
+// are performance knobs, not semantics. All Table-6 configurations must produce byte-identical
 // verdict sequences — and identical per-task STATE dictionaries — on a
 // randomized workload of opens, binds, signal deliveries, and syscall
 // entries.
@@ -26,35 +26,29 @@ constexpr int kOps = 10000;
 constexpr int kTasks = 3;
 constexpr uint64_t kWorkloadSeed = 0xab1a7e5eedull;
 
-EngineConfig MakeConfig(bool lazy, bool cache, bool ept, bool compiled = false,
-                        bool threaded = true, bool verify = true, bool tuple = false) {
+EngineConfig MakeConfig(bool lazy, bool cache, bool ept, bool threaded = true,
+                        bool tuple = false) {
   EngineConfig cfg;
   cfg.lazy_context = lazy;
   cfg.cache_context = cache;
   cfg.ept_chains = ept;
-  cfg.compiled_eval = compiled;
   cfg.threaded_eval = threaded;
-  cfg.verify_programs = verify;
   cfg.tuple_dispatch = tuple;
   return cfg;
 }
 
-// The Table-6 ablation ladder (the lower rungs pin compiled_eval off so each
-// rung isolates exactly one optimization). The
-// SWITCHED rung runs the compiled evaluator through the portable switch
-// loop and COMPILED through the threaded dispatcher, so the dispatch
-// strategy itself is proven to be semantics-free. The VERIFY rung turns the
-// load-time verifier off on the top configuration: for accepted programs
-// the verifier must be a pure gate, changing nothing the evaluator does.
-// The TRACE rung re-runs the top configuration with every tracepoint stream
-// enabled: observability must be a pure observer — verdicts, STATE dicts,
-// and the decision counters all stay byte-identical. The TUPLE rung turns
-// the tuple-space classifier on above COMPILED: probing per-mask hash tables
-// and k-way-merging candidate slices must pick exactly the rules a linear
-// scan would. The AUDIT rung
-// re-runs the top configuration with the security-event audit pipeline
-// armed (suppression off, every kind enabled): like TRACE, audit must be a
-// pure observer of verdicts, STATE dicts, and decision counters.
+// The Table-6 ablation ladder, each rung isolating exactly one
+// optimization, all on the program evaluator. EPTSPC runs it through the
+// threaded dispatcher and SWITCHED through the portable switch loop, so the
+// dispatch strategy itself is proven to be semantics-free. The TRACE rung
+// re-runs EPTSPC with every tracepoint stream enabled: observability must
+// be a pure observer — verdicts, STATE dicts, and the decision counters all
+// stay byte-identical. The TUPLE rung turns the tuple-space classifier on
+// above EPTSPC: probing per-mask hash tables and k-way-merging candidate
+// slices must pick exactly the rules a linear scan would. The AUDIT rung
+// re-runs EPTSPC with the security-event audit pipeline armed (suppression
+// off, every kind enabled): like TRACE, audit must be a pure observer of
+// verdicts, STATE dicts, and decision counters.
 const struct {
   const char* name;
   EngineConfig cfg;
@@ -65,12 +59,10 @@ const struct {
     {"CONCACHE", MakeConfig(false, true, false)},
     {"LAZYCON", MakeConfig(true, true, false)},
     {"EPTSPC", MakeConfig(true, true, true)},
-    {"SWITCHED", MakeConfig(true, true, true, true, /*threaded=*/false)},
-    {"COMPILED", MakeConfig(true, true, true, true)},
-    {"TUPLE", MakeConfig(true, true, true, true, true, true, /*tuple=*/true)},
-    {"VERIFY", MakeConfig(true, true, true, true, true, /*verify=*/false)},
-    {"TRACE", MakeConfig(true, true, true, true), true},
-    {"AUDIT", MakeConfig(true, true, true, true), false, true},
+    {"SWITCHED", MakeConfig(true, true, true, /*threaded=*/false)},
+    {"TUPLE", MakeConfig(true, true, true, true, /*tuple=*/true)},
+    {"TRACE", MakeConfig(true, true, true), true},
+    {"AUDIT", MakeConfig(true, true, true), false, true},
 };
 
 // A rule base mixing every decision source: entrypoint-indexed drops (some
@@ -263,7 +255,7 @@ TEST(AblationEquivalenceTest, TracingIsAPureObserver) {
   // all tracepoints live must reproduce not just the verdict sequence but
   // the decision counters bit for bit — tracing may add trace_records, but
   // it may not perturb what the engine counted about its own decisions.
-  const EngineConfig cfg = MakeConfig(true, true, true, true);
+  const EngineConfig cfg = MakeConfig(true, true, true);
   std::vector<std::map<std::string, int64_t>> dicts_off, dicts_on;
   std::vector<uint64_t> counters_off, counters_on;
   std::vector<int64_t> off = Replay(cfg, &dicts_off, false, &counters_off);
@@ -281,7 +273,7 @@ TEST(AblationEquivalenceTest, AuditIsAPureObserver) {
   if (!audit::kAuditCompiledIn) {
     GTEST_SKIP() << "audit compiled out (PF_AUDIT=OFF)";
   }
-  const EngineConfig cfg = MakeConfig(true, true, true, true);
+  const EngineConfig cfg = MakeConfig(true, true, true);
   std::vector<std::map<std::string, int64_t>> dicts_off, dicts_on;
   std::vector<uint64_t> counters_off, counters_on;
   std::vector<int64_t> off = Replay(cfg, &dicts_off, false, &counters_off);
@@ -301,7 +293,7 @@ TEST(AblationEquivalenceTest, TupleClassifierPreservesHitCountersAndOnlySkipsWor
   // be strictly narrower than the full chain (total rules_evaluated drops).
   const auto replay = [](bool tuple, std::vector<uint64_t>* evals,
                          std::vector<uint64_t>* hits, EngineStats* stats) {
-    const EngineConfig cfg = MakeConfig(true, true, true, true, true, true, tuple);
+    const EngineConfig cfg = MakeConfig(true, true, true, true, tuple);
     Workload w(cfg);
     std::vector<int64_t> verdicts;
     std::mt19937_64 rng(kWorkloadSeed);

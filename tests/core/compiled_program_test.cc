@@ -1,8 +1,8 @@
 // Compiled PF programs: commit-time lowering into the arena-packed form
-// (program.h), the `pftables -L --compiled` disassembly, and the compiled
-// evaluator. Bit-equivalence with the legacy walker is covered separately by
-// the COMPILED ablation rung and the differential fuzz test; these tests pin
-// the structure of the artifact itself.
+// (program.h), the `pftables -L --compiled` disassembly, and the program
+// evaluator. What the handlers mean is pinned by the hand-derived module and
+// handler tests and the mutant battery; these tests pin the structure of the
+// artifact itself.
 
 #include <gtest/gtest.h>
 
@@ -163,7 +163,7 @@ TEST_F(CompiledProgramTest, NativeEscapesDispatchIntoModules) {
     if (!opts.empty()) {
       return Status::Error("COUNT takes no options");
     }
-    class CountTarget : public TargetModule {
+    class CountTarget : public NativeTargetModule {
      public:
       explicit CountTarget(int* c) : c_(c) {}
       std::string_view Name() const override { return "COUNT"; }
@@ -180,7 +180,6 @@ TEST_F(CompiledProgramTest, NativeEscapesDispatchIntoModules) {
     return Status::Ok();
   });
   ASSERT_TRUE(pft_.Exec("pftables -o FILE_OPEN -d etc_t -j COUNT").ok());
-  ASSERT_TRUE(engine_->config().compiled_eval);
 
   std::string disasm = pft_.ListCompiled();
   EXPECT_NE(disasm.find("TARGET_NATIVE COUNT"), std::string::npos);
@@ -194,7 +193,6 @@ TEST_F(CompiledProgramTest, NativeEscapesDispatchIntoModules) {
 }
 
 TEST_F(CompiledProgramTest, CompiledEvaluatorEnforces) {
-  ASSERT_TRUE(engine_->config().compiled_eval) << "compiled evaluation is the default";
   ASSERT_TRUE(pft_.Exec("pftables -o FILE_OPEN -d shadow_t -j DROP").ok());
   Pid pid = sched().Spawn({.exe = sim::kBinTrue}, [](Proc& p) {
     EXPECT_EQ(p.Open("/etc/shadow", sim::kORdOnly), sim::SysError(sim::Err::kAcces));

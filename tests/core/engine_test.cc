@@ -236,8 +236,6 @@ TEST_F(EngineTest, AllOptimizationConfigsAgreeOnVerdicts) {
        .ept_chains = false},
       {.enabled = true, .lazy_context = true, .cache_context = true,
        .ept_chains = true},
-      {.enabled = true, .lazy_context = true, .cache_context = true,
-       .ept_chains = true, .compiled_eval = false},
   };
   ASSERT_TRUE(pft_.Exec("pftables -p /bin/true -i 0xcafe -o FILE_OPEN -d shadow_t "
                         "-j DROP")

@@ -17,7 +17,7 @@ using sim::Pid;
 using sim::Proc;
 
 // A custom match: -m OWNER --uid N matches when the object is owned by N.
-class OwnerMatch : public MatchModule {
+class OwnerMatch : public NativeMatchModule {
  public:
   std::string_view Name() const override { return "OWNER"; }
   CtxMask Needs() const override { return CtxBit(Ctx::kObject); }
@@ -30,7 +30,7 @@ class OwnerMatch : public MatchModule {
 };
 
 // A custom target: -j COUNT increments a shared counter and continues.
-class CountTarget : public TargetModule {
+class CountTarget : public NativeTargetModule {
  public:
   explicit CountTarget(int* counter) : counter_(counter) {}
   std::string_view Name() const override { return "COUNT"; }
@@ -42,6 +42,20 @@ class CountTarget : public TargetModule {
 
  private:
   int* counter_;
+};
+
+// A match and a target that neither lower to instructions nor derive from
+// the native bases: modules with no implementation at all.
+class HollowMatch : public MatchModule {
+ public:
+  std::string_view Name() const override { return "HOLLOW"; }
+  std::string Render() const override { return "HOLLOW"; }
+};
+
+class HollowTarget : public TargetModule {
+ public:
+  std::string_view Name() const override { return "HOLLOW_T"; }
+  std::string Render() const override { return "HOLLOW_T"; }
 };
 
 class ExtensionTest : public pf::testing::SimTest {
@@ -110,6 +124,47 @@ TEST_F(ExtensionTest, CustomTargetModuleFires) {
   });
   sched().RunUntilExit(pid);
   EXPECT_EQ(counter, 2);
+  // The escape counts a hit per fire, like any builtin target.
+  EXPECT_EQ(engine_->ruleset().filter().Find("input")->rules()[0]->hits.load(), 2u);
+}
+
+TEST_F(ExtensionTest, ModuleWithoutImplementationIsRefusedAtCommit) {
+  pft_.RegisterMatch("HOLLOW", [](const std::vector<std::string>&,
+                                  std::unique_ptr<MatchModule>* out) {
+    *out = std::make_unique<HollowMatch>();
+    return Status::Ok();
+  });
+  pft_.RegisterTarget("HOLLOW_T", [](const std::vector<std::string>&,
+                                     std::unique_ptr<TargetModule>* out) {
+    *out = std::make_unique<HollowTarget>();
+    return Status::Ok();
+  });
+  ASSERT_TRUE(pft_.Exec("pftables -o FILE_OPEN -d shadow_t -j DROP").ok());
+
+  // A rule using either module must not publish: the module would otherwise
+  // evaluate as a silent no-match.
+  for (const char* rule : {"pftables -A input -o FILE_OPEN -m HOLLOW -j DROP",
+                           "pftables -A input -o FILE_OPEN -j HOLLOW_T"}) {
+    const uint64_t live = engine_->ruleset_generation();
+    const Status s = pft_.Exec(rule);
+    ASSERT_FALSE(s.ok()) << rule;
+    EXPECT_NE(s.message().find("module-unlowerable"), std::string::npos) << s.message();
+    EXPECT_NE(s.message().find("filter/input:2"), std::string::npos) << s.message();
+
+    // The previous generation keeps serving: one rule, shadow denied,
+    // passwd allowed.
+    EXPECT_EQ(engine_->ruleset_generation(), live) << rule;
+    EXPECT_EQ(engine_->PublishedRuleset()->rules.filter().Find("input")->rules().size(), 1u);
+    Pid pid = sched().Spawn({.exe = sim::kBinTrue}, [](Proc& p) {
+      EXPECT_GE(p.Open("/etc/passwd", sim::kORdOnly), 0);
+      EXPECT_EQ(p.Open("/etc/shadow", sim::kORdOnly), sim::SysError(sim::Err::kAcces));
+    });
+    sched().RunUntilExit(pid);
+
+    // Without a --check backup the staging base keeps the edit; deleting it
+    // makes the base committable again.
+    ASSERT_TRUE(pft_.Exec("pftables -D input 2").ok()) << rule;
+  }
 }
 
 TEST_F(ExtensionTest, CustomModulesShadowBuiltins) {

@@ -9,7 +9,7 @@
 //   kNativeHeavy dominated by native-escape modules (ODD_INO / COUNT)
 //   kDeepJumps   a JUMP nest of exactly kMaxChainDepth chains, so the last
 //                chain sits on the runtime depth cutoff (entered at depth
-//                kMaxChainDepth, where ExecChain/TraverseChain bail)
+//                kMaxChainDepth, where ExecChain bails)
 //   kSparse      empty and one-rule chains, single-op buckets
 //
 // The flavor is derived from the seed (seed % kFlavorCount), so a failing
@@ -33,7 +33,7 @@ namespace pf::core::fuzzgen {
 // --- extension modules (exercise the kMatchNative / kTargetNative escapes) --
 
 // Matches objects with an odd inode number.
-class OddInoMatch : public MatchModule {
+class OddInoMatch : public NativeMatchModule {
  public:
   std::string_view Name() const override { return "ODD_INO"; }
   CtxMask Needs() const override { return CtxBit(Ctx::kObject); }
@@ -44,7 +44,7 @@ class OddInoMatch : public MatchModule {
 };
 
 // Counts fires and continues.
-class CountTarget : public TargetModule {
+class CountTarget : public NativeTargetModule {
  public:
   explicit CountTarget(uint64_t* counter) : counter_(counter) {}
   std::string_view Name() const override { return "COUNT"; }
@@ -318,9 +318,9 @@ inline std::vector<std::string> NativeHeavyRules(std::mt19937_64& rng) {
 
 // A JUMP nest of exactly kMaxChainDepth user chains: d1 is entered at depth
 // 1, d<kMaxChainDepth-1> at the last depth that still executes, and
-// d<kMaxChainDepth> at the runtime cutoff itself (ExecChain/TraverseChain
-// fall through without evaluating it). All three evaluators must agree on
-// that boundary; the verifier flags the cut chain with a depth warning.
+// d<kMaxChainDepth> at the runtime cutoff itself (ExecChain falls through
+// without evaluating it). Both dispatch strategies must agree on that
+// boundary; the verifier flags the cut chain with a depth warning.
 inline std::vector<std::string> DeepJumpRules(std::mt19937_64& rng) {
   std::vector<std::string> rules;
   const int depth = kMaxChainDepth;

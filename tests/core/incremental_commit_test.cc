@@ -46,7 +46,6 @@ constexpr int kSeedCount = 16;
 
 EngineConfig MakeCfg(bool incremental, bool tuple) {
   EngineConfig cfg;
-  cfg.compiled_eval = true;
   cfg.tuple_dispatch = tuple;
   cfg.incremental_commits = incremental;
   return cfg;

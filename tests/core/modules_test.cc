@@ -1,15 +1,23 @@
-// Unit tests for match/target modules in isolation: operand parsing and
-// evaluation, STATE match/target semantics, SIGNAL_MATCH, SYSCALL_ARGS,
-// COMPARE, LOG rendering — against hand-built packets, no scheduler.
+// Builtin match/target modules, pinned through the shipping evaluator.
+//
+// Operand parsing and evaluation are tested directly. Every module
+// expectation is a rule base written as pftables text plus the requests
+// Authorize decides, with the verdict, the rule's hit counter, and the
+// task's STATE dictionary worked out by hand in the comment above each
+// step. A builtin module has no implementation besides its instruction
+// handler (src/core/exec_insn.inc), so these tests pin the code that ships.
 
 #include <gtest/gtest.h>
 
 #include "src/core/engine.h"
 #include "src/core/modules.h"
 #include "src/sim/sysimage.h"
+#include "tests/core/decision_rig.h"
 
 namespace pf::core {
 namespace {
+
+using Dict = std::map<std::string, int64_t>;
 
 class ModulesTest : public ::testing::Test {
  protected:
@@ -90,123 +98,190 @@ TEST_F(ModulesTest, OperandEvalAgainstPacket) {
 }
 
 TEST_F(ModulesTest, StateMatchSemantics) {
-  std::unique_ptr<MatchModule> m;
-  ASSERT_TRUE(StateMatch::Create({"--key", "'k'", "--cmp", "7"}, &m).ok());
-  PfTaskState& state = engine_->TaskState(task_);
-  EXPECT_FALSE(m->Matches(pkt_, *engine_)) << "absent key never matches";
-  state.dict["k"] = 7;
-  EXPECT_TRUE(m->Matches(pkt_, *engine_));
-  state.dict["k"] = 8;
-  EXPECT_FALSE(m->Matches(pkt_, *engine_));
-
-  std::unique_ptr<MatchModule> neq;
-  ASSERT_TRUE(StateMatch::Create({"--key", "k", "--cmp", "7", "--nequal"}, &neq).ok());
-  EXPECT_TRUE(neq->Matches(pkt_, *engine_));
-  state.dict["k"] = 7;
-  EXPECT_FALSE(neq->Matches(pkt_, *engine_));
-
-  std::unique_ptr<MatchModule> present;
-  ASSERT_TRUE(StateMatch::Create({"--key", "k"}, &present).ok());
-  EXPECT_TRUE(present->Matches(pkt_, *engine_)) << "bare --key means presence";
+  {
+    DecisionRig rig({"pftables -o FILE_OPEN -m STATE --key k --cmp 7 -j DROP"});
+    // {}: an absent key never matches -> allow, hits 0.
+    EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kAllow);
+    EXPECT_EQ(rig.Hits(1), 0u);
+    // {k:7}: 7 == 7 -> DROP, hits 1.
+    rig.Dict()["k"] = 7;
+    EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kDeny);
+    EXPECT_EQ(rig.Hits(1), 1u);
+    // {k:8}: 8 != 7 -> allow, hits stay 1.
+    rig.Dict()["k"] = 8;
+    EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kAllow);
+    EXPECT_EQ(rig.Hits(1), 1u);
+    EXPECT_EQ(rig.Evals(1), 3u);
+    EXPECT_EQ(rig.Dict(), (Dict{{"k", 8}})) << "a match never writes the dictionary";
+  }
+  {
+    DecisionRig rig({"pftables -o FILE_OPEN -m STATE --key k --cmp 7 --nequal -j DROP"});
+    // {}: absent never matches, even negated -> allow, hits 0.
+    EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kAllow);
+    EXPECT_EQ(rig.Hits(1), 0u);
+    // {k:8}: 8 != 7 -> DROP, hits 1.
+    rig.Dict()["k"] = 8;
+    EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kDeny);
+    EXPECT_EQ(rig.Hits(1), 1u);
+    // {k:7}: equal, so --nequal fails -> allow, hits 1.
+    rig.Dict()["k"] = 7;
+    EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kAllow);
+    EXPECT_EQ(rig.Hits(1), 1u);
+  }
+  // A bare --key is a presence test; --nequal without --cmp changes nothing.
+  for (const char* rule : {"pftables -o FILE_OPEN -m STATE --key k -j DROP",
+                           "pftables -o FILE_OPEN -m STATE --key k --nequal -j DROP"}) {
+    DecisionRig rig({rule});
+    // {}: absent -> allow, hits 0.
+    EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kAllow) << rule;
+    EXPECT_EQ(rig.Hits(1), 0u) << rule;
+    // {k:0}: present, whatever its value -> DROP, hits 1.
+    rig.Dict()["k"] = 0;
+    EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kDeny) << rule;
+    EXPECT_EQ(rig.Hits(1), 1u) << rule;
+  }
 }
 
 TEST_F(ModulesTest, StateMatchAgainstContextVariable) {
-  FillObject();
-  std::unique_ptr<MatchModule> m;
-  ASSERT_TRUE(StateMatch::Create({"--key", "ino", "--cmp", "C_INO", "--nequal"}, &m).ok());
-  PfTaskState& state = engine_->TaskState(task_);
-  state.dict["ino"] = static_cast<int64_t>(inode_->ino);
-  EXPECT_FALSE(m->Matches(pkt_, *engine_)) << "same inode: --nequal fails";
-  state.dict["ino"] = static_cast<int64_t>(inode_->ino) + 1;
-  EXPECT_TRUE(m->Matches(pkt_, *engine_)) << "different inode: the TOCTTOU trigger";
+  // The TOCTTOU rule shape: the stored inode differs from this access's.
+  DecisionRig rig({"pftables -o FILE_OPEN -m STATE --key ino --cmp C_INO --nequal -j DROP"});
+  const int64_t passwd = static_cast<int64_t>(rig.kernel.LookupNoHooks("/etc/passwd")->ino);
+  // {ino: passwd}, open passwd: same inode, --nequal fails -> allow, hits 0.
+  rig.Dict()["ino"] = passwd;
+  EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kAllow);
+  EXPECT_EQ(rig.Hits(1), 0u);
+  // {ino: passwd}, open shadow: a different inode -> DROP, hits 1.
+  EXPECT_EQ(rig.Decide(rig.Open("/etc/shadow")), kDeny);
+  EXPECT_EQ(rig.Hits(1), 1u);
+  // {ino: passwd + 1}, open passwd: different -> DROP, hits 2.
+  rig.Dict()["ino"] = passwd + 1;
+  EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kDeny);
+  EXPECT_EQ(rig.Hits(1), 2u);
 }
 
 TEST_F(ModulesTest, StateTargetSetAndUnset) {
-  std::unique_ptr<TargetModule> set;
-  ASSERT_TRUE(StateTarget::Create({"--set", "--key", "x", "--value", "3"}, &set).ok());
-  EXPECT_EQ(set->Fire(pkt_, *engine_), TargetKind::kContinue);
-  EXPECT_EQ(engine_->TaskState(task_).dict["x"], 3);
-
-  std::unique_ptr<TargetModule> unset;
-  ASSERT_TRUE(StateTarget::Create({"--unset", "--key", "x"}, &unset).ok());
-  unset->Fire(pkt_, *engine_);
-  EXPECT_EQ(engine_->TaskState(task_).dict.count("x"), 0u);
+  DecisionRig rig({
+      "pftables -o FILE_OPEN -d etc_t -j STATE --set --key x --value 3",
+      "pftables -o FILE_OPEN -d shadow_t -j STATE --set --key x --value C_INO",
+      "pftables -o FILE_GETATTR -j STATE --unset --key x",
+  });
+  const int64_t shadow = static_cast<int64_t>(rig.kernel.LookupNoHooks("/etc/shadow")->ino);
+  // Open passwd (etc_t): rule 1 sets x=3 and traversal continues -> allow.
+  EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kAllow);
+  EXPECT_EQ(rig.Dict(), (Dict{{"x", 3}}));
+  // Open shadow (shadow_t): rule 2 overwrites x with the shadow inode.
+  EXPECT_EQ(rig.Decide(rig.Open("/etc/shadow")), kAllow);
+  EXPECT_EQ(rig.Dict(), (Dict{{"x", shadow}}));
+  // Getattr: rule 3 erases x -> {}.
+  EXPECT_EQ(rig.Decide(rig.On(sim::Op::kFileGetattr, "/etc/passwd")), kAllow);
+  EXPECT_EQ(rig.Dict(), Dict{});
+  // Getattr again: unsetting an absent key still fires the rule.
+  EXPECT_EQ(rig.Decide(rig.On(sim::Op::kFileGetattr, "/etc/passwd")), kAllow);
+  EXPECT_EQ(rig.Dict(), Dict{});
+  EXPECT_EQ(rig.Hits(1), 1u);
+  EXPECT_EQ(rig.Hits(2), 1u);
+  EXPECT_EQ(rig.Hits(3), 2u);
 }
 
 TEST_F(ModulesTest, SignalMatchRequiresHandledBlockableSignal) {
-  std::unique_ptr<MatchModule> m;
-  ASSERT_TRUE(SignalMatch::Create({}, &m).ok());
-  EXPECT_FALSE(m->Matches(pkt_, *engine_)) << "not a signal delivery";
-
-  sim::AccessRequest sig_req;
-  sig_req.task = &task_;
-  sig_req.op = sim::Op::kSignalDeliver;
-  sig_req.sig = sim::kSigUsr1;
-  Packet sig_pkt;
-  sig_pkt.req = &sig_req;
-  EXPECT_FALSE(m->Matches(sig_pkt, *engine_)) << "no handler registered";
-  task_.signals.actions[sim::kSigUsr1] = sim::SigAction{[](sim::SigNum) {}};
-  EXPECT_TRUE(m->Matches(sig_pkt, *engine_));
-  sig_req.sig = sim::kSigKill;
-  EXPECT_FALSE(m->Matches(sig_pkt, *engine_)) << "unblockable signals never match";
+  // No -o: the rule sits in every op's bucket, so the module itself must
+  // reject everything but the delivery of a handled, blockable signal.
+  DecisionRig rig({"pftables -m SIGNAL_MATCH -j DROP"});
+  auto deliver = [&rig](sim::SigNum sig) {
+    sim::AccessRequest req = rig.Bare(sim::Op::kSignalDeliver, sim::SyscallNr::kKill);
+    req.sig = sig;
+    req.sig_sender = 1;
+    return rig.Decide(req);
+  };
+  // An open is not a signal delivery -> allow (evaluated, no hit).
+  EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kAllow);
+  // SIGUSR1 with no handler registered -> allow.
+  EXPECT_EQ(deliver(sim::kSigUsr1), kAllow);
+  EXPECT_EQ(rig.Hits(1), 0u);
+  // SIGUSR1 with a handler -> DROP, hits 1.
+  rig.task.signals.actions[sim::kSigUsr1] = sim::SigAction{[](sim::SigNum) {}};
+  EXPECT_EQ(deliver(sim::kSigUsr1), kDeny);
+  EXPECT_EQ(rig.Hits(1), 1u);
+  // SIGKILL cannot be handled -> allow.
+  EXPECT_EQ(deliver(sim::kSigKill), kAllow);
+  EXPECT_EQ(rig.Hits(1), 1u);
+  EXPECT_EQ(rig.Evals(1), 4u);
 }
 
 TEST_F(ModulesTest, SyscallArgsMatchesNumberAndArgs) {
-  std::unique_ptr<MatchModule> by_nr;
-  ASSERT_TRUE(
-      SyscallArgsMatch::Create({"--arg", "0", "--equal", "NR_open"}, &by_nr).ok());
-  EXPECT_TRUE(by_nr->Matches(pkt_, *engine_));
-  req_.syscall_nr = sim::SyscallNr::kClose;
-  EXPECT_FALSE(by_nr->Matches(pkt_, *engine_));
-  req_.syscall_nr = sim::SyscallNr::kOpen;
-
-  req_.args = {42, 0, 0, 0};
-  std::unique_ptr<MatchModule> by_arg;
-  ASSERT_TRUE(SyscallArgsMatch::Create({"--arg", "1", "--equal", "42"}, &by_arg).ok());
-  EXPECT_TRUE(by_arg->Matches(pkt_, *engine_));
-  req_.args = {41, 0, 0, 0};
-  EXPECT_FALSE(by_arg->Matches(pkt_, *engine_));
-
-  std::unique_ptr<MatchModule> neq;
-  ASSERT_TRUE(SyscallArgsMatch::Create({"--arg", "1", "--nequal", "42"}, &neq).ok());
-  EXPECT_TRUE(neq->Matches(pkt_, *engine_));
+  // SYSCALL_BEGIN for `nr` with first argument `a1`.
+  auto begin = [](DecisionRig& rig, sim::SyscallNr nr, int64_t a1) {
+    sim::AccessRequest req = rig.Bare(sim::Op::kSyscallBegin, nr);
+    req.args = {a1, 0, 0, 0};
+    return rig.Decide(req);
+  };
+  {
+    DecisionRig rig(
+        {"pftables -A syscallbegin -m SYSCALL_ARGS --arg 0 --equal NR_open -j DROP"});
+    // open == NR_open -> DROP; close never reaches the rule.
+    EXPECT_EQ(begin(rig, sim::SyscallNr::kOpen, 0), kDeny);
+    EXPECT_EQ(begin(rig, sim::SyscallNr::kClose, 0), kAllow);
+    EXPECT_EQ(rig.Hits(1, "syscallbegin"), 1u);
+  }
+  {
+    DecisionRig rig(
+        {"pftables -A syscallbegin -m SYSCALL_ARGS --arg 0 --nequal NR_open -j DROP"});
+    // close != NR_open -> DROP; open -> allow (evaluated, no hit).
+    EXPECT_EQ(begin(rig, sim::SyscallNr::kClose, 0), kDeny);
+    EXPECT_EQ(begin(rig, sim::SyscallNr::kOpen, 0), kAllow);
+    EXPECT_EQ(rig.Hits(1, "syscallbegin"), 1u);
+    EXPECT_EQ(rig.Evals(1, "syscallbegin"), 2u);
+  }
+  {
+    DecisionRig rig({"pftables -A syscallbegin -m SYSCALL_ARGS --arg 1 --equal 42 -j DROP"});
+    // args[0] == 42 -> DROP; 41 -> allow.
+    EXPECT_EQ(begin(rig, sim::SyscallNr::kOpen, 42), kDeny);
+    EXPECT_EQ(begin(rig, sim::SyscallNr::kOpen, 41), kAllow);
+    EXPECT_EQ(rig.Hits(1, "syscallbegin"), 1u);
+  }
+  {
+    DecisionRig rig({"pftables -A syscallbegin -m SYSCALL_ARGS --arg 1 --nequal 42 -j DROP"});
+    // args[0] == 41 -> DROP; 42 -> allow.
+    EXPECT_EQ(begin(rig, sim::SyscallNr::kOpen, 41), kDeny);
+    EXPECT_EQ(begin(rig, sim::SyscallNr::kOpen, 42), kAllow);
+    EXPECT_EQ(rig.Hits(1, "syscallbegin"), 1u);
+  }
 }
 
 TEST_F(ModulesTest, CompareMatchMissingContextNeverMatches) {
-  std::unique_ptr<MatchModule> m;
-  ASSERT_TRUE(CompareMatch::Create(
-                  {"--v1", "C_DAC_OWNER", "--v2", "C_TGT_DAC_OWNER", "--nequal"}, &m)
-                  .ok());
-  FillObject();
-  EXPECT_FALSE(m->Matches(pkt_, *engine_))
-      << "C_TGT_DAC_OWNER is absent on a non-link access: rule must not fire";
+  DecisionRig rig({"pftables -o FILE_OPEN -m COMPARE --v1 C_DAC_OWNER --v2 C_TGT_DAC_OWNER "
+                   "--nequal -j DROP"});
+  // A plain open has no link target, so C_TGT_DAC_OWNER is absent and the
+  // --nequal compare cannot claim a match -> allow, hits 0.
+  EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kAllow);
+  EXPECT_EQ(rig.Hits(1), 0u);
+  EXPECT_EQ(rig.Evals(1), 1u);
 }
 
 TEST_F(ModulesTest, CompareMatchOnLinkTraversal) {
-  kernel_.MkSymlinkAt("/tmp/owned", "/etc/passwd", sim::kMalloryUid, sim::kMalloryUid,
-                      "tmp_t");
-  auto link = kernel_.LookupNoHooks("/tmp");  // parent; fetch the raw link inode
-  auto raw_link_ino = link->entries.at("owned");
-  auto raw_link = kernel_.vfs().Sb(link->dev).Get(raw_link_ino);
-  auto target = kernel_.LookupNoHooks("/etc/passwd");
-
-  sim::AccessRequest lnk_req;
-  lnk_req.task = &task_;
-  lnk_req.op = sim::Op::kLnkFileRead;
-  lnk_req.inode = raw_link.get();
-  lnk_req.id = raw_link->id();
-  lnk_req.link_target = target.get();
-  Packet lnk_pkt;
-  lnk_pkt.req = &lnk_req;
-  engine_->EnsureContext(lnk_pkt,
-                         CtxBit(Ctx::kObject) | CtxBit(Ctx::kLinkTarget));
-
-  std::unique_ptr<MatchModule> m;
-  ASSERT_TRUE(CompareMatch::Create(
-                  {"--v1", "C_DAC_OWNER", "--v2", "C_TGT_DAC_OWNER", "--nequal"}, &m)
-                  .ok());
-  EXPECT_TRUE(m->Matches(lnk_pkt, *engine_))
-      << "mallory's link to root's file: owners differ (rule R8 fires)";
+  DecisionRig rig({"pftables -o LNK_FILE_READ -m COMPARE --v1 C_DAC_OWNER --v2 "
+                   "C_TGT_DAC_OWNER --nequal -j DROP"});
+  rig.kernel.MkSymlinkAt("/tmp/owned", "/etc/passwd", sim::kMalloryUid, sim::kMalloryUid,
+                         "tmp_t");
+  rig.kernel.MkSymlinkAt("/tmp/rooted", "/etc/passwd", 0, 0, "tmp_t");
+  auto follow = [&rig](const std::string& name) {
+    auto dir = rig.kernel.LookupNoHooks("/tmp");
+    auto link = rig.kernel.vfs().Sb(dir->dev).Get(dir->entries.at(name));
+    auto target = rig.kernel.LookupNoHooks("/etc/passwd");
+    sim::AccessRequest req = rig.Bare(sim::Op::kLnkFileRead, sim::SyscallNr::kOpen);
+    req.inode = link.get();
+    req.id = link->id();
+    req.link_target = target.get();
+    rig.pins.push_back(link);
+    rig.pins.push_back(target);
+    return rig.Decide(req);
+  };
+  // mallory's link to root's file: owners differ (rule R8) -> DROP, hits 1.
+  EXPECT_EQ(follow("owned"), kDeny);
+  EXPECT_EQ(rig.Hits(1), 1u);
+  // root's link to root's file: owners equal -> allow, hits 1.
+  EXPECT_EQ(follow("rooted"), kAllow);
+  EXPECT_EQ(rig.Hits(1), 1u);
 }
 
 TEST_F(ModulesTest, RenderRoundTrips) {

@@ -101,7 +101,7 @@ TEST_F(SaveRestoreTest, AuditModeLogsInsteadOfDenying) {
 // A registered custom match survives Save()/Restore() because the factory
 // re-parses its rendered options; the analyzer must see the same rule base
 // on both sides of the trip.
-class TripOwnerMatch : public MatchModule {
+class TripOwnerMatch : public NativeMatchModule {
  public:
   std::string_view Name() const override { return "TRIP_OWNER"; }
   CtxMask Needs() const override { return CtxBit(Ctx::kObject); }

@@ -230,6 +230,11 @@ TEST(VerifierTest, RejectsBadNativeTargetIndex) {
 TEST(VerifierTest, RejectsBadOpcode) {
   Compiled c = Build(CorpusRules());
   ASSERT_NE(c.snap, nullptr);
+  // The first value past the instruction set, and one far outside it.
+  ExpectRejects(c.snap->program, PfOp::kLog, "bad-opcode",
+                [](PfInsn& insn, const PfProgram&) {
+                  insn.op = static_cast<uint8_t>(kPfOpCount);
+                });
   ExpectRejects(c.snap->program, PfOp::kLog, "bad-opcode",
                 [](PfInsn& insn, const PfProgram&) { insn.op = 0xee; });
 }
