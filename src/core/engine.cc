@@ -911,16 +911,16 @@ Engine::Verdict Engine::ExecEntryList(const CompiledRuleset& rs, const uint32_t*
 
 // Tuple-space dispatch (program.h): resolve the contexts the bucket's
 // dimension masks key on, probe one hash table per mask, and merge the few
-// surviving slices back into chain order for the shared evaluation loop.
-// Soundness: a rule sits in a tuple only when a key mismatch guarantees its
-// own guards would fail, and tables whose dimensions are unresolvable (no
-// valid entrypoint frame, no object) hold only rules whose guards fail for
-// that very reason — so skipping them changes no verdict, side effect, or
-// per-rule hit counter; eval counters drop exactly for rules a scan would
-// have rejected.
+// surviving slices back into the scan's order for the shared evaluation
+// loop. Soundness: a rule sits in a tuple only when a key mismatch
+// guarantees its own guards would fail, and tables whose dimensions are
+// unresolvable (no valid entrypoint frame, no object) hold only rules whose
+// guards fail for that very reason — so skipping them changes no verdict,
+// side effect, or per-rule hit counter; eval counters drop exactly for rules
+// a scan would have rejected.
 Engine::Verdict Engine::ExecChainTuple(const CompiledRuleset& rs,
-                                       const ProgramBucket& bucket, Packet& pkt,
-                                       int depth) {
+                                       const ProgramBucket& bucket, bool ept_order,
+                                       Packet& pkt, int depth) {
   const PfProgram& prog = rs.program;
   if ((bucket.tuple_dims & kTupleDimEpt) != 0) {
     EnsureContext(pkt, CtxBit(Ctx::kEntrypoint));
@@ -939,17 +939,23 @@ Engine::Verdict Engine::ExecChainTuple(const CompiledRuleset& rs,
     probe.object = pkt.object_sid;
     probe.ino = pkt.object_id.ino;
   }
+  // Under entrypoint-indexed traversal the scan runs the plain rules before
+  // the entrypoint bucket (paper §4.3), and the entrypoint tables hold
+  // exactly the indexed rules; their slices are marked `late` and merge
+  // after everything else. Otherwise all slices merge in chain order.
   struct ActiveSlice {
     const uint32_t* cur;
     const uint32_t* end;
+    bool late;
   };
   ActiveSlice act[kTupleMaskLimit + 1];
   uint32_t nact = 0;
   uint32_t total = 0;
-  const auto push = [&](uint32_t off, uint32_t len) {
+  const auto push = [&](uint32_t off, uint32_t len, bool late = false) {
     if (len != 0) {
       act[nact].cur = prog.entries.data() + off;
       act[nact].end = act[nact].cur + len;
+      act[nact].late = late;
       ++nact;
       total += len;
     }
@@ -971,7 +977,7 @@ Engine::Verdict Engine::ExecChainTuple(const CompiledRuleset& rs,
         break;  // empty slot: no tuple with this key
       }
       if (TupleKeyEq(table.mask, slot.key, probe)) {
-        push(slot.off, slot.len);
+        push(slot.off, slot.len, ept_order && (table.mask & kTupleDimEpt) != 0);
         break;
       }
       idx = (idx + 1) & (table.slot_count - 1);
@@ -985,8 +991,9 @@ Engine::Verdict Engine::ExecChainTuple(const CompiledRuleset& rs,
     return ExecEntryList(rs, act[0].cur, static_cast<uint32_t>(act[0].end - act[0].cur),
                          /*op_checked=*/true, pkt, depth);
   }
-  // K-way merge by ascending record index == chain order (records of one
-  // chain are lowered in chain order, and the slices are disjoint).
+  // K-way merge by (late, record index); record index order == chain order
+  // (records of one chain are lowered in chain order, and the slices are
+  // disjoint).
   uint32_t stack_buf[128];
   std::vector<uint32_t> heap_buf;
   uint32_t* merged = stack_buf;
@@ -998,7 +1005,8 @@ Engine::Verdict Engine::ExecChainTuple(const CompiledRuleset& rs,
   while (nact > 0) {
     uint32_t best = 0;
     for (uint32_t i = 1; i < nact; ++i) {
-      if (*act[i].cur < *act[best].cur) {
+      if (act[i].late != act[best].late ? act[best].late
+                                        : *act[i].cur < *act[best].cur) {
         best = i;
       }
     }
@@ -1017,7 +1025,7 @@ Engine::Verdict Engine::ExecChain(const CompiledRuleset& rs, const ProgramChain&
   }
   const ProgramBucket& bucket = pc.ops[static_cast<size_t>(pkt.req->op)];
   if (config_.tuple_dispatch && bucket.has_classifier) {
-    return ExecChainTuple(rs, bucket, pkt, depth);
+    return ExecChainTuple(rs, bucket, config_.ept_chains && pc.index_built, pkt, depth);
   }
   if (config_.ept_chains && pc.index_built) {
     if (bucket.plain_len != 0) {

@@ -85,7 +85,7 @@ struct EngineConfig {
   // Dispatch Authorize through the tuple-space classifier (program.h): probe
   // one hash table per distinct exact-match dimension mask and evaluate only
   // the rules whose pinned key matches the request (plus the residual rules
-  // with no exact dimension), merged back into chain order. Skipped rules
+  // with no exact dimension), merged back into the scan's order. Skipped rules
   // could only have failed their own guards, so verdicts, side effects, and
   // per-rule hit counters are bit-identical to the scan path (TUPLE ablation
   // rung); per-rule eval counters only drop for rules a scan would have
@@ -412,9 +412,11 @@ class Engine : public sim::SecurityModule {
                         bool op_checked, Packet& pkt, int depth);
   // Tuple-space dispatch for one (chain, op) bucket (EngineConfig::
   // tuple_dispatch): probe the bucket's per-mask hash tables, merge the
-  // surviving slices back into chain order, and run the shared loop.
+  // surviving slices back into the scan's order (chain order, or with
+  // `ept_order` plain rules before entrypoint-indexed ones, as the indexed
+  // scan runs them), and run the shared loop.
   Verdict ExecChainTuple(const CompiledRuleset& rs, const ProgramBucket& bucket,
-                         Packet& pkt, int depth);
+                         bool ept_order, Packet& pkt, int depth);
   // ExecRule picks a dispatch strategy per EngineConfig::threaded_eval. The
   // two strategies are expansions of the same handler bodies
   // (src/core/exec_insn.inc): ExecRuleSwitch is the portable switch loop,

@@ -162,9 +162,9 @@ struct RuleRecord {
 // contiguous, chain-ordered slices of the entries table — and each mask gets
 // an open-addressed hash table from key to slice. Authorize then probes one
 // table per distinct mask (a handful) instead of scanning the bucket, and
-// merges the few surviving slices back into chain order; a rule whose exact
-// key differs from the request's could only have failed its guards, so
-// skipping it is verdict- and counter-invariant.
+// merges the few surviving slices back into the scan's order; a rule whose
+// exact key differs from the request's could only have failed its guards,
+// so skipping it is verdict- and counter-invariant.
 inline constexpr uint8_t kTupleDimSubject = 1u << 0;  // -s, single positive sid
 inline constexpr uint8_t kTupleDimEpt = 1u << 1;      // -p + -i (entrypoint)
 inline constexpr uint8_t kTupleDimObject = 1u << 2;   // -d, single positive sid

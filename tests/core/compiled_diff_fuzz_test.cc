@@ -1,13 +1,20 @@
-// Differential fuzzing of the evaluator's two dispatch strategies: seeded
-// random rule bases (five generator flavors, see fuzz_rules.h) replayed over
-// seeded random operation streams, with the dispatch strategy (portable
-// switch loop / computed-goto threaded loop) as the only difference between
-// runs. Both expand the same handler bodies (exec_insn.inc), so a divergence
-// is a dispatch bug: a wrong label-table slot, a skipped instruction, a
-// mis-sequenced fetch. Everything observable must be bit-identical — the
-// verdict sequence, per-task STATE dictionaries, LOG records, rule counters
-// (via the List() rendering), and the engine statistics, including the
-// context-fetch counters that would expose a divergent EnsureContext order.
+// Differential fuzzing of the evaluator's three ways to reach a decision:
+// seeded random rule bases (five generator flavors, see fuzz_rules.h)
+// replayed over seeded random operation streams, with the way (portable
+// switch loop / computed-goto threaded loop / threaded loop behind the
+// tuple-space classifier) as the only difference between runs.
+//
+// The two dispatch strategies expand the same handler bodies
+// (exec_insn.inc), so a divergence between them is a dispatch bug: a wrong
+// label-table slot, a skipped instruction, a mis-sequenced fetch. Everything
+// observable must be bit-identical — the verdict sequence, per-task STATE
+// dictionaries, LOG records, rule counters (via the List() rendering), and
+// the engine statistics, including the context-fetch counters that would
+// expose a divergent EnsureContext order. The classifier may only skip rules
+// a scan would have rejected, so it must reproduce every decision, side
+// effect and per-rule hit counter; only the work counters (rule evals,
+// context fetches) may drop.
+//
 // What the handlers themselves mean is pinned elsewhere: verdicts by the
 // symbolic model (symbolic_diff_fuzz_test, explain_fuzz_test), counters and
 // side effects by hand-derived engine tests and the mutant battery.
@@ -15,9 +22,10 @@
 // Seed control (for CI sharding and reproduction):
 //   --pf_fuzz_seed=0xNNN   run exactly one seed (also env PF_FUZZ_SEED)
 //   PF_FUZZ_SEEDS=N        run N consecutive seeds from the fixed base
-// The default is 16 seeds, cycling through every generator flavor. On a
-// mismatch the failing seed and the compiled-program disassembly
-// (pftables ListCompiled, i.e. `pftables -L --compiled`) are printed.
+// The default is 16 seeds, cycling through every generator flavor, plus the
+// pinned regression seeds. On a mismatch the failing seed and the
+// compiled-program disassembly (pftables ListCompiled, i.e.
+// `pftables -L --compiled`) are printed.
 
 #include <gtest/gtest.h>
 
@@ -47,14 +55,29 @@ constexpr int kTasks = 3;
 constexpr uint64_t kSeedBase = 0xf002;
 constexpr int kDefaultSeedCount = 16;
 
+// Seeds past the default window, appended to every default run. 0xf037
+// (mixed flavor) puts an entrypoint-indexed rule ahead of a plain rule that
+// also fires, so with ept_chains on the tuple classifier must reproduce the
+// indexed scan's plain-first order rather than chain order.
+constexpr uint64_t kRegressionSeeds[] = {0xf037};
+
 // Filled by main() from --pf_fuzz_seed / PF_FUZZ_SEED / PF_FUZZ_SEEDS.
 std::vector<uint64_t>& SeedList() {
   static std::vector<uint64_t> seeds;
   return seeds;
 }
 
-// The two dispatch strategies under diff.
-enum class Mode { kSwitch, kThreaded };
+// The evaluator paths under diff: the two dispatch strategies, and the
+// threaded loop fed by the tuple-space classifier instead of a chain scan.
+enum class Mode { kSwitch, kThreaded, kTuple };
+
+EngineConfig MakeConfig(Mode mode, bool ept) {
+  EngineConfig cfg;
+  cfg.threaded_eval = mode != Mode::kSwitch;
+  cfg.tuple_dispatch = mode == Mode::kTuple;
+  cfg.ept_chains = ept;
+  return cfg;
+}
 
 // --- workload ----------------------------------------------------------------
 
@@ -71,12 +94,8 @@ struct FuzzRun {
 
 // Builds a kernel (fixed sim seed: all runs see identical inode numbers and
 // labels), installs the seed's flavor-specific rule base, and replays the
-// seeded operation stream under the requested dispatch strategy.
-FuzzRun Replay(uint64_t seed, Mode mode, bool ept) {
-  EngineConfig cfg;
-  cfg.threaded_eval = mode == Mode::kThreaded;
-  cfg.ept_chains = ept;
-
+// seeded operation stream under the given engine configuration.
+FuzzRun Replay(uint64_t seed, const EngineConfig& cfg) {
   FuzzRun out;
   sim::Kernel kernel{0x5eed};
   sim::BuildSysImage(kernel);
@@ -177,7 +196,9 @@ FuzzRun Replay(uint64_t seed, Mode mode, bool ept) {
   return out;
 }
 
-void ExpectBitEquivalent(const FuzzRun& want, const FuzzRun& got,
+// The decision surface: verdicts, side effects, per-rule hit counters and
+// the decision counters. Every evaluator path must reproduce it exactly.
+void ExpectSameDecisions(const FuzzRun& want, const FuzzRun& got,
                          const std::string& what) {
   ASSERT_EQ(want.verdicts.size(), got.verdicts.size()) << what;
   for (size_t i = 0; i < want.verdicts.size(); ++i) {
@@ -188,15 +209,22 @@ void ExpectBitEquivalent(const FuzzRun& want, const FuzzRun& got,
   EXPECT_EQ(got.log_lines, want.log_lines) << what << ": LOG records diverge";
   EXPECT_EQ(got.count_fires, want.count_fires)
       << what << ": native target fire counts diverge";
+  EXPECT_EQ(got.hits, want.hits) << what << ": per-rule hit counters diverge";
+  EXPECT_EQ(got.stats.invocations, want.stats.invocations) << what;
+  EXPECT_EQ(got.stats.drops, want.stats.drops) << what;
+  EXPECT_EQ(got.stats.audited_drops, want.stats.audited_drops) << what;
+}
+
+// The decision surface plus every work counter: what two dispatch
+// strategies over the same instruction stream must agree on.
+void ExpectBitEquivalent(const FuzzRun& want, const FuzzRun& got,
+                         const std::string& what) {
+  ExpectSameDecisions(want, got, what);
   EXPECT_EQ(got.listing, want.listing)
       << what << ": List() rendering (rule evals/hits counters) diverges";
-  EXPECT_EQ(got.hits, want.hits) << what << ": per-rule hit counters diverge";
 
   const EngineStats& a = want.stats;
   const EngineStats& b = got.stats;
-  EXPECT_EQ(b.invocations, a.invocations) << what;
-  EXPECT_EQ(b.drops, a.drops) << what;
-  EXPECT_EQ(b.audited_drops, a.audited_drops) << what;
   EXPECT_EQ(b.rules_evaluated, a.rules_evaluated) << what << ": eval counts diverge";
   EXPECT_EQ(b.ept_chain_hits, a.ept_chain_hits) << what;
   EXPECT_EQ(b.unwinds, a.unwinds) << what;
@@ -215,16 +243,20 @@ void DumpFailure(uint64_t seed, bool ept, const FuzzRun& compiled) {
                ept ? "on" : "off", compiled.compiled_listing.c_str());
 }
 
-TEST(CompiledDiffFuzzTest, SwitchAndThreadedAgreeAcrossSeeds) {
+TEST(CompiledDiffFuzzTest, ThreeWayEquivalenceAcrossSeeds) {
   for (uint64_t seed : SeedList()) {
     const std::string tag =
         "seed=" + std::to_string(seed) + " flavor=" +
         fuzzgen::FlavorName(fuzzgen::FlavorForSeed(seed));
     for (bool ept : {true, false}) {
       const std::string what = tag + (ept ? " ept=on" : " ept=off");
-      FuzzRun swtch = Replay(seed, Mode::kSwitch, ept);
-      FuzzRun threaded = Replay(seed, Mode::kThreaded, ept);
+      FuzzRun swtch = Replay(seed, MakeConfig(Mode::kSwitch, ept));
+      FuzzRun threaded = Replay(seed, MakeConfig(Mode::kThreaded, ept));
+      FuzzRun tuple = Replay(seed, MakeConfig(Mode::kTuple, ept));
       ExpectBitEquivalent(swtch, threaded, what + " threaded-vs-switch");
+      ExpectSameDecisions(swtch, tuple, what + " tuple-vs-switch");
+      EXPECT_LE(tuple.stats.rules_evaluated, swtch.stats.rules_evaluated)
+          << what << ": the classifier may only skip rules, never add any";
       if (::testing::Test::HasFailure()) {
         DumpFailure(seed, ept, threaded);
         return;  // first divergence wins; later seeds would bury the dump
@@ -235,11 +267,33 @@ TEST(CompiledDiffFuzzTest, SwitchAndThreadedAgreeAcrossSeeds) {
 
 TEST(CompiledDiffFuzzTest, ReplayIsDeterministic) {
   const uint64_t seed = SeedList().empty() ? kSeedBase : SeedList().front();
-  FuzzRun a = Replay(seed, Mode::kThreaded, /*ept=*/true);
-  FuzzRun b = Replay(seed, Mode::kThreaded, /*ept=*/true);
+  FuzzRun a = Replay(seed, MakeConfig(Mode::kThreaded, /*ept=*/true));
+  FuzzRun b = Replay(seed, MakeConfig(Mode::kThreaded, /*ept=*/true));
   EXPECT_EQ(a.verdicts, b.verdicts);
   EXPECT_EQ(a.log_lines, b.log_lines);
   EXPECT_EQ(a.listing, b.listing);
+}
+
+// The dispatch pair once more with context fetched eagerly and uncached
+// (the FULL rung's knobs): every fetch handler then takes its
+// already-present branch, which the default-knob runs above rarely reach.
+TEST(CompiledDiffFuzzTest, SwitchAndThreadedAgree) {
+  for (uint64_t seed : SeedList()) {
+    EngineConfig swtch_cfg = MakeConfig(Mode::kSwitch, /*ept=*/true);
+    swtch_cfg.lazy_context = false;
+    swtch_cfg.cache_context = false;
+    EngineConfig threaded_cfg = swtch_cfg;
+    threaded_cfg.threaded_eval = true;
+    FuzzRun swtch = Replay(seed, swtch_cfg);
+    FuzzRun threaded = Replay(seed, threaded_cfg);
+    ExpectBitEquivalent(swtch, threaded,
+                        "seed=" + std::to_string(seed) +
+                            " eager context threaded-vs-switch");
+    if (::testing::Test::HasFailure()) {
+      DumpFailure(seed, /*ept=*/true, threaded);
+      return;
+    }
+  }
 }
 
 }  // namespace
@@ -248,7 +302,7 @@ TEST(CompiledDiffFuzzTest, ReplayIsDeterministic) {
 // Custom main (overrides gtest_main's): resolves the seed list before any
 // test runs. Precedence: --pf_fuzz_seed flag, then PF_FUZZ_SEED, then
 // PF_FUZZ_SEEDS (a count of consecutive seeds, for CI sharding), then the
-// 16-seed default.
+// 16-seed default; the regression seeds join every run but a single-seed one.
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
 
@@ -279,6 +333,11 @@ int main(int argc, char** argv) {
   } else {
     for (int i = 0; i < count; ++i) {
       seeds.push_back(pf::core::kSeedBase + static_cast<uint64_t>(i));
+    }
+    for (uint64_t seed : pf::core::kRegressionSeeds) {
+      if (seed >= pf::core::kSeedBase + static_cast<uint64_t>(count)) {
+        seeds.push_back(seed);
+      }
     }
   }
   return RUN_ALL_TESTS();
