@@ -769,20 +769,19 @@ Engine::Verdict Engine::ExecRuleThreaded(const CompiledRuleset& rs, const RuleRe
       &&op_kRuleBegin,       &&op_kCheckOp,         &&op_kMatchSubject,
       &&op_kEnsureCtx,       &&op_kCheckProgram,    &&op_kCheckEptOff,
       &&op_kCheckIno,        &&op_kMatchObject,     &&op_kMatchState,
-      &&op_kMatchSignal,     &&op_kMatchSyscallArg, &&op_kMatchCompare,
-      &&op_kMatchInterp,     &&op_kMatchNative,     &&op_kAccept,
-      &&op_kDrop,            &&op_kReturn,          &&op_kContinue,
-      &&op_kJump,            &&op_kStateSet,        &&op_kStateUnset,
-      &&op_kLog,             &&op_kTargetNative,    &&op_kMatchStateEq,
-      &&op_kMatchStateNe,    &&op_kMatchSyscallNrEq, &&op_kMatchSyscallNrNe,
-      &&op_kMatchSyscallArgEq, &&op_kMatchSyscallArgNe, &&op_kMatchCompareEq,
-      &&op_kMatchCompareNe,  &&op_kMatchPhase,  // 32 == kPfOpCount - 1
-// 223 out-of-range slots (33..255), all skipping the instruction.
+      &&op_kMatchSignal,     &&op_kMatchInterp,     &&op_kMatchNative,
+      &&op_kAccept,          &&op_kDrop,            &&op_kReturn,
+      &&op_kContinue,        &&op_kJump,            &&op_kStateSet,
+      &&op_kStateUnset,      &&op_kLog,             &&op_kTargetNative,
+      &&op_kMatchStateEq,    &&op_kMatchStateNe,    &&op_kMatchSyscallNrEq,
+      &&op_kMatchSyscallNrNe, &&op_kMatchSyscallArgEq, &&op_kMatchSyscallArgNe,
+      &&op_kMatchCompareEq,  &&op_kMatchCompareNe,  &&op_kMatchPhase,  // 30 == kPfOpCount - 1
+// 225 out-of-range slots (31..255), all skipping the instruction.
 #define PF_INVALID8 \
   &&op_invalid, &&op_invalid, &&op_invalid, &&op_invalid, &&op_invalid, &&op_invalid, \
       &&op_invalid, &&op_invalid
       &&op_invalid, &&op_invalid, &&op_invalid, &&op_invalid, &&op_invalid,
-      &&op_invalid, &&op_invalid,
+      &&op_invalid, &&op_invalid, &&op_invalid, &&op_invalid,
       PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8,
       PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8,
       PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8, PF_INVALID8,
@@ -790,7 +789,7 @@ Engine::Verdict Engine::ExecRuleThreaded(const CompiledRuleset& rs, const RuleRe
       PF_INVALID8,
 #undef PF_INVALID8
   };
-  static_assert(kPfOpCount == 33, "keep the label table in sync with PfOp");
+  static_assert(kPfOpCount == 31, "keep the label table in sync with PfOp");
 
 #define PF_NEXT                          \
   do {                                   \

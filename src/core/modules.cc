@@ -409,16 +409,13 @@ std::string LogTarget::Render() const {
 // base-class default, and run through the kMatchNative/kTargetNative escapes.
 
 bool StateMatch::Lower(ProgramBuilder& b) const {
-  // The comparison-sense branch is resolved at compile time: --cmp lowers to
-  // a specialized Eq/Ne form so the evaluator never tests kPfHasCmp or
-  // kPfNegate on the hot path. The flags are still set — the disassembler
-  // renders all three forms identically off the flag bits, and the generic
-  // kMatchState handler stays correct for hand-built programs.
+  // The comparison sense is resolved at compile time: --cmp lowers to the
+  // Eq/Ne form, so the evaluator never tests kPfNegate on the hot path. The
+  // flag is still set for the disassembler, which renders --nequal off it.
   PfInsn insn{};
   insn.op = static_cast<uint8_t>(PfOp::kMatchState);
   insn.a = b.InternString(key);
   if (cmp) {
-    insn.flags |= kPfHasCmp;
     insn.b = b.InternOperand(*cmp);
     insn.op = static_cast<uint8_t>(negate ? PfOp::kMatchStateNe : PfOp::kMatchStateEq);
   }

@@ -202,14 +202,12 @@ std::string RenderInsn(const PfProgram& prog, const RuleRecord& rec, const PfIns
       oss << "MATCH_OBJECT " << RenderLabelSet(prog, insn.a, labels);
       break;
     case PfOp::kMatchState:
+      oss << "MATCH_STATE --key " << prog.strings[insn.a];
+      break;
     case PfOp::kMatchStateEq:
     case PfOp::kMatchStateNe:
-      // Specialized forms carry the same flags as their generic twin, so one
-      // renderer covers all three and listings are specialization-invariant.
-      oss << "MATCH_STATE --key " << prog.strings[insn.a];
-      if ((insn.flags & kPfHasCmp) != 0) {
-        oss << " --cmp " << prog.operands[insn.b].Render() << " " << EqFlag(insn.flags);
-      }
+      oss << "MATCH_STATE --key " << prog.strings[insn.a] << " --cmp "
+          << prog.operands[insn.b].Render() << " " << EqFlag(insn.flags);
       break;
     case PfOp::kMatchSignal:
       oss << "MATCH_SIGNAL";
@@ -220,7 +218,6 @@ std::string RenderInsn(const PfProgram& prog, const RuleRecord& rec, const PfIns
         oss << " --nequal";
       }
       break;
-    case PfOp::kMatchSyscallArg:
     case PfOp::kMatchSyscallNrEq:
     case PfOp::kMatchSyscallNrNe:
     case PfOp::kMatchSyscallArgEq:
@@ -228,7 +225,6 @@ std::string RenderInsn(const PfProgram& prog, const RuleRecord& rec, const PfIns
       oss << "MATCH_SYSCALL_ARG --arg " << insn.aux << " " << EqFlag(insn.flags) << " "
           << static_cast<int64_t>(insn.b);
       break;
-    case PfOp::kMatchCompare:
     case PfOp::kMatchCompareEq:
     case PfOp::kMatchCompareNe:
       oss << "MATCH_COMPARE --v1 " << prog.operands[insn.b].Render() << " --v2 "
@@ -340,14 +336,13 @@ LiveCounts CountLive(const PfProgram& prog) {
           touch_ls(insn.a);
           break;
         case PfOp::kMatchState:
+          touch_str(insn.a);
+          break;
         case PfOp::kMatchStateEq:
         case PfOp::kMatchStateNe:
           touch_str(insn.a);
-          if ((insn.flags & kPfHasCmp) != 0) {
-            ++lc.operands;  // operands are interned per use, never deduped
-          }
+          ++lc.operands;  // operands are interned per use, never deduped
           break;
-        case PfOp::kMatchCompare:
         case PfOp::kMatchCompareEq:
         case PfOp::kMatchCompareNe:
           lc.operands += 2;

@@ -54,10 +54,8 @@ enum class PfOp : uint8_t {
   kCheckEptOff,     // b = binary-relative PC (-i)
   kCheckIno,        // b = inode number (--ino)
   kMatchObject,     // a = labelset pool index (-d)
-  kMatchState,      // a = key string idx, b = cmp operand idx (kFlagHasCmp)
+  kMatchState,      // a = key string idx (presence; --cmp lowers to Eq/Ne)
   kMatchSignal,     // SIGNAL_MATCH (no operands)
-  kMatchSyscallArg, // aux = arg index, b = value (as uint64)
-  kMatchCompare,    // b = operand idx v1, c = operand idx v2
   kMatchInterp,     // a = suffix string idx, aux = lang + 1 (0 = any)
   kMatchNative,     // a = native-match pool index (virtual escape)
   kAccept,          // terminal verdicts --------------------------------
@@ -69,22 +67,19 @@ enum class PfOp : uint8_t {
   kStateUnset,      // a = key string idx
   kLog,             // a = prefix string idx
   kTargetNative,    // a = native-target pool index (virtual escape)
-  // Compile-time-specialized forms, appended so the base opcodes keep their
-  // numbering. Lowering resolves the operand-kind and comparison-sense
-  // branches of the generic ops above at compile time (the --cmp / --nequal
-  // flags, the arg-0-means-syscall-nr convention), so the threaded hot loop
-  // dispatches straight to a handler with no per-insn flag tests. The
-  // generic forms stay executable (hand-built programs, older dumps) and
-  // every specialized form disassembles to the same text as its generic
-  // twin — listings are invariant under specialization.
-  kMatchStateEq,      // kMatchState + kPfHasCmp, equal sense
-  kMatchStateNe,      // kMatchState + kPfHasCmp + kPfNegate
-  kMatchSyscallNrEq,  // kMatchSyscallArg with aux == 0 (the syscall number)
+  // Compile-time-specialized forms. Lowering resolves the comparison sense
+  // (--nequal) and the arg-0-means-syscall-nr convention at compile time, so
+  // the hot loop dispatches straight to a handler with no per-insn flag
+  // tests. The Ne forms still carry kPfNegate, which the disassembler reads
+  // to render --nequal.
+  kMatchStateEq,      // STATE --cmp: a = key string idx, b = cmp operand idx
+  kMatchStateNe,      // STATE --cmp --nequal
+  kMatchSyscallNrEq,  // SYSCALL_ARGS --arg 0 (the syscall number), b = value
   kMatchSyscallNrNe,
-  kMatchSyscallArgEq,  // kMatchSyscallArg with aux >= 1 (argument aux - 1)
+  kMatchSyscallArgEq,  // SYSCALL_ARGS --arg aux >= 1 (argument aux - 1)
   kMatchSyscallArgNe,
-  kMatchCompareEq,  // kMatchCompare, equal sense
-  kMatchCompareNe,  // kMatchCompare + kPfNegate
+  kMatchCompareEq,  // COMPARE: b = operand idx v1, c = operand idx v2
+  kMatchCompareNe,  // COMPARE --nequal
   // Temporal-phase guard (PHASE match, DESIGN.md §5i): compares the task's
   // current phase — STATE dictionary key "@phase", or the distinguished
   // "init" phase while the key is absent — against a phase-name id.
@@ -97,7 +92,6 @@ inline constexpr uint32_t kPfOpCount = static_cast<uint32_t>(PfOp::kMatchPhase) 
 
 // Instruction flags.
 inline constexpr uint8_t kPfNegate = 1u << 0;  // --nequal / negated compare
-inline constexpr uint8_t kPfHasCmp = 1u << 1;  // STATE match carries --cmp
 
 // Sentinel for "no pool entry / unresolved chain".
 inline constexpr uint32_t kPfNoIndex = 0xffffffffu;

@@ -135,12 +135,12 @@ struct Verifier {
         LabelSet(insn.a, "MATCH_OBJECT");
         break;
       case PfOp::kMatchState:
+        String(insn.a, "MATCH_STATE");
+        break;
       case PfOp::kMatchStateEq:
       case PfOp::kMatchStateNe:
         String(insn.a, "MATCH_STATE");
-        if (op != PfOp::kMatchState || (insn.flags & kPfHasCmp) != 0) {
-          Operand(insn.b, "MATCH_STATE --cmp");
-        }
+        Operand(insn.b, "MATCH_STATE --cmp");
         break;
       case PfOp::kMatchSignal:
         break;
@@ -149,28 +149,23 @@ struct Verifier {
         // name dereferences a pool.
         String(insn.a, "MATCH_PHASE");
         break;
-      case PfOp::kMatchSyscallArg:
       case PfOp::kMatchSyscallArgEq:
       case PfOp::kMatchSyscallArgNe:
       case PfOp::kMatchSyscallNrEq:
       case PfOp::kMatchSyscallNrNe: {
-        // aux == 0 reads the syscall number; aux >= 1 indexes the request's
-        // fixed argument array (AccessRequest::args, 4 slots). The Nr/Arg
-        // specializations additionally pin which of the two they are.
+        // The Nr forms read the syscall number and carry aux == 0; the Arg
+        // forms index the request's fixed argument array
+        // (AccessRequest::args, 4 slots) with aux - 1.
         const bool wants_nr = op == PfOp::kMatchSyscallNrEq || op == PfOp::kMatchSyscallNrNe;
-        const bool wants_arg =
-            op == PfOp::kMatchSyscallArgEq || op == PfOp::kMatchSyscallArgNe;
         constexpr uint16_t kArgSlots =
             std::tuple_size_v<decltype(sim::AccessRequest::args)>;
-        if (insn.aux > kArgSlots || (wants_nr && insn.aux != 0) ||
-            (wants_arg && insn.aux == 0)) {
+        if (insn.aux > kArgSlots || wants_nr != (insn.aux == 0)) {
           ErrCur("syscall-arg-oob",
               "MATCH_SYSCALL_ARG --arg " + std::to_string(insn.aux) +
                   " outside the request's argument slots");
         }
         break;
       }
-      case PfOp::kMatchCompare:
       case PfOp::kMatchCompareEq:
       case PfOp::kMatchCompareNe:
         Operand(insn.b, "MATCH_COMPARE --v1");
