@@ -208,9 +208,9 @@ void BM_AuthorizeCompiledAudited(benchmark::State& state) {
 }
 BENCHMARK(BM_AuthorizeCompiledAudited)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->Arg(2048);
 
-// Commit-time cost of the whole compilation pipeline (bucket build + arena
-// lowering) over the staging rule base — the price paid once per pftables
-// mutation, amortized over every subsequent hook.
+// Commit-time cost of the whole compilation pipeline (bucket build, arena
+// lowering, verification) over the staging rule base — the price every
+// pftables commit pays, since each one relowers the whole base.
 void BM_CompileProgram(benchmark::State& state) {
   System sys;
   sys.InstallRules(SyntheticRuleBase(static_cast<int>(state.range(0))));
@@ -226,44 +226,9 @@ void BM_CompileProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_CompileProgram)->Arg(128)->Arg(1218)->Arg(2048)->Arg(100000);
 
-// Incremental delta-commits: one-rule churn in a tiny `edits` chain against
-// a 100k-rule committed base. CommitRuleset detects the single dirty chain
-// (Chain::edit_seq), relowers only it into a copy of the published arena,
-// and delta-verifies just the appended records — the bench-smoke CI job
-// asserts this stays under 5% of the from-scratch BM_CompileProgram/100000
-// time. The alternating append/delete keeps the staged base size-stable so
-// every iteration measures the same one-edit delta.
-void BM_IncrementalCommit(benchmark::State& state) {
-  System sys;
-  sys.InstallRules(SyntheticRuleBase(static_cast<int>(state.range(0))));
-  core::Pftables& pft = *sys.pftables;
-  // Creating `edits` changes the chain-name set, so this first commit is a
-  // full compile; every commit in the timed loop then deltas against it.
-  pft.Exec("pftables -N edits");
-  if (core::Status s = pft.Exec("pftables -A edits -o FILE_OPEN -d shadow_t -j DROP");
-      !s.ok()) {
-    state.SkipWithError(s.message().c_str());
-    return;
-  }
-  bool add = true;
-  for (auto _ : state) {
-    core::Status s = add ? pft.Exec("pftables -A edits -o FILE_OPEN -d shadow_t -j DROP")
-                         : pft.Exec("pftables -D edits 2");
-    if (!s.ok()) {
-      state.SkipWithError(s.message().c_str());
-      return;
-    }
-    add = !add;
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["delta_commits"] = static_cast<double>(sys.engine->delta_commits());
-  state.counters["full_commits"] = static_cast<double>(sys.engine->full_commits());
-}
-BENCHMARK(BM_IncrementalCommit)->Arg(1218)->Arg(100000);
-
 // The load-time verifier pass alone, over an already-lowered program: the
 // marginal cost verification adds to every commit. The bench-smoke CI job
-// asserts it stays under 5% of BM_CompileProgram at 1218 rules.
+// asserts it stays under 10% of BM_CompileProgram at 1218 rules.
 void BM_VerifyProgram(benchmark::State& state) {
   System sys;
   sys.InstallRules(SyntheticRuleBase(static_cast<int>(state.range(0))));

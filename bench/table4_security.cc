@@ -58,8 +58,7 @@ bool VerifyAuditTrail(System& sys, const char* exploit_id, std::ofstream& sink) 
     bool found = false;
     if (rs != nullptr) {
       for (const core::RuleRecord& rr : rs->program.rules) {
-        if (rr.rule != nullptr && rr.chain_id == key.first &&
-            static_cast<int32_t>(rr.chain_index) == key.second) {
+        if (rr.chain_id == key.first && static_cast<int32_t>(rr.chain_index) == key.second) {
           hits = rr.rule->hits.load(std::memory_order_relaxed);
           found = true;
         }

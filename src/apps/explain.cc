@@ -40,7 +40,7 @@ ExplainResult ExplainRequest(core::Engine& engine, sim::AccessRequest& req) {
   }
   (void)hub.Drain();  // discard any backlog: drained events must be ours alone
 
-  // Per-rule counter snapshot over the published program's live records. The
+  // Per-rule counter snapshot over the published program's records. The
   // Rule atomics are shared with the staging base, so the snapshot sees
   // exactly the counters the evaluator moves.
   const std::shared_ptr<const core::CompiledRuleset> rs = engine.PublishedRuleset();
@@ -48,9 +48,6 @@ ExplainResult ExplainRequest(core::Engine& engine, sim::AccessRequest& req) {
   if (rs != nullptr) {
     counters.reserve(rs->program.rules.size());
     for (const core::RuleRecord& rr : rs->program.rules) {
-      if (rr.rule == nullptr) {
-        continue;  // dead delta-commit record, unreachable
-      }
       counters.push_back({rr.rule, rr.chain_id, rr.chain_index,
                           rr.rule->evals.load(kRelaxed), rr.rule->hits.load(kRelaxed)});
     }

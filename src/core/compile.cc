@@ -8,11 +8,9 @@
 // subject precheck, one context round-trip, the entrypoint/object default
 // matches, -m modules, target).
 //
-// Two entry points share the per-chain machinery: LowerProgram builds a
-// program from scratch, LowerProgramDelta copies the previous generation's
-// program, marks the dirty chains' records dead, and re-lowers only those
-// chains — appending their bodies, slices, and classifier tables to the
-// copied arena and pools (DESIGN.md §5g).
+// Every commit lowers the whole staging rule base into a fresh program, the
+// way iptables commits a rule change by replacing the whole table (DESIGN.md
+// §5g).
 #include <algorithm>
 #include <chrono>
 #include <map>
@@ -185,11 +183,6 @@ uint32_t NextPow2(uint32_t v) {
 }
 
 void BuildBucketClassifier(PfProgram& prog, ProgramBucket& pb) {
-  pb.residual_off = 0;
-  pb.residual_len = 0;
-  pb.tuple_off = 0;
-  pb.tuple_cnt = 0;
-  pb.tuple_dims = 0;
   pb.has_classifier = pb.all_len > 0;
   if (!pb.has_classifier) {
     return;
@@ -252,7 +245,7 @@ void BuildBucketClassifier(PfProgram& prog, ProgramBucket& pb) {
   }
 }
 
-// --- per-chain lowering helpers (shared by full and delta builds) ------------
+// --- per-chain lowering helpers ---------------------------------------------
 
 void LowerChainRules(ProgramBuilder& b, PfProgram& prog, int32_t id, const Chain& chain,
                      std::unordered_map<const Rule*, uint32_t>& rec_of,
@@ -293,15 +286,11 @@ void BuildChainTables(CompiledRuleset& snap, const Chain& chain, int32_t id,
     std::tie(pb.plain_off, pb.plain_len) = slice(ob.plain);
     pb.has_indexed = ob.has_indexed;
   }
-  if (chain.index_built() && !chain.ept_index().empty()) {
-    auto ept = std::make_shared<EptSliceMap>();
-    ept->reserve(chain.ept_index().size());
+  if (chain.index_built()) {
+    pc.ept.reserve(chain.ept_index().size());
     for (const auto& [key, rules] : chain.ept_index()) {
-      ept->emplace(key, slice(rules));
+      pc.ept.emplace(key, slice(rules));
     }
-    pc.ept = std::move(ept);
-  } else {
-    pc.ept.reset();
   }
 }
 
@@ -346,96 +335,6 @@ analysis::AnalysisReport LowerProgram(CompiledRuleset& snap) {
   // Phase 4: the tuple-space classifier over every bucket's `all` slice.
   const auto t0 = std::chrono::steady_clock::now();
   for (ProgramChain& pc : prog.chains) {
-    for (ProgramBucket& pb : pc.ops) {
-      BuildBucketClassifier(prog, pb);
-    }
-  }
-  prog.classifier_build_ns += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                           t0)
-          .count());
-  return report;
-}
-
-analysis::AnalysisReport LowerProgramDelta(CompiledRuleset& snap, const PfProgram& prev,
-                                          const std::vector<std::string>& dirty_names) {
-  analysis::AnalysisReport report;
-  PfProgram& prog = snap.program;
-  // Prime the append-heavy pools with headroom before the base copy. When
-  // `snap` recycles a retired generation's buffers (Engine::CompileRulesetDelta)
-  // a bare operator= would size them exactly, and the phase-2 appends below
-  // would immediately reallocate — paying the full-pool copy twice. clear()
-  // first so a growing reserve moves no stale bytes.
-  const auto prime = [](auto& pool, size_t need) {
-    if (pool.capacity() < need) {
-      pool.clear();
-      pool.reserve(need);
-    }
-  };
-  prime(prog.arena, prev.arena.size() + prev.arena.size() / 8 + 1024);
-  prime(prog.entries, prev.entries.size() + prev.entries.size() / 8 + 256);
-  prime(prog.rules, prev.rules.size() + prev.rules.size() / 8 + 64);
-  prime(prog.tuple_slots, prev.tuple_slots.size() + prev.tuple_slots.size() / 8 + 256);
-  prime(prog.tuple_tables, prev.tuple_tables.size() + 64);
-  prog = prev;  // copy-on-write: the base generation stays live and untouched
-  ProgramBuilder b(prog);
-  Table& filter = snap.rules.filter();
-
-  std::vector<std::string> dirty(dirty_names);
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-
-  // Phase 1: mark the dirty chains' old records dead. Dead records keep
-  // their arena words (the suffix append never moves live code) but are
-  // unreachable from every live dispatch table; their reclaimable size
-  // accumulates until Engine::CommitRuleset's compaction threshold forces a
-  // from-scratch relower.
-  for (const std::string& name : dirty) {
-    ProgramChain& pc = prog.chains[static_cast<size_t>(prog.chain_ids.at(name))];
-    for (uint32_t rec_idx : pc.rules) {
-      RuleRecord& rec = prog.rules[rec_idx];
-      prog.dead_arena_words += rec.end - rec.entry;
-      ++prog.dead_rule_records;
-      rec.rule = nullptr;
-    }
-    for (const ProgramBucket& pb : pc.ops) {
-      prog.dead_entry_slots += pb.all_len + pb.plain_len + pb.residual_len;
-      for (uint32_t t = 0; t < pb.tuple_cnt; ++t) {
-        const TupleTable& table = prog.tuple_tables[pb.tuple_off + t];
-        for (uint32_t s = 0; s < table.slot_count; ++s) {
-          prog.dead_entry_slots += prog.tuple_slots[table.slot_off + s].len;
-        }
-      }
-    }
-    if (pc.ept) {
-      for (const auto& [key, sl] : *pc.ept) {
-        prog.dead_entry_slots += sl.second;
-      }
-    }
-    pc.rules.clear();
-    pc.ops.fill(ProgramBucket{});
-    pc.ept.reset();
-  }
-
-  // Phase 2: re-lower the dirty chains (name-sorted), appending bodies,
-  // slices, and classifier tables. Clean chains' tables are byte-identical
-  // to the (already verified) base generation.
-  std::unordered_map<const Rule*, uint32_t> rec_of;
-  for (const std::string& name : dirty) {
-    const Chain* chain = filter.Find(name);
-    const int32_t id = prog.chain_ids.at(name);
-    ProgramChain& pc = prog.chains[static_cast<size_t>(id)];
-    pc.policy_drop = chain->policy() == Chain::Policy::kDrop;
-    pc.index_built = chain->index_built();
-    LowerChainRules(b, prog, id, *chain, rec_of, report);
-  }
-  for (const std::string& name : dirty) {
-    const Chain* chain = filter.Find(name);
-    BuildChainTables(snap, *chain, prog.chain_ids.at(name), rec_of);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const std::string& name : dirty) {
-    ProgramChain& pc = prog.chains[static_cast<size_t>(prog.chain_ids.at(name))];
     for (ProgramBucket& pb : pc.ops) {
       BuildBucketClassifier(prog, pb);
     }

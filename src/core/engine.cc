@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 
 #include "src/core/modules.h"
 #include "src/core/verify.h"
@@ -165,8 +164,7 @@ bool NrMayMatch(uint64_t nr_mask, sim::SyscallNr nr) {
 }
 
 // Pass 1 for one chain: per-(chain, op) dispatch buckets and the
-// SYSCALL_BEGIN number mask. Shared by the full and the incremental compile
-// (which recomputes only dirty chains and copies the rest).
+// SYSCALL_BEGIN number mask.
 void BuildChainBuckets(const Chain& chain, CompiledChain& cc) {
   cc.op_mask = 0;
   for (size_t op = 0; op < sim::kOpCount; ++op) {
@@ -193,14 +191,13 @@ void BuildChainBuckets(const Chain& chain, CompiledChain& cc) {
   }
 }
 
-// Pass 3 of both compiles: the load-time verifier (verify.h). The evaluator
-// trusts every arena fetch; this pass is where that trust is earned. The
-// lowering pass's refusals join the verifier's findings, and CommitRuleset
-// refuses to publish a snapshot with errors of either kind.
-void VerifySnapshot(CompiledRuleset& snap, const analysis::AnalysisReport& lowering,
-                    const VerifyOptions& opts) {
+// Pass 3: the load-time verifier (verify.h). The evaluator trusts every
+// arena fetch; this pass is where that trust is earned. The lowering pass's
+// refusals join the verifier's findings, and CommitRuleset refuses to
+// publish a snapshot with errors of either kind.
+void VerifySnapshot(CompiledRuleset& snap, const analysis::AnalysisReport& lowering) {
   const auto t0 = std::chrono::steady_clock::now();
-  VerifyResult vr = VerifyProgram(snap.program, opts);
+  VerifyResult vr = VerifyProgram(snap.program);
   snap.verify_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -238,123 +235,21 @@ std::shared_ptr<CompiledRuleset> Engine::CompileRuleset() const {
   // (compile.cc) — re-points the buckets just built at entry-table slices.
   const analysis::AnalysisReport lowering = LowerProgram(*snap);
   // Pass 3: the load-time verifier.
-  VerifySnapshot(*snap, lowering, VerifyOptions{});
-  return snap;
-}
-
-bool Engine::CanDeltaCompile(const CompiledRuleset& prev,
-                             std::vector<std::string>* dirty) const {
-  // Delta verification relies on the base program's untouched prefix having
-  // been proven when it published, which every published generation was.
-  if (!config_.incremental_commits) {
-    return false;
-  }
-  // Compaction threshold: once half the arena is dead, relower from scratch
-  // (bounds memory to 2x the live program across any edit history).
-  const PfProgram& pp = prev.program;
-  if (pp.dead_arena_words * 2 > pp.arena.size()) {
-    return false;
-  }
-  // Chain ids are positional: any change to the chain-name set reshuffles
-  // them, so only same-set edits take the delta path.
-  const auto& staged = ruleset_.filter().chains();
-  const auto& base = prev.rules.filter().chains();
-  if (staged.size() != base.size()) {
-    return false;
-  }
-  auto bit = base.begin();
-  for (const auto& [name, chain] : staged) {
-    if (bit->first != name) {
-      return false;
-    }
-    // edit_seq covers rule-list and policy mutations; index_built is derived
-    // state (pftables reindexes per command) and is compared separately.
-    if (chain.edit_seq() != bit->second.edit_seq() ||
-        chain.index_built() != bit->second.index_built()) {
-      dirty->push_back(name);
-    }
-    ++bit;
-  }
-  return true;
-}
-
-std::shared_ptr<CompiledRuleset> Engine::CompileRulesetDelta(
-    const CompiledRuleset& prev, const std::vector<std::string>& dirty) const {
-  // Recycle the retired generation's allocations when nothing still pins it:
-  // the copy-assignments below then reuse its vector pages and its map/chain
-  // nodes (libstdc++ recycles nodes on container copy-assignment) instead of
-  // faulting in a fresh ~40MB working set per commit. The compiled map and
-  // derived pointers are keyed by the previous generation's chain addresses,
-  // so they are cleared rather than reused.
-  std::shared_ptr<CompiledRuleset> snap;
-  {
-    std::lock_guard<std::mutex> lock(commit_mu_);
-    if (retired_ && retired_.use_count() == 1) {
-      snap = std::const_pointer_cast<CompiledRuleset>(retired_);
-      retired_.reset();
-    }
-  }
-  if (snap == nullptr) {
-    snap = std::make_shared<CompiledRuleset>();
-  } else {
-    snap->compiled.clear();
-    snap->verify_report = analysis::AnalysisReport();
-    snap->verified = false;
-    snap->verify_ns = 0;
-  }
-  snap->rules = ruleset_;
-  snap->input = snap->rules.filter().Find("input");
-  snap->output = snap->rules.filter().Find("output");
-  snap->create = snap->rules.filter().Find("create");
-  snap->syscallbegin = snap->rules.filter().Find("syscallbegin");
-
-  Table& filter = snap->rules.filter();
-  std::set<std::string> dirty_set(dirty.begin(), dirty.end());
-  // Pass 1: recompute buckets for dirty chains; copy the clean chains' from
-  // the base generation. Rule objects are shared between generations, so a
-  // copied bucket's pointer lists stay valid.
-  for (auto& [name, chain] : filter.chains()) {
-    CompiledChain& cc = snap->compiled[&chain];
-    if (dirty_set.count(name) == 0) {
-      cc = prev.compiled.at(prev.rules.filter().Find(name));
-      cc.chain = &chain;
-    } else {
-      cc.chain = &chain;
-      BuildChainBuckets(chain, cc);
-    }
-  }
-  snap->cc_input = snap->FindCompiled("input");
-  snap->cc_output = snap->FindCompiled("output");
-  snap->cc_create = snap->FindCompiled("create");
-  snap->cc_syscallbegin = snap->FindCompiled("syscallbegin");
-  // Pass 2: splice — copy the base program, kill the dirty chains' records,
-  // append their relowered bodies and tables (compile.cc).
-  const analysis::AnalysisReport lowering = LowerProgramDelta(*snap, prev.program, dirty);
-  // Pass 3: delta verification. The untouched prefix was proven when the
-  // base generation published and the splice never rewrites it (dead
-  // marking only clears RuleRecord::rule), so the verifier re-checks the
-  // appended records, the rebuilt chains' dispatch tables, and the global
-  // properties (arena alignment, jump-depth proof) that span generations.
-  VerifyOptions opts;
-  opts.delta = true;
-  opts.from_record = static_cast<uint32_t>(prev.program.rules.size());
-  for (const std::string& name : dirty_set) {
-    opts.recheck_chains.push_back(snap->program.chain_ids.at(name));
-  }
-  VerifySnapshot(*snap, lowering, opts);
+  VerifySnapshot(*snap, lowering);
   return snap;
 }
 
 Status Engine::CommitRuleset() {
-  std::shared_ptr<const CompiledRuleset> prev;
+  // Free the generation the previous commit displaced (see displaced_)
+  // outside the lock, and before the next one is built, so a compile never
+  // runs with three generations live.
+  std::shared_ptr<const CompiledRuleset> displaced;
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
-    prev = published_;
+    displaced.swap(displaced_);
   }
-  std::vector<std::string> dirty;
-  const bool delta = prev != nullptr && CanDeltaCompile(*prev, &dirty);
-  std::shared_ptr<CompiledRuleset> snap =
-      delta ? CompileRulesetDelta(*prev, dirty) : CompileRuleset();
+  displaced.reset();
+  std::shared_ptr<CompiledRuleset> snap = CompileRuleset();
   if (!snap->verified) {
     // Abort the publish: hook evaluation keeps serving the previous
     // generation, exactly as if the commit never happened. (The staging
@@ -366,13 +261,10 @@ Status Engine::CommitRuleset() {
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
     snap->generation = generation_.load(kRelaxed) + 1;
-    // Keep the generation being unpublished for allocation recycling (see
-    // retired_). The generation it displaces is freed here if unpinned.
-    retired_ = std::move(published_);
+    displaced_ = std::move(published_);
     published_ = std::move(snap);
     generation_.store(published_->generation, std::memory_order_release);
   }
-  (delta ? delta_commits_ : full_commits_).fetch_add(1, kRelaxed);
   return Status::Ok();
 }
 
@@ -1034,11 +926,11 @@ Engine::Verdict Engine::ExecChain(const CompiledRuleset& rs, const ProgramChain&
         return v;
       }
     }
-    if (bucket.has_indexed && pc.ept) {
+    if (bucket.has_indexed) {
       EnsureContext(pkt, CtxBit(Ctx::kEntrypoint));
       if (pkt.entrypoint_valid) {
-        auto it = pc.ept->find(EptKey{pkt.entrypoint.image, pkt.entrypoint.offset});
-        if (it != pc.ept->end()) {
+        auto it = pc.ept.find(EptKey{pkt.entrypoint.image, pkt.entrypoint.offset});
+        if (it != pc.ept.end()) {
           StatsLocal().ept_chain_hits.fetch_add(1, kRelaxed);
           return ExecEntries(rs, it->second.first, it->second.second,
                              /*op_checked=*/false, pkt, depth);

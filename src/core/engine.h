@@ -93,12 +93,6 @@ struct EngineConfig {
   // classifier is the 100k-rule scaling path (benches and the ablation rung
   // turn it on).
   bool tuple_dispatch = false;
-  // Incremental CommitRuleset: when the staging edit touched only some
-  // chains (per-chain edit sequences), copy the published program and
-  // re-lower just the dirty chains instead of relowering everything. The
-  // delta program is bit-equivalent to a from-scratch relower (churn test)
-  // and is still verifier-gated before publication.
-  bool incremental_commits = true;
   // Audit mode: evaluate rules and count/log would-be denials, but allow
   // everything. This is how an OS distributor shakes out false positives
   // before enforcing a generated rule base (paper §6.3.2).
@@ -331,9 +325,11 @@ class Engine : public sim::SecurityModule {
 
   // Publishes the staging rule base as a new immutable generation. Called by
   // Pftables after every successful mutating command; safe to call while
-  // worker threads evaluate. When the load-time verifier rejects the
-  // compiled program, or a module cannot be lowered, nothing is published —
-  // the live generation keeps serving and the error carries the report.
+  // worker threads evaluate. Like an iptables table replace, every commit
+  // lowers and verifies the whole staging base (CompileRuleset). When the
+  // load-time verifier rejects the compiled program, or a module cannot be
+  // lowered, nothing is published — the live generation keeps serving and
+  // the error carries the report.
   Status CommitRuleset();
 
   // Compiles the staging rule base into a CompiledRuleset snapshot without
@@ -343,23 +339,10 @@ class Engine : public sim::SecurityModule {
   // staging edits, with no effect on the live generation.
   std::shared_ptr<CompiledRuleset> CompileRuleset() const;
 
-  // Incremental twin of CompileRuleset: copies `prev`'s program and
-  // recompiles only the chains named in `dirty` (see EngineConfig::
-  // incremental_commits). Requires the staging chain-name set to equal
-  // prev's; CommitRuleset checks that via CanDeltaCompile.
-  std::shared_ptr<CompiledRuleset> CompileRulesetDelta(
-      const CompiledRuleset& prev, const std::vector<std::string>& dirty) const;
-
-  // True when an incremental recompile against `prev` is sound; fills
-  // `dirty` with the names of the chains whose edit sequence (or derived
-  // index state) diverged from the published copy.
-  bool CanDeltaCompile(const CompiledRuleset& prev,
-                       std::vector<std::string>* dirty) const;
-
   // The currently published generation (nullptr before the first commit
   // completes — the constructor commits generation 1, so users always see a
-  // snapshot). Tests and tools use this to inspect the delta-built program
-  // that hooks actually execute; the hot path pins via worker slots instead.
+  // snapshot). Tests and tools use this to inspect the program hooks
+  // actually execute; the hot path pins via worker slots instead.
   std::shared_ptr<const CompiledRuleset> PublishedRuleset() const {
     std::lock_guard<std::mutex> lock(commit_mu_);
     return published_;
@@ -368,10 +351,11 @@ class Engine : public sim::SecurityModule {
   uint64_t ruleset_generation() const {
     return generation_.load(std::memory_order_acquire);
   }
-  // Commit-path split: how many publications went through the incremental
-  // delta path vs a from-scratch relower (includes the compaction fallback).
-  uint64_t delta_commits() const { return delta_commits_.load(std::memory_order_relaxed); }
-  uint64_t full_commits() const { return full_commits_.load(std::memory_order_relaxed); }
+  // Every commit relowers the whole rule base, so delta_commits() always
+  // reads 0 and full_commits() counts every publication. They stay for
+  // readers that still report a delta-commit ratio (the perfbench ledger).
+  uint64_t delta_commits() const { return 0; }
+  uint64_t full_commits() const { return ruleset_generation(); }
 
   // The task's PfTaskState, created on first use in the task's slot.
   PfTaskState& TaskState(sim::Task& task);
@@ -453,18 +437,14 @@ class Engine : public sim::SecurityModule {
     std::shared_ptr<const CompiledRuleset> snap;
     uint64_t generation = ~0ull;
   };
-  mutable std::mutex commit_mu_;  // guards published_/retired_ swaps
+  mutable std::mutex commit_mu_;  // guards published_/displaced_ swaps
   std::shared_ptr<const CompiledRuleset> published_;
-  // The generation most recently unpublished, kept so the next incremental
-  // compile can recycle its allocations: when no reader still pins it
-  // (use_count == 1), CompileRulesetDelta steals its containers and
-  // copy-assigns the new generation into them — warm pages and reusable
-  // map nodes instead of ~40MB of fresh allocations per one-rule commit at
-  // 100k-rule scale. Never handed out; only swapped under commit_mu_.
-  mutable std::shared_ptr<const CompiledRuleset> retired_;
+  // The generation the last commit displaced, freed by the next commit.
+  // Dropped at publish instead, its last reference would sit in a worker
+  // slot, and the first hook to re-pin would pay for freeing the whole
+  // generation (milliseconds at 100k rules) inside Authorize.
+  std::shared_ptr<const CompiledRuleset> displaced_;
   std::atomic<uint64_t> generation_{0};
-  std::atomic<uint64_t> delta_commits_{0};
-  std::atomic<uint64_t> full_commits_{0};
   std::array<WorkerSlot, kMaxWorkers> workers_;
 
   // Per-worker stats blocks (indices wrap; see EngineStatsBlock).

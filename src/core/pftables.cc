@@ -589,8 +589,13 @@ Status Pftables::Exec(const std::string& command) {
     }
   }
 
+  // The gates below all read one compile of the staged base.
+  std::shared_ptr<CompiledRuleset> staged;
+  if (check != CheckMode::kOff || (widening_gate && need_commit)) {
+    staged = engine_->CompileRuleset();
+  }
   if (check != CheckMode::kOff) {
-    last_check_ = analysis::AnalyzeEngine(*engine_);
+    last_check_ = analysis::AnalyzeRuleset(*staged, engine_->policy());
     if (check == CheckMode::kError && last_check_.HasErrors()) {
       engine_->ruleset() = std::move(*backup);
       ReindexAll(engine_->ruleset().filter());
@@ -603,8 +608,7 @@ Status Pftables::Exec(const std::string& command) {
     }
     // Shape of the tuple-space classifier the gated compile produced — the
     // operator-facing view of how much of the base Authorize can skip.
-    const std::shared_ptr<CompiledRuleset> checked = engine_->CompileRuleset();
-    const ClassifierStats cstats = ComputeClassifierStats(checked->program);
+    const ClassifierStats cstats = ComputeClassifierStats(staged->program);
     std::fprintf(stderr,
                  "pftables --check: classifier tables=%u tuples=%u max_slice=%u "
                  "residual=%u\n",
@@ -616,7 +620,6 @@ Status Pftables::Exec(const std::string& command) {
     // the decision space vetoes the command transactionally — the staged
     // edit rolls back and the published generation is never touched.
     const std::shared_ptr<const CompiledRuleset> published = engine_->PublishedRuleset();
-    const std::shared_ptr<CompiledRuleset> staged = engine_->CompileRuleset();
     if (published != nullptr) {
       const analysis::symbolic::DiffResult diff =
           analysis::symbolic::DiffRulesets(*published, *staged, engine_->policy());

@@ -18,7 +18,7 @@ uint32_t ProgramBuilder::Emit(const PfInsn& insn) {
 
 uint32_t ProgramBuilder::InternString(const std::string& s) {
   auto [it, inserted] =
-      prog_.intern_strings.try_emplace(s, static_cast<uint32_t>(prog_.strings.size()));
+      intern_strings_.try_emplace(s, static_cast<uint32_t>(prog_.strings.size()));
   if (inserted) {
     prog_.strings.push_back(s);
   }
@@ -35,7 +35,7 @@ uint32_t ProgramBuilder::InternLabelSet(const LabelSet& ls) {
     key << ',' << sid;
   }
   auto [it, inserted] =
-      prog_.intern_labelsets.try_emplace(key.str(), static_cast<uint32_t>(prog_.labelsets.size()));
+      intern_labelsets_.try_emplace(key.str(), static_cast<uint32_t>(prog_.labelsets.size()));
   if (inserted) {
     LabelSetRef ref;
     ref.off = static_cast<uint32_t>(prog_.sid_pool.size());
@@ -190,7 +190,7 @@ std::string RenderInsn(const PfProgram& prog, const RuleRecord& rec, const PfIns
     case PfOp::kCheckProgram:
       // The path comes from the side table: the insn itself carries only the
       // compiled FileId, whose dev/ino are kernel-instance specific.
-      oss << "CHECK_PROGRAM " << (rec.rule != nullptr ? rec.rule->program : "?");
+      oss << "CHECK_PROGRAM " << rec.rule->program;
       break;
     case PfOp::kCheckEptOff:
       oss << "CHECK_EPT_OFF 0x" << std::hex << insn.b << std::dec;
@@ -283,108 +283,17 @@ std::string RenderInsn(const PfProgram& prog, const RuleRecord& rec, const PfIns
   return oss.str();
 }
 
-// Live/referenced totals for the listing header. A delta-built program
-// carries dead records and pool entries superseded by later generations;
-// counting only what live rules reference keeps the listing byte-identical
-// to a from-scratch relower of the same rule base (for scratch programs the
-// referenced counts equal the raw pool sizes, since interning only happens
-// on behalf of emitted instructions).
-struct LiveCounts {
-  size_t rules = 0;
-  size_t insns = 0;
-  size_t arena_words = 0;
-  size_t strings = 0;
-  size_t labelsets = 0;
-  size_t sids = 0;
-  size_t operands = 0;
-  size_t native_matches = 0;
-  size_t native_targets = 0;
-};
-
-LiveCounts CountLive(const PfProgram& prog) {
-  LiveCounts lc;
-  std::vector<uint8_t> str_seen(prog.strings.size(), 0);
-  std::vector<uint8_t> ls_seen(prog.labelsets.size(), 0);
-  auto touch_str = [&](uint32_t idx) {
-    if (idx < str_seen.size() && str_seen[idx] == 0) {
-      str_seen[idx] = 1;
-      ++lc.strings;
-    }
-  };
-  auto touch_ls = [&](uint32_t idx) {
-    if (idx < ls_seen.size() && ls_seen[idx] == 0) {
-      ls_seen[idx] = 1;
-      ++lc.labelsets;
-      lc.sids += prog.labelsets[idx].len;
-    }
-  };
-  for (const RuleRecord& rec : prog.rules) {
-    if (rec.rule == nullptr) {
-      continue;  // dead record (superseded by a delta commit)
-    }
-    ++lc.rules;
-    lc.arena_words += rec.end - rec.entry;
-    if (rec.jump_name != kPfNoIndex) {
-      touch_str(rec.jump_name);
-    }
-    for (uint32_t pc = rec.entry; pc < rec.end; pc += kPfInsnWords) {
-      ++lc.insns;
-      const PfInsn insn = prog.Fetch(pc);
-      switch (static_cast<PfOp>(insn.op)) {
-        case PfOp::kMatchSubject:
-        case PfOp::kMatchObject:
-          touch_ls(insn.a);
-          break;
-        case PfOp::kMatchState:
-          touch_str(insn.a);
-          break;
-        case PfOp::kMatchStateEq:
-        case PfOp::kMatchStateNe:
-          touch_str(insn.a);
-          ++lc.operands;  // operands are interned per use, never deduped
-          break;
-        case PfOp::kMatchCompareEq:
-        case PfOp::kMatchCompareNe:
-          lc.operands += 2;
-          break;
-        case PfOp::kMatchInterp:
-        case PfOp::kMatchPhase:
-        case PfOp::kStateUnset:
-        case PfOp::kLog:
-          touch_str(insn.a);
-          break;
-        case PfOp::kStateSet:
-          touch_str(insn.a);
-          ++lc.operands;
-          break;
-        case PfOp::kJump:
-          touch_str(static_cast<uint32_t>(insn.b));
-          break;
-        case PfOp::kMatchNative:
-          ++lc.native_matches;  // native pools are per-use, like operands
-          break;
-        case PfOp::kTargetNative:
-          ++lc.native_targets;
-          break;
-        default:
-          break;
-      }
-    }
-  }
-  return lc;
-}
-
 }  // namespace
 
 std::string DisassemblePfProgram(const PfProgram& prog, const sim::LabelRegistry& labels) {
   std::ostringstream oss;
-  const LiveCounts lc = CountLive(prog);
-  oss << ";; pf program: chains=" << prog.chains.size() << " rules=" << lc.rules
-      << " insns=" << lc.insns << " arena_words=" << lc.arena_words << "\n";
-  oss << ";; pools: strings=" << lc.strings << " labelsets=" << lc.labelsets
-      << " sids=" << lc.sids << " operands=" << lc.operands
-      << " native_matches=" << lc.native_matches
-      << " native_targets=" << lc.native_targets << "\n";
+  oss << ";; pf program: chains=" << prog.chains.size() << " rules=" << prog.rules.size()
+      << " insns=" << prog.arena.size() / kPfInsnWords << " arena_words=" << prog.arena.size()
+      << "\n";
+  oss << ";; pools: strings=" << prog.strings.size() << " labelsets=" << prog.labelsets.size()
+      << " sids=" << prog.sid_pool.size() << " operands=" << prog.operands.size()
+      << " native_matches=" << prog.native_matches.size()
+      << " native_targets=" << prog.native_targets.size() << "\n";
   const ClassifierStats cs = ComputeClassifierStats(prog);
   oss << ";; classifier: tables=" << cs.tables << " tuples=" << cs.tuples
       << " max_slice=" << cs.max_slice << " residual=" << cs.residual_rules << "\n";
@@ -392,8 +301,8 @@ std::string DisassemblePfProgram(const PfProgram& prog, const sim::LabelRegistry
     oss << "chain " << chain.name << " (" << (chain.builtin ? "builtin" : "user")
         << ", policy " << (chain.policy_drop ? "DROP" : "ACCEPT") << ", "
         << chain.rules.size() << " rules";
-    if (chain.index_built && chain.ept && !chain.ept->empty()) {
-      oss << ", ept-indexed " << chain.ept->size() << " entrypoints";
+    if (!chain.ept.empty()) {
+      oss << ", ept-indexed " << chain.ept.size() << " entrypoints";
     }
     oss << ")\n";
     if (chain.op_mask != 0) {
@@ -421,9 +330,9 @@ std::string DisassemblePfProgram(const PfProgram& prog, const sim::LabelRegistry
     }
     // Entrypoint index, in deterministic (dev, ino, offset) order. Rule
     // lists render as chain positions, not record indices.
-    if (chain.index_built && chain.ept && !chain.ept->empty()) {
-      std::vector<std::pair<EptKey, std::pair<uint32_t, uint32_t>>> keys(chain.ept->begin(),
-                                                                         chain.ept->end());
+    if (!chain.ept.empty()) {
+      std::vector<std::pair<EptKey, std::pair<uint32_t, uint32_t>>> keys(chain.ept.begin(),
+                                                                         chain.ept.end());
       std::sort(keys.begin(), keys.end(), [](const auto& x, const auto& y) {
         if (x.first.file.dev != y.first.file.dev) {
           return x.first.file.dev < y.first.file.dev;
@@ -440,7 +349,7 @@ std::string DisassemblePfProgram(const PfProgram& prog, const sim::LabelRegistry
         std::string path = "?";
         if (slice.second > 0) {
           const RuleRecord& rec = prog.rules[prog.entries[slice.first]];
-          if (rec.rule != nullptr && !rec.rule->program.empty()) {
+          if (!rec.rule->program.empty()) {
             path = rec.rule->program;
           }
         }

@@ -233,14 +233,11 @@ struct ProgramChain {
   uint64_t op_mask = 0;
   std::vector<uint32_t> rules;  // rule-record indices, chain order
   std::array<ProgramBucket, sim::kOpCount> ops;
-  // Entrypoint index re-pointed at entry-table slices. Like the Chain
-  // index it mirrors, the per-key rule list is NOT op-filtered (the
-  // kCheckOp guard handles mismatches, and the rule still counts as
-  // evaluated). Immutable once the chain is lowered and held by
-  // shared_ptr (null = no indexed entrypoints): a delta commit's program
-  // copy shares every clean chain's map instead of re-hashing it, which is
-  // what keeps a one-rule edit from paying O(total rules) per generation.
-  std::shared_ptr<const EptSliceMap> ept;
+  // Entrypoint index re-pointed at entry-table slices (empty = no index).
+  // Like the Chain index it mirrors, the per-key rule list is NOT
+  // op-filtered (the kCheckOp guard handles mismatches, and the rule still
+  // counts as evaluated).
+  EptSliceMap ept;
 };
 
 // The compiled program artifact: one relocatable arena plus interned pools.
@@ -271,20 +268,6 @@ struct PfProgram {
   std::vector<TupleTable> tuple_tables;
   std::vector<TupleSlot> tuple_slots;
   uint64_t classifier_build_ns = 0;
-
-  // Delta-commit bookkeeping. A delta lowering (LowerProgramDelta) copies the
-  // previous generation's program, marks the dirty chains' records dead
-  // (RuleRecord::rule == nullptr; never reachable from any live table), and
-  // appends the relowered chains. Dead words accumulate until the compaction
-  // threshold in Engine::CommitRuleset forces a from-scratch relower.
-  uint64_t dead_arena_words = 0;
-  uint64_t dead_entry_slots = 0;
-  uint32_t dead_rule_records = 0;
-
-  // Intern maps live on the program (not the builder) so a delta build
-  // dedupes against the pools it copied from the base generation.
-  std::unordered_map<std::string, uint32_t> intern_strings;
-  std::map<std::string, uint32_t> intern_labelsets;  // keyed by canonical form
 
   PfInsn Fetch(uint32_t pc) const {
     PfInsn insn{};
@@ -352,6 +335,8 @@ class ProgramBuilder {
 
  private:
   PfProgram& prog_;
+  std::unordered_map<std::string, uint32_t> intern_strings_;
+  std::map<std::string, uint32_t> intern_labelsets_;  // keyed by canonical form
 };
 
 struct CompiledRuleset;  // engine.h
@@ -363,14 +348,6 @@ struct CompiledRuleset;  // engine.h
 // Returns one module-unlowerable error per module that neither lowers nor
 // is native; CommitRuleset refuses to publish a program with any.
 analysis::AnalysisReport LowerProgram(CompiledRuleset& snap);
-
-// Incremental lowering: copy `prev`'s program (arena, pools, tables, intern
-// maps), mark the records of the chains named in `dirty` dead, and re-lower
-// only those chains, appending their records, slices, and classifier tables.
-// Requires the staging chain-name set to equal prev's (Engine::CommitRuleset
-// falls back to LowerProgram otherwise).
-analysis::AnalysisReport LowerProgramDelta(CompiledRuleset& snap, const PfProgram& prev,
-                                          const std::vector<std::string>& dirty);
 
 // Classifier shape summary for pfcheck / pftables --check.
 struct ClassifierStats {

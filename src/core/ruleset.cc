@@ -7,13 +7,11 @@ void Chain::Insert(std::shared_ptr<Rule> rule, size_t pos) {
     pos = rules_.size();
   }
   rules_.insert(rules_.begin() + static_cast<long>(pos), std::move(rule));
-  ++edit_seq_;
   InvalidateIndex();
 }
 
 void Chain::Append(std::shared_ptr<Rule> rule) {
   rules_.push_back(std::move(rule));
-  ++edit_seq_;
   InvalidateIndex();
 }
 
@@ -22,14 +20,12 @@ bool Chain::Delete(size_t pos) {
     return false;
   }
   rules_.erase(rules_.begin() + static_cast<long>(pos));
-  ++edit_seq_;
   InvalidateIndex();
   return true;
 }
 
 void Chain::Flush() {
   rules_.clear();
-  ++edit_seq_;
   InvalidateIndex();
 }
 

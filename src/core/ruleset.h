@@ -43,11 +43,11 @@ struct EptKeyHash {
 };
 
 // The derived entrypoint index of one chain, immutable once built. Held by
-// shared_ptr so Chain (and therefore snapshot) copies share it instead of
-// duplicating a potentially 100k-node hash map per generation — a one-rule
-// delta commit must not pay an O(total rules) map copy for every clean
-// chain. Entries point at the shared heap-allocated Rule objects, so a
-// shared index stays valid for every copy that references it.
+// shared_ptr so Chain copies — every commit's snapshot copies the staging
+// base — share it with the staging base instead of duplicating a
+// potentially 100k-node hash map per generation. Entries point at the
+// shared heap-allocated Rule objects, so a shared index stays valid for
+// every copy that references it.
 struct ChainIndex {
   std::vector<const Rule*> plain;
   std::unordered_map<EptKey, std::vector<const Rule*>, EptKeyHash> by_ept;
@@ -67,17 +67,7 @@ class Chain {
   // whitelist, at the cost of rule-order sensitivity.
   enum class Policy { kAccept, kDrop };
   Policy policy() const { return policy_; }
-  void set_policy(Policy p) {
-    policy_ = p;
-    ++edit_seq_;
-  }
-
-  // Monotonic edit sequence, bumped by every rule-list or policy mutation
-  // (not by BuildIndex, which only derives state). The engine's incremental
-  // CommitRuleset compares a staging chain's sequence against the published
-  // snapshot's copy to find the dirty chains that need relowering; snapshot
-  // copies freeze the value, so an equal sequence proves an identical chain.
-  uint64_t edit_seq() const { return edit_seq_; }
+  void set_policy(Policy p) { policy_ = p; }
 
   void Insert(std::shared_ptr<Rule> rule, size_t pos);  // pos clamped to [0, size]
   void Append(std::shared_ptr<Rule> rule);
@@ -107,7 +97,6 @@ class Chain {
   std::string name_;
   bool builtin_ = false;
   Policy policy_ = Policy::kAccept;
-  uint64_t edit_seq_ = 0;
   std::vector<std::shared_ptr<Rule>> rules_;
 
   // Derived entrypoint index, shared by Chain copies (see ChainIndex). Null

@@ -235,10 +235,13 @@ struct Verifier {
 
   void CheckRecord(uint32_t rec_idx) {
     const RuleRecord& rec = prog.rules[rec_idx];
-    if (rec.rule == nullptr) {
-      return;  // dead record (delta commit): unreachable from every live table
-    }
     cur = &rec;
+    // The evaluator reads the rule's counters and the disassembler its
+    // source through this pointer on every record an entry list names.
+    if (rec.rule == nullptr) {
+      ErrCur("rule-malformed", "record names no rule");
+      return;
+    }
     const uint64_t arena_words = prog.arena.size();
     if (rec.entry % kPfInsnWords != 0 || (rec.end - rec.entry) % kPfInsnWords != 0) {
       ErrCur("rule-malformed", "record [" + std::to_string(rec.entry) + ", " +
@@ -270,7 +273,7 @@ struct Verifier {
   // --- classifier proof -----------------------------------------------------
   //
   // Two properties make tuple dispatch safe to substitute for a bucket scan:
-  // every slice the probe can merge is in bounds and names only live records
+  // every slice the probe can merge is in bounds and names only real records
   // (classifier-oob), and the residual plus the tuple slices together cover
   // the bucket's `all` slice exactly once — a rule the classifier can skip
   // or double-evaluate would change verdicts and counters
@@ -315,11 +318,6 @@ struct Verifier {
           Err(l, "classifier-oob", std::string(what) + " entry " + std::to_string(e) +
                                        " outside record table of " +
                                        std::to_string(num_rules));
-          return false;
-        }
-        if (prog.rules[e].rule == nullptr) {
-          Err(l, "classifier-oob",
-              std::string(what) + " entry " + std::to_string(e) + " names a dead record");
           return false;
         }
       }
@@ -420,31 +418,12 @@ struct Verifier {
     // Each entry is referenced by several slices (op bucket, plain bucket,
     // entrypoint index), so the clean path — every commit — would otherwise
     // bounds-check it several times over; the per-slice loops below only run
-    // to attribute a locus once this scan has found a culprit. A delta
-    // program keeps dead entry slots around (referenced by nothing live), so
-    // there the prescan is skipped and each rechecked chain's slices are
-    // walked element by element instead.
-    bool entries_ok = false;
-    if (!opts.delta) {
-      entries_ok = true;
-      for (uint32_t e : prog.entries) {
-        entries_ok &= e < num_rules;
-      }
+    // to attribute a locus once this scan has found a culprit.
+    bool entries_ok = true;
+    for (uint32_t e : prog.entries) {
+      entries_ok &= e < num_rules;
     }
-    std::vector<bool> recheck;
-    if (opts.delta) {
-      recheck.assign(prog.chains.size(), false);
-      for (int32_t id : opts.recheck_chains) {
-        if (id >= 0 && static_cast<size_t>(id) < recheck.size()) {
-          recheck[static_cast<size_t>(id)] = true;
-        }
-      }
-    }
-    for (size_t id = 0; id < prog.chains.size(); ++id) {
-      if (opts.delta && !recheck[id]) {
-        continue;
-      }
-      const ProgramChain& pc = prog.chains[id];
+    for (const ProgramChain& pc : prog.chains) {
       RuleLocus l;
       l.chain = pc.name;
       for (uint32_t r : pc.rules) {
@@ -452,9 +431,6 @@ struct Verifier {
           Err(l, "chain-table-oob", "chain lists rule record " + std::to_string(r) +
                                         " outside record table of " +
                                         std::to_string(prog.rules.size()));
-        } else if (prog.rules[r].rule == nullptr) {
-          Err(l, "chain-table-oob",
-              "chain lists dead rule record " + std::to_string(r));
         }
       }
       auto slice = [&](uint32_t off, uint32_t len, const char* what) {
@@ -474,9 +450,6 @@ struct Verifier {
             Err(l, "chain-table-oob",
                 std::string(what) + " entry " + std::to_string(e) +
                     " outside record table of " + std::to_string(prog.rules.size()));
-          } else if (prog.rules[e].rule == nullptr) {
-            Err(l, "chain-table-oob",
-                std::string(what) + " entry " + std::to_string(e) + " names a dead record");
           }
         }
       };
@@ -485,10 +458,8 @@ struct Verifier {
         slice(pc.ops[op].plain_off, pc.ops[op].plain_len, "op bucket (plain)");
         CheckClassifier(l, pc.ops[op]);
       }
-      if (pc.ept) {
-        for (const auto& [key, span] : *pc.ept) {
-          slice(span.first, span.second, "entrypoint index");
-        }
+      for (const auto& [key, span] : pc.ept) {
+        slice(span.first, span.second, "entrypoint index");
       }
     }
   }
@@ -536,9 +507,6 @@ struct Verifier {
     // jump-graph pass covers them), not a depth finding.
     std::vector<bool> referenced(n, false);
     for (const RuleRecord& rec : prog.rules) {
-      if (rec.rule == nullptr) {
-        continue;  // dead record: its JUMP edge left the program
-      }
       if (rec.jump_chain >= 0 && static_cast<size_t>(rec.jump_chain) < n) {
         referenced[static_cast<size_t>(rec.jump_chain)] = true;
       }
@@ -569,9 +537,7 @@ VerifyResult VerifyProgram(const PfProgram& prog, const VerifyOptions& opts) {
           "arena of " + std::to_string(prog.arena.size()) +
               " words is not a whole number of instructions");
   }
-  // A delta program's prefix is byte-identical to an already-verified base;
-  // only the appended records need the per-record walk.
-  for (uint32_t i = opts.delta ? opts.from_record : 0; i < prog.rules.size(); ++i) {
+  for (uint32_t i = 0; i < prog.rules.size(); ++i) {
     v.CheckRecord(i);
   }
   v.CheckChainTables();

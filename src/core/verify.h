@@ -8,8 +8,8 @@
 // every fetch it can perform is in bounds. VerifyProgram is that pass: one
 // forward walk over every rule record proving
 //
-//   * arena integrity — record bounds inside the arena, instruction-aligned,
-//     every body opening with RULE_BEGIN naming its own record;
+//   * arena integrity — every record names its rule, lies inside the arena,
+//     is instruction-aligned, and opens with RULE_BEGIN naming itself;
 //   * pool safety — every string/labelset/operand/sid-slice reference on
 //     every instruction resolves inside its pool;
 //   * store discipline — the only mutating ops are STATE_SET/STATE_UNSET and
@@ -34,8 +34,6 @@
 #ifndef SRC_CORE_VERIFY_H_
 #define SRC_CORE_VERIFY_H_
 
-#include <vector>
-
 #include "src/analysis/diagnostics.h"
 #include "src/core/program.h"
 
@@ -47,17 +45,6 @@ struct VerifyOptions {
   // dead, not dangerous); on when a caller wants "every rule reachable" as
   // a hard property.
   bool strict_depth = false;
-  // Delta verification (incremental commits): the program is a copy of an
-  // already-verified base with records appended from `from_record` and the
-  // chains in `recheck_chains` rebuilt. Per-record checks run only on the
-  // appended suffix and per-chain table checks only on the rebuilt chains —
-  // everything else is byte-identical to the proven base. Global properties
-  // (arena alignment, the jump-depth proof) always run over the whole
-  // program. Dead records (RuleRecord::rule == nullptr) are skipped in
-  // every mode: they are unreachable from all live dispatch tables.
-  bool delta = false;
-  uint32_t from_record = 0;
-  std::vector<int32_t> recheck_chains;
 };
 
 struct VerifyResult {

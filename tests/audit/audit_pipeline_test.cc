@@ -287,7 +287,7 @@ TEST(AuditPipelineTest, EveryBlockedAccessYieldsAnExactlyAttributedRecord) {
   ASSERT_NE(rs, nullptr);
   const core::RuleRecord* drop_rr = nullptr;
   for (const core::RuleRecord& rr : rs->program.rules) {
-    if (rr.rule != nullptr && rr.rule->source.find("DROP") != std::string::npos) {
+    if (rr.rule->source.find("DROP") != std::string::npos) {
       drop_rr = &rr;
     }
   }

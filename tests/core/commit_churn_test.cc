@@ -1,22 +1,19 @@
-// Incremental-commit churn test (DESIGN.md §5g): random edit scripts applied
-// command-by-command to three identically-seeded systems —
+// Commit churn test (DESIGN.md §5g): random edit scripts applied
+// command-by-command to two identically-seeded systems —
 //
-//   E  incremental_commits on,  tuple_dispatch on   (the delta path under test)
-//   F  incremental_commits off, tuple_dispatch on   (from-scratch relower)
-//   G  incremental_commits off, tuple_dispatch off  (scan-path verdict oracle)
+//   F  tuple_dispatch on   (the tuple-space classifier under test)
+//   G  tuple_dispatch off  (scan-path verdict oracle)
 //
-// After every single edit the published program E actually executes (built by
-// LowerProgramDelta splicing into a copy of the previous generation) must
-// disassemble byte-identically to F's from-scratch relower of the same rule
-// base. After the full script a seeded operation stream must produce
-// bit-identical verdicts, STATE dictionaries, LOG records, List() renderings
-// (per-rule eval/hit counters), and engine statistics between E and F; G
-// additionally pins the verdict/side-effect surface of the tuple classifier
-// to the scan path (eval counters legitimately drop under the classifier, so
-// only hits are compared against G).
+// Every commit relowers the whole staging base, so the two systems publish
+// the same program; they differ only in how Authorize dispatches over it.
+// After every single edit a short seeded operation stream, and after the
+// full script a long one, must produce identical verdicts, STATE
+// dictionaries, LOG records, native-target fires, per-rule hit counters and
+// drop counts on F and G. Eval counters legitimately drop under the
+// classifier (that is the optimization), so they are not compared.
 //
 // Seeds cycle through every fuzz generator flavor (fuzz_rules.h), so the
-// delta path is exercised over state protocols, native escapes, deep JUMP
+// classifier is exercised over state protocols, native escapes, deep JUMP
 // nests, and degenerate sparse chains, not just plain label rules.
 
 #include <gtest/gtest.h>
@@ -31,27 +28,27 @@
 #include "src/apps/programs.h"
 #include "src/core/engine.h"
 #include "src/core/pftables.h"
-#include "src/core/program.h"
 #include "src/sim/sysimage.h"
+#include "tests/core/decision_rig.h"
 #include "tests/core/fuzz_rules.h"
 
 namespace pf::core {
 namespace {
 
 constexpr int kOps = 1500;
+constexpr int kOpsPerEdit = 64;
 constexpr int kTasks = 3;
 constexpr int kEdits = 24;
 constexpr uint64_t kSeedBase = 0xdc17;  // consecutive seeds cycle the flavors
 constexpr int kSeedCount = 16;
 
-EngineConfig MakeCfg(bool incremental, bool tuple) {
+EngineConfig MakeCfg(bool tuple) {
   EngineConfig cfg;
   cfg.tuple_dispatch = tuple;
-  cfg.incremental_commits = incremental;
   return cfg;
 }
 
-// One booted system under churn. All three systems use the same sim seed, so
+// One booted system under churn. Both systems use the same sim seed, so
 // inode numbers and label sids line up and command scripts are portable
 // between them.
 struct System {
@@ -86,13 +83,6 @@ struct System {
       tasks.push_back(std::move(task));
     }
   }
-
-  // The program hook evaluation actually runs (for E: the delta-built
-  // splice, not a fresh staging compile like ListCompiled()).
-  std::string PublishedDisassembly() const {
-    return DisassemblePfProgram(engine->PublishedRuleset()->program,
-                                kernel->labels());
-  }
 };
 
 // Everything observable from one replay of the seeded operation stream.
@@ -100,18 +90,17 @@ struct RunResult {
   std::vector<int64_t> verdicts;
   std::vector<std::map<std::string, int64_t>> dicts;
   std::string log_lines;
-  std::string listing;
   uint64_t count_fires = 0;
   std::vector<uint64_t> hits;  // per-rule hit counters, chain-sorted order
   EngineStats stats;
 };
 
-RunResult Replay(System& sys, uint64_t seed) {
+RunResult Replay(System& sys, uint64_t seed, int ops) {
   RunResult out;
   const char* kPaths[] = {"/etc/passwd", "/etc/shadow", "/tmp/t", "/bin/true"};
   std::mt19937_64 rng(seed ^ 0x0bdeadbeefULL);
-  out.verdicts.reserve(kOps);
-  for (int i = 0; i < kOps; ++i) {
+  out.verdicts.reserve(static_cast<size_t>(ops));
+  for (int i = 0; i < ops; ++i) {
     sim::Task& task = *sys.tasks[rng() % kTasks];
     if (rng() % 4 != 0) {
       ++task.syscall_count;
@@ -161,7 +150,6 @@ RunResult Replay(System& sys, uint64_t seed) {
     out.dicts.push_back(sys.engine->TaskState(*task).dict);
   }
   out.log_lines = sys.engine->log().ToJsonLines();
-  out.listing = sys.pft->List();
   out.count_fires = *sys.count_fires;
   for (const auto& [name, chain] : sys.engine->ruleset().filter().chains()) {
     for (const auto& r : chain.rules()) {
@@ -204,14 +192,24 @@ std::string NextEdit(std::mt19937_64& rng, Engine& shape_engine,
     const auto& [chain, size] = nonempty[rng() % nonempty.size()];
     return "pftables -D " + chain + " " + std::to_string(1 + rng() % size);
   }
-  if (kind == 10) {  // flip a builtin policy (exercises set_policy edit_seq)
+  if (kind == 10) {  // flip a builtin policy
     return std::string("pftables -P output ") + (step % 2 == 0 ? "DROP" : "ACCEPT");
   }
-  // Flush one chain: the dirty relower of an emptied chain plus, later,
-  // appends into it again.
+  // Flush one chain: an emptied chain, and later appends into it again.
   const auto& [chain, size] = nonempty[rng() % nonempty.size()];
   (void)size;
   return "pftables -F " + chain;
+}
+
+// F (classifier) against G (scan oracle) over one replay: the verdict and
+// side-effect surface must agree exactly.
+void ExpectAgree(const RunResult& rf, const RunResult& rg, const std::string& where) {
+  ASSERT_EQ(rf.verdicts, rg.verdicts) << where << ": verdicts";
+  EXPECT_EQ(rf.dicts, rg.dicts) << where << ": STATE dicts";
+  EXPECT_EQ(rf.log_lines, rg.log_lines) << where << ": LOG records";
+  EXPECT_EQ(rf.count_fires, rg.count_fires) << where;
+  EXPECT_EQ(rf.hits, rg.hits) << where << ": classifier changed a per-rule hit count";
+  EXPECT_EQ(rf.stats.drops, rg.stats.drops) << where;
 }
 
 void RunChurn(uint64_t seed) {
@@ -221,15 +219,14 @@ void RunChurn(uint64_t seed) {
     return std::string(b);
   }() + " flavor=" + fuzzgen::FlavorName(fuzzgen::FlavorForSeed(seed));
 
-  System e(MakeCfg(/*incremental=*/true, /*tuple=*/true));
-  System f(MakeCfg(/*incremental=*/false, /*tuple=*/true));
-  System g(MakeCfg(/*incremental=*/false, /*tuple=*/false));
+  System f(MakeCfg(/*tuple=*/true));
+  System g(MakeCfg(/*tuple=*/false));
 
   // Identical initial bases (batch-installed: one commit each). rule_rng is
   // advanced past the base batch so the pool batches below differ from it.
   std::mt19937_64 rule_rng(seed);
   (void)fuzzgen::RandomRules(rule_rng, fuzzgen::FlavorForSeed(seed));
-  for (System* sys : {&e, &f, &g}) {
+  for (System* sys : {&f, &g}) {
     std::mt19937_64 r(seed);
     ASSERT_TRUE(sys->pft->ExecAll(fuzzgen::RandomRules(r, fuzzgen::FlavorForSeed(seed))).ok())
         << tag;
@@ -248,60 +245,31 @@ void RunChurn(uint64_t seed) {
   }
   ASSERT_FALSE(pool.empty()) << tag;
 
-  // The churn script: after every command, the program E publishes (built by
-  // the delta path) must equal F's from-scratch relower bit for bit. One
-  // mid-script -N changes the chain-name set, forcing (and covering) the
-  // full-commit fallback inside an otherwise delta-committed history.
+  // The churn script, with one mid-script -N that changes the chain-name
+  // set. After every command both systems must hold the same rule base and
+  // decide a short operation stream alike.
   std::mt19937_64 edit_rng(seed ^ 0xed17ULL);
   for (int step = 0; step < kEdits; ++step) {
     const std::string cmd = step == kEdits / 2
                                 ? "pftables -N churn_nc"
-                                : NextEdit(edit_rng, *e.engine, pool, step);
-    const Status se = e.pft->Exec(cmd);
+                                : NextEdit(edit_rng, *f.engine, pool, step);
+    const std::string where = tag + " step " + std::to_string(step) + ": " + cmd;
     const Status sf = f.pft->Exec(cmd);
     const Status sg = g.pft->Exec(cmd);
-    ASSERT_EQ(se.ok(), sf.ok()) << tag << " step " << step << ": " << cmd;
-    ASSERT_EQ(se.ok(), sg.ok()) << tag << " step " << step << ": " << cmd;
-    ASSERT_TRUE(se.ok()) << tag << " step " << step << " rejected: " << cmd
-                         << " -> " << se.message();
-    ASSERT_EQ(e.PublishedDisassembly(), f.PublishedDisassembly())
-        << tag << ": delta-built program diverged from scratch relower after step "
-        << step << ": " << cmd;
-    ASSERT_EQ(e.pft->Save(), f.pft->Save()) << tag << " step " << step;
+    ASSERT_EQ(sf.ok(), sg.ok()) << where;
+    ASSERT_TRUE(sf.ok()) << where << " rejected: " << sf.message();
+    ASSERT_EQ(f.pft->Save(), g.pft->Save()) << where;
+    const uint64_t replay_seed = seed + static_cast<uint64_t>(step);
+    ExpectAgree(Replay(f, replay_seed, kOpsPerEdit), Replay(g, replay_seed, kOpsPerEdit),
+                where);
+    if (::testing::Test::HasFailure()) {
+      return;
+    }
   }
-
-  // The edit history must actually have taken the path under test.
-  EXPECT_GT(e.engine->delta_commits(), static_cast<uint64_t>(kEdits) / 2) << tag;
-  EXPECT_GT(e.engine->full_commits(), 0u) << tag;  // install + -N fallback
-  EXPECT_EQ(f.engine->delta_commits(), 0u) << tag;
-
-  // Replay: E vs F is full bit-equivalence (same dispatch, different commit
-  // path); E vs G pins the classifier to the scan oracle's verdict/effect
-  // surface (eval counters legitimately differ — that is the optimization).
-  RunResult re = Replay(e, seed);
-  RunResult rf = Replay(f, seed);
-  RunResult rg = Replay(g, seed);
-
-  ASSERT_EQ(re.verdicts, rf.verdicts) << tag << ": E vs F verdicts";
-  EXPECT_EQ(re.dicts, rf.dicts) << tag << ": E vs F STATE dicts";
-  EXPECT_EQ(re.log_lines, rf.log_lines) << tag << ": E vs F LOG records";
-  EXPECT_EQ(re.listing, rf.listing) << tag << ": E vs F List() (eval/hit counters)";
-  EXPECT_EQ(re.count_fires, rf.count_fires) << tag;
-  EXPECT_EQ(re.hits, rf.hits) << tag;
-  EXPECT_EQ(re.stats.invocations, rf.stats.invocations) << tag;
-  EXPECT_EQ(re.stats.drops, rf.stats.drops) << tag;
-  EXPECT_EQ(re.stats.rules_evaluated, rf.stats.rules_evaluated) << tag;
-  EXPECT_EQ(re.stats.ctx_fetches, rf.stats.ctx_fetches) << tag;
-
-  ASSERT_EQ(re.verdicts, rg.verdicts) << tag << ": E vs G (scan oracle) verdicts";
-  EXPECT_EQ(re.dicts, rg.dicts) << tag << ": E vs G STATE dicts";
-  EXPECT_EQ(re.log_lines, rg.log_lines) << tag << ": E vs G LOG records";
-  EXPECT_EQ(re.count_fires, rg.count_fires) << tag;
-  EXPECT_EQ(re.hits, rg.hits) << tag << ": classifier changed a per-rule hit count";
-  EXPECT_EQ(re.stats.drops, rg.stats.drops) << tag;
+  ExpectAgree(Replay(f, seed, kOps), Replay(g, seed, kOps), tag + " after the script");
 }
 
-TEST(IncrementalCommitChurnTest, DeltaCommitsAreBitEquivalentAcrossSeeds) {
+TEST(CommitChurnTest, TupleClassifierMatchesScanAfterEveryEdit) {
   for (int i = 0; i < kSeedCount; ++i) {
     RunChurn(kSeedBase + static_cast<uint64_t>(i));
     if (::testing::Test::HasFailure()) {
@@ -310,35 +278,19 @@ TEST(IncrementalCommitChurnTest, DeltaCommitsAreBitEquivalentAcrossSeeds) {
   }
 }
 
-// A long alternating append/delete run on one chain: generations churn with
-// tiny diffs, dead records accumulate, and eventually the compaction
-// threshold (half the arena dead) must force a full relower — after which
-// deltas resume on the compacted base. The published program must stay
-// bit-equivalent to a scratch compile throughout.
-TEST(IncrementalCommitChurnTest, CompactionThresholdTriggersAndRecovers) {
-  System e(MakeCfg(/*incremental=*/true, /*tuple=*/true));
-  System f(MakeCfg(/*incremental=*/false, /*tuple=*/true));
-  for (System* sys : {&e, &f}) {
-    ASSERT_TRUE(sys->pft->Exec("pftables -N t").ok());
-    ASSERT_TRUE(sys->pft->Exec("pftables -A input -s staff_t -j t").ok());
-  }
-  uint64_t fulls_before = e.engine->full_commits();
-  bool add = true;
-  for (int i = 0; i < 160; ++i) {
-    const std::string cmd = add ? "pftables -A t -o FILE_OPEN -d shadow_t -j DROP"
-                                : "pftables -D t 1";
-    ASSERT_TRUE(e.pft->Exec(cmd).ok()) << "step " << i;
-    ASSERT_TRUE(f.pft->Exec(cmd).ok()) << "step " << i;
-    add = !add;
-    if (i % 16 == 0) {
-      ASSERT_EQ(e.PublishedDisassembly(), f.PublishedDisassembly())
-          << "diverged at step " << i;
-    }
-  }
-  ASSERT_EQ(e.PublishedDisassembly(), f.PublishedDisassembly());
-  EXPECT_GT(e.engine->delta_commits(), 60u);
-  EXPECT_GT(e.engine->full_commits(), fulls_before)
-      << "compaction threshold never forced a from-scratch relower";
+// A commit frees the generation the previous commit displaced. The first
+// decision after a commit re-pins this thread's slot and drops its
+// reference to the displaced generation; that must not be the last one, or
+// the decision would pay for freeing a whole generation.
+TEST(CommitChurnTest, DisplacedGenerationIsFreedByTheNextCommit) {
+  DecisionRig rig({"pftables -A input -o FILE_OPEN -d shadow_t -j DROP"});
+  EXPECT_EQ(rig.Decide(rig.Open("/etc/shadow")), kDeny);
+  const std::weak_ptr<const CompiledRuleset> displaced = rig.engine->PublishedRuleset();
+  ASSERT_TRUE(rig.pft->Exec("pftables -A input -o FILE_OPEN -d etc_t -j DROP").ok());
+  EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kDeny);
+  EXPECT_FALSE(displaced.expired()) << "a decision freed the displaced generation";
+  ASSERT_TRUE(rig.pft->Exec("pftables -D input 2").ok());
+  EXPECT_TRUE(displaced.expired()) << "the next commit kept the displaced generation";
 }
 
 }  // namespace

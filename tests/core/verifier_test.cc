@@ -376,6 +376,45 @@ TEST(VerifierTest, RejectsClassifierDoubleCoveringARule) {
   ExpectClassifierDiag(prog, "classifier-coverage");
 }
 
+// --- rule records ------------------------------------------------------------
+
+// The evaluator bumps the counters of every record an entry list names
+// through RuleRecord::rule, so a record without a rule must never load.
+// Point one `plain` slice entry at an appended copy of a real record (its
+// own arena words, RULE_BEGIN naming the copy) with the rule cleared: the
+// copy is sound in every other respect, so only the rule check can catch it.
+TEST(VerifierTest, RejectsRecordWithoutRule) {
+  Compiled c = Build(CorpusRules());
+  ASSERT_NE(c.snap, nullptr);
+  PfProgram prog = c.snap->program;
+  const ProgramBucket* b =
+      FindBucket(prog, [](const ProgramBucket& pb) { return pb.plain_len > 0; });
+  ASSERT_NE(b, nullptr);
+  RuleRecord copy = prog.rules[prog.entries[b->plain_off]];
+  const std::vector<uint64_t> words(prog.arena.begin() + copy.entry,
+                                    prog.arena.begin() + copy.end);
+  const uint32_t shift = static_cast<uint32_t>(prog.arena.size()) - copy.entry;
+  copy.entry += shift;
+  copy.body += shift;
+  copy.end += shift;
+  copy.rule = nullptr;
+  prog.arena.insert(prog.arena.end(), words.begin(), words.end());
+  const uint32_t idx = static_cast<uint32_t>(prog.rules.size());
+  PfInsn begin = prog.Fetch(copy.entry);
+  begin.a = idx;
+  Patch(prog, copy.entry, begin);
+  prog.rules.push_back(copy);
+  prog.entries[b->plain_off] = idx;
+
+  VerifyResult vr = VerifyProgram(prog);
+  EXPECT_FALSE(vr.ok()) << "a slice naming a record without a rule was accepted";
+  const Diagnostic* d = FindDiag(vr.report, "rule-malformed");
+  ASSERT_NE(d, nullptr) << vr.report.RenderText();
+  EXPECT_EQ(d->severity, Severity::kError);
+  EXPECT_EQ(d->locus.Render(), LocusOf(prog, idx)) << vr.report.RenderText();
+  EXPECT_EQ(vr.report.errors(), 1u) << vr.report.RenderText();
+}
+
 // --- STATE protocol ------------------------------------------------------------
 
 // The corpus STATE rules (match k==1, set k=2 on the input/aux buckets) lower
