@@ -67,6 +67,7 @@ WorkerTask MakeWorkerTask(System& sys, int idx) {
   w.task = std::make_unique<sim::Task>();
   sim::Task& task = *w.task;
   task.pid = static_cast<sim::Pid>(500 + idx);
+  task.syscall_depth = 1;  // every request runs inside a system call
   task.comm = "load";
   task.exe = sim::kBinTrue;
   task.cred.sid = sys.kernel->labels().Intern("staff_t");

@@ -5,8 +5,8 @@
 #   table6_lmbench   us/op for every (syscall, config) cell
 #   table7_macro     macro means (Without PF / PF Base / PF Full)
 #   ablation_engine  switch loop vs threaded evaluator, scan vs indexed vs
-#                    tuple dispatch, BM_CompileProgram + BM_VerifyProgram
-#                    (commit-time costs)
+#                    tuple dispatch, the context cache on vs off,
+#                    BM_CompileProgram + BM_VerifyProgram (commit-time costs)
 #   pfcheck          static-analyzer wall time over the shipped rule base
 #
 # Usage: bench/run_bench.sh [build-dir] [output.json]
@@ -24,7 +24,7 @@ trap 'rm -rf "$TMP"' EXIT
 # Medians of 3 repetitions: the dispatch-ladder and verifier-share summary
 # numbers gate CI, and single-shot runs swing +-20% on shared machines.
 "$BUILD/bench/ablation_engine" \
-  --benchmark_filter='BM_AuthorizeCompiled|BM_AuthorizeSwitchScan|BM_AuthorizeTuple|BM_CompileProgram|BM_VerifyProgram|BM_BuildSymbolicModel' \
+  --benchmark_filter='BM_AuthorizeCompiled|BM_AuthorizeSwitchScan|BM_AuthorizeTuple|BM_CompileProgram|BM_VerifyProgram|BM_BuildSymbolicModel|BM_ContextCache' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_out="$TMP/ablation.json" --benchmark_out_format=json
 "$BUILD/src/apps/pfcheck" --library --json > "$TMP/pfcheck.json"
@@ -45,7 +45,7 @@ out["ablation_engine"] = {
         "ns_per_op": b["real_time"],
         **{k: b[k] for k in ("arena_words", "classifier_ns",
                              "tuples", "max_slice", "residual",
-                             "regions")
+                             "regions", "unwinds_per_call")
            if k in b},
     }
     for b in ab.get("benchmarks", [])
@@ -128,6 +128,13 @@ out["summary"]["trace_overhead_eptspc_pct"] = (
     tt.get("stat", {}).get("EPTSPC", {}).get("overhead_pct"))
 traced_1218 = ae.get("BM_AuthorizeCompiledTraced/1218", {}).get("ns_per_op")
 out["summary"]["authorize_traced_1218_ns"] = traced_1218
+
+# Context cache (paper §4.2, the CONCACHE rung): eight hooks per system call
+# share one unwind. bench/smoke_gates.py requires on <= 0.9x off.
+cache_off = ae.get("BM_ContextCache/0", {}).get("ns_per_op")
+cache_on = ae.get("BM_ContextCache/1", {}).get("ns_per_op")
+out["summary"]["context_cache_on_vs_off"] = (cache_on / cache_off
+                                             if cache_on and cache_off else None)
 
 with open(out_path, "w") as f:
     json.dump(out, f, indent=2)

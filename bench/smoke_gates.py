@@ -103,12 +103,23 @@ def audit_armed(smoke, _notrace, noaudit):
     return gmean <= 1.05
 
 
+def context_cache(smoke, _notrace, _noaudit):
+    # The paper's context cache (§4.2, the CONCACHE rung) must pay for
+    # itself: with eight hooks per system call sharing one unwind, the
+    # cache-on median must be at most 0.9x the cache-off median.
+    off = smoke["BM_ContextCache/0"]
+    on = smoke["BM_ContextCache/1"]
+    print(f"  cache on {on:.0f} ns vs off {off:.0f} ns ({on / off:.2f}x, bound 0.9x)")
+    return on <= off * 0.9
+
+
 GATES = [
     ("dispatch ladder: threaded <= 1.15x switch", dispatch_ladder),
     ("verifier share of program compilation < 10%", verifier_share),
     ("tuple-dispatch authorize at 100k rules <= 3x 1218", tuple_scaling),
     ("compiled-in but disabled tracing <= 1.05x PF_TRACE=OFF", trace_disabled),
     ("armed audit pipeline geometric mean <= 1.05x disabled", audit_armed),
+    ("context cache on <= 0.9x off", context_cache),
 ]
 
 

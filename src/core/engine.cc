@@ -361,16 +361,15 @@ PfTaskState& Engine::TaskState(sim::Task& task) {
 }
 
 void Engine::OnTaskExit(sim::Task& task) {
-  // Frees the dictionary and the unwind snapshots. The emptied PfTaskState
-  // stays in the slot until the task itself is freed, so a late hook finds
-  // an empty state rather than a dangling one.
+  // Frees the dictionary and empties the context cache. The emptied
+  // PfTaskState stays in the slot until the task itself is freed, so a late
+  // hook finds an empty state rather than a dangling one.
   PfTaskState& state = TaskState(task);
   {
     std::lock_guard<std::mutex> lock(state.mu);
     state.dict.clear();
   }
-  state.stack.store(nullptr, std::memory_order_release);
-  state.interp.store(nullptr, std::memory_order_release);
+  state.ClearContextCache();
 }
 
 void Engine::OnTaskFork(sim::Task& parent, sim::Task& child) {
@@ -389,11 +388,9 @@ void Engine::OnTaskFork(sim::Task& parent, sim::Task& child) {
 
 void Engine::OnTaskExec(sim::Task& task) {
   // execve replaces the image: cached unwinds describe a dead address space.
-  // (The serial check would also reject them on the next syscall; dropping
-  // them here keeps even same-syscall hooks from seeing pre-exec frames.)
-  PfTaskState& state = TaskState(task);
-  state.stack.store(nullptr, std::memory_order_release);
-  state.interp.store(nullptr, std::memory_order_release);
+  // (The serial check would also reject them on the next syscall; emptying
+  // the cache here keeps even same-syscall hooks from seeing pre-exec frames.)
+  TaskState(task).ClearContextCache();
 }
 
 // --- context modules ---------------------------------------------------------
@@ -440,39 +437,35 @@ void Engine::FetchAdversaryAccess(Packet& pkt) {
   pkt.Mark(Ctx::kAdversaryAccess);
 }
 
+PfTaskState* Engine::ContextCache(sim::Task& task) {
+  return config_.cache_context && task.syscall_depth > 0 ? &TaskState(task) : nullptr;
+}
+
 void Engine::FetchStack(Packet& pkt) {
   EngineStatsBlock& sb = StatsLocal();
   sb.ctx_fetches[static_cast<size_t>(Ctx::kEntrypoint)].fetch_add(1, kRelaxed);
   sim::Task& task = *pkt.req->task;
-  PfTaskState& state = TaskState(task);
-  std::shared_ptr<const StackSnapshot> snap;
-  if (config_.cache_context) {
-    snap = state.stack.load(std::memory_order_acquire);
-    if (snap && snap->serial != task.syscall_count) {
-      snap = nullptr;  // stale: belongs to an earlier system call
-    }
-  }
-  if (snap) {
+  PfTaskState* cache = ContextCache(task);
+  CachedFrame entry;
+  if (cache != nullptr && cache->stack.Load(&entry) && entry.serial == task.syscall_count) {
     sb.unwind_cache_hits.fetch_add(1, kRelaxed);
   } else {
+    // A miss, a torn read, or an entry of an earlier system call.
     sb.unwinds.fetch_add(1, kRelaxed);
-    UnwindResult res = UnwindUserStack(task);
-    auto fresh = std::make_shared<StackSnapshot>();
-    fresh->serial = task.syscall_count;
-    fresh->frames = std::move(res.frames);
-    fresh->status = res.status;
-    snap = std::move(fresh);
-    // Single publication (no check/unlock/relock round-trip): a concurrent
-    // refresh for the same syscall stores an equally-valid snapshot.
-    state.stack.store(snap, std::memory_order_release);
+    const InnermostFrame top = UnwindInnermost(task);
+    entry.serial = task.syscall_count;
+    entry.valid = top.usable() ? 1 : 0;
+    entry.frame = top.frame;
+    if (cache != nullptr) {
+      // Skipped while another hook on this task publishes: its unwind is as
+      // valid as this one.
+      cache->stack.TryStore(entry);
+    }
   }
-  pkt.stack = &snap->frames;
-  pkt.stack_status = snap->status;
-  if (snap->status != UnwindStatus::kAborted && !snap->frames.empty()) {
+  if (entry.valid != 0) {
     pkt.entrypoint_valid = true;
-    pkt.entrypoint = snap->frames.front();
+    pkt.entrypoint = entry.frame;
   }
-  pkt.stack_hold = std::move(snap);
   pkt.Mark(Ctx::kEntrypoint);
   pkt.Mark(Ctx::kUserStack);
 }
@@ -480,26 +473,25 @@ void Engine::FetchStack(Packet& pkt) {
 void Engine::FetchInterp(Packet& pkt) {
   StatsLocal().ctx_fetches[static_cast<size_t>(Ctx::kInterpStack)].fetch_add(1, kRelaxed);
   sim::Task& task = *pkt.req->task;
-  PfTaskState& state = TaskState(task);
-  std::shared_ptr<const InterpSnapshot> snap;
-  if (config_.cache_context) {
-    snap = state.interp.load(std::memory_order_acquire);
-    if (snap && snap->serial != task.syscall_count) {
-      snap = nullptr;
+  PfTaskState* cache = ContextCache(task);
+  CachedInterp entry;
+  if (cache == nullptr || !cache->interp.Load(&entry) || entry.serial != task.syscall_count) {
+    const InterpTop top = UnwindInterpTop(task);
+    entry.serial = task.syscall_count;
+    entry.valid = top.usable() ? 1 : 0;
+    entry.lang = top.lang;
+    entry.script_id = top.script_id;
+    if (cache != nullptr) {
+      cache->interp.TryStore(entry);
     }
   }
-  if (!snap) {
-    InterpUnwindResult res = UnwindInterpStack(task);
-    auto fresh = std::make_shared<InterpSnapshot>();
-    fresh->serial = task.syscall_count;
-    fresh->frames = std::move(res.frames);
-    fresh->status = res.status;
-    snap = std::move(fresh);
-    state.interp.store(snap, std::memory_order_release);
+  if (entry.valid != 0) {
+    pkt.interp_valid = true;
+    pkt.interp_lang = entry.lang;
+    if (const std::string* path = task.ScriptPath(entry.script_id)) {
+      pkt.interp_script = *path;
+    }
   }
-  pkt.interp = &snap->frames;
-  pkt.interp_status = snap->status;
-  pkt.interp_hold = std::move(snap);
   pkt.Mark(Ctx::kInterpStack);
 }
 

@@ -24,8 +24,9 @@
 //   * Per-task state (the STATE dictionary, context caches) lives in the
 //     task's own security slot (sim::Task::security[slot]), created once
 //     under the slot's std::once_flag. Each PfTaskState carries a small
-//     mutex guarding its dictionary; context caches are immutable snapshots
-//     published by shared_ptr, so a reader never observes a torn unwind.
+//     mutex guarding its dictionary; each context-cache entry is a few words
+//     behind a sequence counter (SeqCell), so a reader either copies a whole
+//     entry or sees a miss and unwinds — never a torn unwind.
 //   * Statistics are per-worker ("per-CPU") cache-line-aligned counter
 //     blocks bumped with relaxed atomics and aggregated on read — there is
 //     no shared hot counter.
@@ -40,10 +41,13 @@
 
 #include <array>
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
+#include <type_traits>
 
 #include "src/analysis/diagnostics.h"  // standalone by design, like pftables.h
 #include "src/audit/hub.h"
@@ -154,24 +158,87 @@ struct alignas(64) EngineStatsBlock {
 // on first use). Shared by every engine instance in the process.
 size_t WorkerIndex();
 
-// An immutable unwind snapshot, valid while `serial` matches the task's
-// syscall count. Published by shared_ptr so concurrent hook evaluations on
-// one task can pin it while a newer syscall refreshes the cache.
-struct StackSnapshot {
-  uint64_t serial = 0;
-  std::vector<BinFrame> frames;
-  UnwindStatus status = UnwindStatus::kAborted;
+// A seqlock cell: a trivially copyable value kept as atomic words behind a
+// sequence counter that is odd while a writer publishes. A read is a few
+// plain loads on x86 and no read-modify-write; it fails when a writer was
+// active or the counter moved meanwhile (a torn read). A writer that finds
+// the counter taken skips publishing. Word stores are release and word
+// loads acquire, so a reader that sees any word of a newer publication
+// also sees the counter that publication moved.
+template <typename T>
+class SeqCell {
+  static_assert(std::is_trivially_copyable_v<T> && sizeof(T) % 8 == 0);
+  static constexpr size_t kWords = sizeof(T) / 8;
+
+ public:
+  SeqCell() { Store(T{}); }
+
+  bool Load(T* out) const {
+    const uint32_t seq = seq_.load(std::memory_order_acquire);
+    if ((seq & 1) != 0) {
+      return false;
+    }
+    uint64_t words[kWords];
+    for (size_t i = 0; i < kWords; ++i) {
+      words[i] = words_[i].load(std::memory_order_acquire);
+    }
+    if (seq_.load(std::memory_order_relaxed) != seq) {
+      return false;
+    }
+    std::memcpy(out, words, sizeof(T));
+    return true;
+  }
+
+  bool TryStore(const T& value) {
+    uint32_t seq = seq_.load(std::memory_order_relaxed);
+    if ((seq & 1) != 0 ||
+        !seq_.compare_exchange_strong(seq, seq + 1, std::memory_order_relaxed)) {
+      return false;
+    }
+    uint64_t words[kWords];
+    std::memcpy(words, &value, sizeof(T));
+    for (size_t i = 0; i < kWords; ++i) {
+      words_[i].store(words[i], std::memory_order_release);
+    }
+    seq_.store(seq + 2, std::memory_order_release);
+    return true;
+  }
+
+  // Publishes unconditionally, waiting out a concurrent writer (which holds
+  // the counter for a handful of stores).
+  void Store(const T& value) {
+    while (!TryStore(value)) {
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  std::atomic<uint32_t> seq_{0};
+  std::array<std::atomic<uint64_t>, kWords> words_{};
 };
 
-struct InterpSnapshot {
-  uint64_t serial = 0;
-  std::vector<InterpRec> frames;
-  UnwindStatus status = UnwindStatus::kAborted;
+// The context cache's entries (paper §4.2: one unwind serves every hook of
+// a system call). Each holds only what the engine reads from an unwind,
+// stamped with the task's syscall_count at the unwind; `serial` is
+// kNoSyscall in an empty entry.
+inline constexpr uint64_t kNoSyscall = ~0ull;
+
+struct CachedFrame {
+  uint64_t serial = kNoSyscall;
+  uint64_t valid = 0;  // InnermostFrame::usable()
+  BinFrame frame;
+};
+
+struct CachedInterp {
+  uint64_t serial = kNoSyscall;
+  uint32_t valid = 0;  // InterpTop::usable()
+  sim::InterpLang lang = sim::InterpLang::kNone;
+  uint32_t script_id = 0;
 };
 
 // Per-task Process Firewall state (the struct task_struct extension of the
 // paper), held in the task's security slot. Created lazily: only tasks that
-// actually hit a stateful rule or a context unwind get one — the
+// actually hit a stateful rule or a cached unwind get one — the
 // authorization fast path never touches it.
 struct PfTaskState {
   // Guards dict. Held for pointer-sized critical sections.
@@ -180,12 +247,15 @@ struct PfTaskState {
   // STATE match/target dictionary.
   std::map<std::string, int64_t> dict;
 
-  // Context caches (null until first fill; reset on execve). Atomic
-  // shared_ptr slots: a cache hit is one acquire load, a miss publishes its
-  // snapshot with one release store — no lock round-trips on either path,
-  // and a racing refresh simply wins with its own equally-valid snapshot.
-  std::atomic<std::shared_ptr<const StackSnapshot>> stack;
-  std::atomic<std::shared_ptr<const InterpSnapshot>> interp;
+  // The context cache: empty until the first unwind inside a system call,
+  // emptied again on execve and exit.
+  SeqCell<CachedFrame> stack;
+  SeqCell<CachedInterp> interp;
+
+  void ClearContextCache() {
+    stack.Store(CachedFrame{});
+    interp.Store(CachedInterp{});
+  }
 };
 
 // Per-(chain, op) dispatch bucket, computed once per commit. `all` holds the
@@ -417,6 +487,10 @@ class Engine : public sim::SecurityModule {
   void FetchObject(Packet& pkt);
   void FetchLinkTarget(Packet& pkt);
   void FetchAdversaryAccess(Packet& pkt);
+  // The task's context cache, or null when this hook must not use one:
+  // caching is off, or the hook runs outside any system call (signal
+  // delivery at a checkpoint), where syscall_count names an earlier call.
+  PfTaskState* ContextCache(sim::Task& task);
   void FetchStack(Packet& pkt);
   void FetchInterp(Packet& pkt);
 

@@ -6,15 +6,15 @@
 // therefore populated by context modules, guarded by a bitmask so each field
 // is collected at most once per invocation (lazy retrieval, paper §4.2), and
 // the expensive fields (stack unwinds) can additionally be cached across
-// invocations within one system call (context caching).
+// invocations within one system call (context caching). The packet holds
+// plain values only: nothing in it owns or pins memory.
 #ifndef SRC_CORE_PACKET_H_
 #define SRC_CORE_PACKET_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "src/core/unwind.h"
 #include "src/sim/lsm.h"
@@ -28,8 +28,8 @@ enum class Ctx : uint32_t {
   kLinkTarget,       // symlink target attributes (owner comparisons, R8)
   kAdversaryAccess,  // adversary read/write accessibility of the object
   kEntrypoint,       // innermost user frame (program + relative PC)
-  kUserStack,        // full unwound user stack
-  kInterpStack,      // interpreter backtrace
+  kUserStack,        // the user-stack unwind (fetched with kEntrypoint)
+  kInterpStack,      // innermost interpreter frame
   kCount,
 };
 
@@ -78,21 +78,16 @@ struct Packet {
   bool adversary_writable = false;
   bool adversary_readable = false;
 
-  // --- kEntrypoint / kUserStack ---
+  // --- kEntrypoint / kUserStack --- (one unwind fills both)
   bool entrypoint_valid = false;
-  BinFrame entrypoint;            // innermost frame
-  const std::vector<BinFrame>* stack = nullptr;  // owned by stack_hold
-  UnwindStatus stack_status = UnwindStatus::kAborted;
+  BinFrame entrypoint;  // innermost frame
 
-  // --- kInterpStack ---
-  const std::vector<InterpRec>* interp = nullptr;  // owned by interp_hold
-  UnwindStatus interp_status = UnwindStatus::kAborted;
-
-  // Pins for the unwind snapshots backing `stack`/`interp`: the per-task
-  // context cache may be refreshed by a concurrent hook evaluation, so the
-  // packet keeps its own reference for the duration of the traversal.
-  std::shared_ptr<const void> stack_hold;
-  std::shared_ptr<const void> interp_hold;
+  // --- kInterpStack --- the innermost interpreter record. The script path
+  // is resolved when the context is fetched and views the task's script
+  // table, which no hook modifies.
+  bool interp_valid = false;
+  sim::InterpLang interp_lang = sim::InterpLang::kNone;
+  std::string_view interp_script;
 
   bool Has(Ctx c) const { return (have & CtxBit(c)) != 0; }
   void Mark(Ctx c) { have |= CtxBit(c); }

@@ -48,49 +48,44 @@ Addr PrologueScan(const Task& task, Addr from) {
   return sim::kNullAddr;
 }
 
-}  // namespace
-
-UnwindResult UnwindUserStack(const Task& task) {
-  UnwindResult result;
+// The validated frame-pointer walk, shared by every entry point: `emit`
+// receives each frame, innermost first, and the walk's status is returned.
+// Entry points differ only in what their sink keeps, so the checks below
+// cannot drift between them.
+template <typename Sink>
+UnwindStatus WalkUserStack(const Task& task, Sink&& emit) {
   const Mm& mm = task.mm;
   Addr cur = mm.fp();
   if (cur == 0) {
     // No frames at all (kernel thread / not yet set up): empty but valid.
-    result.status = UnwindStatus::kOk;
-    return result;
+    return UnwindStatus::kOk;
   }
-
-  // One allocation per unwind: the task's frame count is a good size hint
-  // (only a hint — the walk below trusts nothing but validated reads).
-  result.frames.reserve(std::min<size_t>(task.mm.frames().size(), kMaxUnwindFrames));
+  // Every iteration that continues has emitted exactly one frame, so `n`
+  // counts the frames emitted so far.
   for (int n = 0; n < kMaxUnwindFrames; ++n) {
     if (!mm.ContainsUser(cur, sim::kFrameRecordSize)) {
       // FP register or chain points outside the stack: malicious/corrupt.
-      result.status = UnwindStatus::kAborted;
-      return result;
+      return UnwindStatus::kAborted;
     }
     uint64_t saved_fp = 0;
     uint64_t ret_pc = 0;
     if (!ReadRecord(mm, cur, &saved_fp, &ret_pc)) {
-      result.status = UnwindStatus::kAborted;
-      return result;
+      return UnwindStatus::kAborted;
     }
     const Mapping* map = mm.FindMapping(ret_pc);
     if (map == nullptr) {
       // Return address outside every image: stop; what we have so far came
       // from validated records, but treat a first-frame failure as abort.
-      result.status = result.frames.empty() ? UnwindStatus::kAborted : UnwindStatus::kTruncated;
-      return result;
+      return n == 0 ? UnwindStatus::kAborted : UnwindStatus::kTruncated;
     }
     BinFrame frame;
     frame.pc = ret_pc;
     frame.image = map->file;
     frame.offset = ret_pc - map->base;
-    result.frames.push_back(frame);
+    emit(frame);
 
     if (saved_fp == 0) {
-      result.status = UnwindStatus::kOk;  // outermost frame reached
-      return result;
+      return UnwindStatus::kOk;  // outermost frame reached
     }
     if (mm.ContainsUser(saved_fp, sim::kFrameRecordSize) && saved_fp > cur) {
       // Healthy frame-pointer chain (monotonicity defeats cycle DoS).
@@ -109,8 +104,7 @@ UnwindResult UnwindUserStack(const Task& task) {
         uint64_t table_pc = 0;
         if (!mm.ReadU64(caller.record + 8, &table_pc) || table_pc != caller.pc) {
           // Memory no longer matches the tables: tampering detected.
-          result.status = UnwindStatus::kAborted;
-          return result;
+          return UnwindStatus::kAborted;
         }
         cur = caller.record;
         continue;
@@ -119,31 +113,25 @@ UnwindResult UnwindUserStack(const Task& task) {
     // Heuristic path.
     Addr next = PrologueScan(task, cur);
     if (next == sim::kNullAddr) {
-      result.status = UnwindStatus::kTruncated;
-      return result;
+      return UnwindStatus::kTruncated;
     }
     cur = next;
   }
-  result.status = UnwindStatus::kTruncated;  // frame limit
-  return result;
+  return UnwindStatus::kTruncated;  // frame limit
 }
 
-InterpUnwindResult UnwindInterpStack(const Task& task) {
-  InterpUnwindResult result;
+// The validated interpreter-list walk: `emit` receives each record (without
+// its script path), innermost first.
+template <typename Sink>
+UnwindStatus WalkInterpStack(const Task& task, Sink&& emit) {
   const Mm& mm = task.mm;
   Addr node = mm.interp_head();
-  if (node == sim::kNullAddr) {
-    result.status = UnwindStatus::kOk;
-    return result;
-  }
   for (int n = 0; n < kMaxInterpFrames; ++n) {
     if (node == sim::kNullAddr) {
-      result.status = UnwindStatus::kOk;
-      return result;
+      return UnwindStatus::kOk;
     }
     if (!mm.ContainsUser(node, 24)) {
-      result.status = UnwindStatus::kAborted;
-      return result;
+      return UnwindStatus::kAborted;
     }
     uint64_t next = 0;
     uint32_t script_id = 0;
@@ -151,26 +139,66 @@ InterpUnwindResult UnwindInterpStack(const Task& task) {
     uint32_t lang = 0;
     if (!mm.ReadU64(node, &next) || !mm.CopyFromUser(node + 8, &script_id, 4) ||
         !mm.CopyFromUser(node + 12, &line, 4) || !mm.CopyFromUser(node + 16, &lang, 4)) {
-      result.status = UnwindStatus::kAborted;
-      return result;
+      return UnwindStatus::kAborted;
     }
     InterpRec rec;
     rec.lang = static_cast<sim::InterpLang>(lang);
     rec.script_id = script_id;
     rec.line = line;
-    if (const std::string* path = task.ScriptPath(script_id)) {
-      rec.script_path = *path;
-    }
-    result.frames.push_back(std::move(rec));
+    emit(std::move(rec));
     // Arena nodes are bump-allocated: a well-formed list is strictly
     // decreasing in address. This bounds malicious cyclic lists.
     if (next != sim::kNullAddr && next >= node) {
-      result.status = UnwindStatus::kAborted;
-      return result;
+      return UnwindStatus::kAborted;
     }
     node = next;
   }
-  result.status = UnwindStatus::kTruncated;
+  return UnwindStatus::kTruncated;
+}
+
+}  // namespace
+
+UnwindResult UnwindUserStack(const Task& task) {
+  UnwindResult result;
+  // One allocation per unwind: the task's frame count is a good size hint
+  // (only a hint — the walk trusts nothing but validated reads).
+  result.frames.reserve(std::min<size_t>(task.mm.frames().size(), kMaxUnwindFrames));
+  result.status =
+      WalkUserStack(task, [&result](const BinFrame& f) { result.frames.push_back(f); });
+  return result;
+}
+
+InnermostFrame UnwindInnermost(const Task& task) {
+  InnermostFrame result;
+  result.status = WalkUserStack(task, [&result](const BinFrame& f) {
+    if (!result.found) {
+      result.found = true;
+      result.frame = f;
+    }
+  });
+  return result;
+}
+
+InterpUnwindResult UnwindInterpStack(const Task& task) {
+  InterpUnwindResult result;
+  result.status = WalkInterpStack(task, [&](InterpRec&& rec) {
+    if (const std::string* path = task.ScriptPath(rec.script_id)) {
+      rec.script_path = *path;
+    }
+    result.frames.push_back(std::move(rec));
+  });
+  return result;
+}
+
+InterpTop UnwindInterpTop(const Task& task) {
+  InterpTop result;
+  result.status = WalkInterpStack(task, [&result](InterpRec&& rec) {
+    if (!result.found) {
+      result.found = true;
+      result.lang = rec.lang;
+      result.script_id = rec.script_id;
+    }
+  });
   return result;
 }
 

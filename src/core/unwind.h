@@ -31,9 +31,10 @@ enum class UnwindStatus {
   kAborted,    // inconsistent/malicious state; result must not be trusted
 };
 
-// One unwound binary frame. Plain data on purpose: snapshots copy frames on
-// every hook, and a pathname here would make each copy a heap allocation
-// (the mapping at `pc` still names the image when a LOG record needs it).
+// One unwound binary frame. Plain data on purpose: the engine's context
+// cache stores it as a few words, and a pathname here would make every copy
+// a heap allocation (the mapping at `pc` still names the image when a LOG
+// record needs it).
 struct BinFrame {
   sim::Addr pc = 0;
   sim::FileId image;        // identity of the mapped binary
@@ -45,6 +46,16 @@ struct UnwindResult {
   std::vector<BinFrame> frames;  // innermost first
 
   bool usable() const { return status != UnwindStatus::kAborted && !frames.empty(); }
+};
+
+// The innermost frame of a user-stack walk, which is all the entrypoint
+// context module reads.
+struct InnermostFrame {
+  UnwindStatus status = UnwindStatus::kAborted;
+  bool found = false;  // the walk produced at least one frame
+  BinFrame frame;
+
+  bool usable() const { return status != UnwindStatus::kAborted && found; }
 };
 
 // One unwound interpreter frame.
@@ -60,13 +71,33 @@ struct InterpUnwindResult {
   std::vector<InterpRec> frames;  // innermost first
 };
 
+// The innermost interpreter record of a walk, by script id (the caller
+// resolves the path through the task's script table).
+struct InterpTop {
+  UnwindStatus status = UnwindStatus::kAborted;
+  bool found = false;
+  sim::InterpLang lang = sim::InterpLang::kNone;
+  uint32_t script_id = 0;
+
+  bool usable() const { return status != UnwindStatus::kAborted && found; }
+};
+
 // Unwinds the task's user stack. Never throws; never reads outside the
 // task's user region.
 UnwindResult UnwindUserStack(const sim::Task& task);
 
+// The same validated walk as UnwindUserStack (the status always agrees, and
+// so does the first frame), keeping only the innermost frame: allocates
+// nothing.
+InnermostFrame UnwindInnermost(const sim::Task& task);
+
 // Walks the interpreter frame list (arena nodes) if the task runs an
 // interpreter; empty result with kOk if it does not.
 InterpUnwindResult UnwindInterpStack(const sim::Task& task);
+
+// The same walk as UnwindInterpStack, keeping only the innermost record and
+// copying no path: allocates nothing.
+InterpTop UnwindInterpTop(const sim::Task& task);
 
 }  // namespace pf::core
 

@@ -114,6 +114,7 @@ struct Workload {
     for (int i = 0; i < kTasks; ++i) {
       auto task = std::make_unique<sim::Task>();
       task->pid = static_cast<sim::Pid>(100 + i);
+      task->syscall_depth = 1;  // every request runs inside a system call
       task->comm = "equiv";
       task->exe = sim::kBinTrue;
       task->cred.sid = kernel.labels().Intern("staff_t");

@@ -117,6 +117,7 @@ FuzzRun Replay(uint64_t seed, const EngineConfig& cfg) {
   for (int i = 0; i < kTasks; ++i) {
     auto task = std::make_unique<sim::Task>();
     task->pid = static_cast<sim::Pid>(200 + i);
+    task->syscall_depth = 1;  // every request runs inside a system call
     task->comm = "fuzz";
     task->exe = sim::kBinTrue;
     task->cred.sid = kernel.labels().Intern(i == 0 ? "staff_t" : "user_t");

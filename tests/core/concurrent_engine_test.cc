@@ -62,6 +62,7 @@ struct Rig {
   std::unique_ptr<sim::Task> MakeTask(int idx) {
     auto task = std::make_unique<sim::Task>();
     task->pid = static_cast<sim::Pid>(1000 + idx);
+    task->syscall_depth = 1;  // every request runs inside a system call
     task->comm = "hammer";
     task->exe = sim::kBinTrue;
     task->cred.sid = kernel.labels().Intern("staff_t");

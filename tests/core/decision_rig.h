@@ -38,6 +38,8 @@ struct DecisionRig {
     const Status s = pft->ExecAll(rules);
     EXPECT_TRUE(s.ok()) << s.message();
     task.pid = 55;
+    // Decide() models each request as the first hook of a new system call.
+    task.syscall_depth = 1;
     task.comm = "rig";
     task.exe = sim::kBinTrue;
     task.cred.sid = kernel.labels().Intern("staff_t");

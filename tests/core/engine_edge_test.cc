@@ -170,6 +170,19 @@ TEST_F(EngineEdgeTest, RuleOnMangleTableIsInertForNow) {
   });
 }
 
+// The system call each context-cache entry belongs to (kNoSyscall: empty).
+uint64_t CachedStackSerial(const PfTaskState& state) {
+  CachedFrame entry;
+  EXPECT_TRUE(state.stack.Load(&entry)) << "no writer is active";
+  return entry.serial;
+}
+
+uint64_t CachedInterpSerial(const PfTaskState& state) {
+  CachedInterp entry;
+  EXPECT_TRUE(state.interp.Load(&entry)) << "no writer is active";
+  return entry.serial;
+}
+
 TEST_F(EngineEdgeTest, ForkChildDoesNotInheritUnwindCaches) {
   // An entrypoint rule forces a stack unwind (and cache fill) on open.
   ASSERT_TRUE(pft_.Exec("pftables -p /bin/true -i 0x100 -o FILE_OPEN -j DROP").ok());
@@ -177,13 +190,14 @@ TEST_F(EngineEdgeTest, ForkChildDoesNotInheritUnwindCaches) {
     p.Open("/etc/passwd", sim::kORdOnly);
     PfTaskState& parent = engine_->TaskState(p.task());
     parent.dict["k"] = 7;
-    if (parent.stack.load() == nullptr) {
+    if (CachedStackSerial(parent) == kNoSyscall) {
       p.Exit(3);  // precondition failed: the open did not fill the cache
       return;
     }
     int64_t child = p.Fork([&](Proc& c) {
       PfTaskState& st = engine_->TaskState(c.task());
-      bool fresh = st.stack.load() == nullptr && st.interp.load() == nullptr;
+      bool fresh =
+          CachedStackSerial(st) == kNoSyscall && CachedInterpSerial(st) == kNoSyscall;
       bool inherited = st.dict.count("k") == 1 && st.dict["k"] == 7;
       c.Exit(fresh ? (inherited ? 0 : 2) : 1);
     });
@@ -197,7 +211,7 @@ TEST_F(EngineEdgeTest, ForkChildDoesNotInheritUnwindCaches) {
 
 TEST_F(EngineEdgeTest, ExecHookDropsContextCaches) {
   // Unit-level check of the OnTaskExec contract: the old image's unwind
-  // snapshots must not survive into the new image.
+  // must not serve a hook that runs after exec in the same system call.
   ASSERT_TRUE(pft_.Exec("pftables -p /bin/true -i 0x200 -o FILE_OPEN -j DROP").ok());
   sim::Task task;
   task.pid = 4141;
@@ -205,6 +219,7 @@ TEST_F(EngineEdgeTest, ExecHookDropsContextCaches) {
   task.exe = sim::kBinTrue;
   task.cred.sid = kernel().labels().Intern("staff_t");
   task.cwd = kernel().vfs().root()->id();
+  task.syscall_depth = 1;  // the hooks below run inside one system call
   task.mm.Reset(kernel().AslrStackBase());
   kernel().MapImage(task, kernel().LookupNoHooks(sim::kBinTrue), sim::kBinTrue);
   const sim::Mapping* map = task.mm.FindMappingByPath(sim::kBinTrue);
@@ -222,10 +237,52 @@ TEST_F(EngineEdgeTest, ExecHookDropsContextCaches) {
   EXPECT_EQ(engine_->Authorize(req), sim::SysError(sim::Err::kAcces));
 
   PfTaskState& state = engine_->TaskState(task);
-  ASSERT_NE(state.stack.load(), nullptr) << "the entrypoint rule must fill the cache";
+  ASSERT_EQ(CachedStackSerial(state), task.syscall_count)
+      << "the entrypoint rule must fill the cache";
   engine_->OnTaskExec(task);
-  EXPECT_EQ(state.stack.load(), nullptr);
-  EXPECT_EQ(state.interp.load(), nullptr);
+  EXPECT_EQ(CachedStackSerial(state), kNoSyscall);
+  EXPECT_EQ(CachedInterpSerial(state), kNoSyscall);
+
+  // The new image calls from another site; a hook later in the same system
+  // call must unwind it instead of reusing the pre-exec frame.
+  task.mm.Reset(kernel().AslrStackBase());
+  kernel().MapImage(task, kernel().LookupNoHooks(sim::kBinTrue), sim::kBinTrue);
+  map = task.mm.FindMappingByPath(sim::kBinTrue);
+  ASSERT_NE(map, nullptr);
+  task.mm.PushFrame(map->base + 0x300, 16, false);
+  EXPECT_EQ(engine_->Authorize(req), 0) << "a pre-exec unwind served a post-exec hook";
+}
+
+TEST_F(EngineEdgeTest, HookOutsideASyscallDoesNotReuseItsUnwind) {
+  // Signal delivery at a checkpoint runs outside any system call, where
+  // syscall_count still names the call before it although the stack has
+  // moved on. The delivery from call site 0x200 must be dropped with the
+  // context cache off and on alike.
+  ASSERT_TRUE(pft_.ExecAll({
+                      "pftables -p /bin/true -i 0x100 -o FILE_OPEN -j ACCEPT",
+                      "pftables -p /bin/true -i 0x200 -o PROCESS_SIGNAL_DELIVERY -j DROP",
+                  })
+                  .ok());
+  for (const bool cache_context : {false, true}) {
+    engine_->config().cache_context = cache_context;
+    int handled = 0;
+    Pid victim = sched().Spawn({.name = "victim", .exe = sim::kBinTrue}, [&](Proc& p) {
+      p.Sigaction(sim::kSigUsr1, [&](sim::SigNum) { ++handled; });
+      {
+        sim::UserFrame site(p, sim::kBinTrue, 0x100, 16);
+        EXPECT_GE(p.Open("/etc/passwd", sim::kORdOnly), 0);  // unwinds from 0x100
+      }
+      p.Checkpoint("armed");
+      sim::UserFrame site(p, sim::kBinTrue, 0x200, 16);
+      p.Checkpoint("deliver");  // the pending SIGUSR1 is delivered here
+    });
+    ASSERT_TRUE(sched().RunUntilLabel(victim, "armed"));
+    Pid killer = sched().Spawn({}, [&](Proc& p) { p.Kill(victim, sim::kSigUsr1); });
+    sched().RunUntilExit(killer);
+    sched().RunUntilExit(victim);
+    EXPECT_EQ(handled, 0) << "cache_context=" << cache_context
+                          << ": the delivery reused the open's unwind";
+  }
 }
 
 TEST_F(EngineEdgeTest, KernelNotifiesModulesOnExecve) {

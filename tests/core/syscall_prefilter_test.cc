@@ -42,6 +42,7 @@ struct Rig {
     Pftables pft(engine);
     EXPECT_TRUE(pft.ExecAll(rules).ok());
     task.pid = 300;
+    task.syscall_depth = 1;  // every request runs inside a system call
     task.comm = "prefilter";
     task.exe = sim::kBinTrue;
     task.cred.sid = kernel.labels().Intern("staff_t");

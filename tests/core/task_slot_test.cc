@@ -1,6 +1,6 @@
 // Per-task PF state lives in the task's own security slot
 // (sim::Task::security), one slot per engine: fork copies the STATE
-// dictionary, exec drops the unwind snapshots, exit frees what the state
+// dictionary, exec empties the context cache, exit frees what the state
 // holds, and two engines on one kernel never see each other's dictionaries
 // — whether or not they were registered through Kernel::AddModule.
 #include <gtest/gtest.h>
@@ -33,6 +33,7 @@ struct Rig {
   std::unique_ptr<sim::Task> MakeTask(sim::Pid pid) {
     auto task = std::make_unique<sim::Task>();
     task->pid = pid;
+    task->syscall_depth = 1;  // Bind and Open each model one system call
     task->comm = "slot";
     task->exe = sim::kBinTrue;
     task->cred.sid = kernel.labels().Intern("staff_t");
@@ -66,6 +67,13 @@ struct Rig {
     return engine.Authorize(req);
   }
 };
+
+// The system call the task's cached unwind belongs to (kNoSyscall: empty).
+uint64_t CachedStackSerial(const PfTaskState& state) {
+  CachedFrame entry;
+  EXPECT_TRUE(state.stack.Load(&entry)) << "no writer is active";
+  return entry.serial;
+}
 
 TEST(TaskSlotTest, ForkCopiesTheDictionaryAndWritesStayApart) {
   Rig rig;
@@ -103,18 +111,16 @@ TEST(TaskSlotTest, ExecDropsUnwindsAndExitFreesTheState) {
   EXPECT_EQ(Rig::Bind(*engine, *task), 0);
   EXPECT_LT(rig.Open(*engine, *task, "/etc/shadow"), 0) << "the unwind fills the cache";
   PfTaskState& state = engine->TaskState(*task);
-  std::weak_ptr<const StackSnapshot> snapshot = state.stack.load();
-  ASSERT_FALSE(snapshot.expired());
+  EXPECT_EQ(CachedStackSerial(state), task->syscall_count);
 
   engine->OnTaskExec(*task);
-  EXPECT_TRUE(snapshot.expired()) << "exec must drop the unwind snapshot";
+  EXPECT_EQ(CachedStackSerial(state), kNoSyscall) << "exec must empty the context cache";
   EXPECT_EQ(state.dict, (Dict{{"b", 1}})) << "exec keeps the dictionary";
 
   EXPECT_LT(rig.Open(*engine, *task, "/etc/shadow"), 0);
-  snapshot = state.stack.load();
-  ASSERT_FALSE(snapshot.expired());
+  EXPECT_EQ(CachedStackSerial(state), task->syscall_count);
   engine->OnTaskExit(*task);
-  EXPECT_TRUE(snapshot.expired()) << "exit must free the unwind snapshot";
+  EXPECT_EQ(CachedStackSerial(state), kNoSyscall) << "exit must empty the context cache";
   EXPECT_TRUE(state.dict.empty()) << "exit must free the dictionary";
 }
 

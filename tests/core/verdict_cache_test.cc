@@ -45,6 +45,7 @@ struct Rig {
     apps::InstallPrograms(kernel);
     engine = InstallProcessFirewall(kernel, cfg);
     task.pid = 100;
+    task.syscall_depth = 1;  // each request runs inside a system call
     task.comm = "fresh";
     task.exe = sim::kBinTrue;
     task.cred.sid = kernel.labels().Intern("staff_t");
@@ -371,6 +372,7 @@ struct LiveWorkload {
     for (int i = 0; i < kLiveTasks; ++i) {
       auto task = std::make_unique<sim::Task>();
       task->pid = static_cast<sim::Pid>(100 + i);
+      task->syscall_depth = 1;  // every request runs inside a system call
       task->comm = "live";
       task->exe = sim::kBinTrue;
       task->cred.sid = kernel.labels().Intern("staff_t");

@@ -2,8 +2,9 @@
 // a malicious process may write anything into its user memory. For hundreds
 // of seeded random corruptions, the unwinders must (a) never read outside
 // the user region (enforced by CopyFromUser, crash = test failure),
-// (b) terminate within the frame limits, and (c) never fabricate frames
-// with PCs outside mapped images.
+// (b) terminate within the frame limits, (c) never fabricate frames with
+// PCs outside mapped images, and (d) agree with the innermost-only walks the
+// engine's context cache uses, on the status and the first frame.
 
 #include <gtest/gtest.h>
 
@@ -56,6 +57,16 @@ TEST_P(UnwindFuzz, RandomStackCorruptionIsContained) {
     EXPECT_NE(task.mm.FindMapping(f.pc), nullptr)
         << "unwinder fabricated a PC outside every image";
   }
+  // The innermost-only walk (what the engine caches) runs the same checks.
+  const InnermostFrame top = UnwindInnermost(task);
+  EXPECT_EQ(top.status, res.status);
+  ASSERT_EQ(top.found, !res.frames.empty());
+  EXPECT_EQ(top.usable(), res.usable());
+  if (top.found) {
+    EXPECT_EQ(top.frame.pc, res.frames.front().pc);
+    EXPECT_EQ(top.frame.image, res.frames.front().image);
+    EXPECT_EQ(top.frame.offset, res.frames.front().offset);
+  }
 }
 
 TEST_P(UnwindFuzz, RandomInterpListCorruptionIsContained) {
@@ -87,6 +98,13 @@ TEST_P(UnwindFuzz, RandomInterpListCorruptionIsContained) {
   }
   InterpUnwindResult res = UnwindInterpStack(task);
   EXPECT_LE(res.frames.size(), static_cast<size_t>(kMaxInterpFrames));
+  const InterpTop top = UnwindInterpTop(task);
+  EXPECT_EQ(top.status, res.status);
+  ASSERT_EQ(top.found, !res.frames.empty());
+  if (top.found) {
+    EXPECT_EQ(top.lang, res.frames.front().lang);
+    EXPECT_EQ(top.script_id, res.frames.front().script_id);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, UnwindFuzz, ::testing::Range<uint64_t>(1, 121));

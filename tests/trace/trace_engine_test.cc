@@ -35,6 +35,7 @@ struct Rig {
     apps::InstallPrograms(kernel);
     engine = InstallProcessFirewall(kernel, cfg);
     task.pid = 100;
+    task.syscall_depth = 1;  // every request runs inside a system call
     task.comm = "traced";
     task.exe = sim::kBinTrue;
     task.cred.sid = kernel.labels().Intern("staff_t");
