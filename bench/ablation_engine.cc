@@ -2,8 +2,8 @@
 // out, measured in isolation against a hand-built authorization request —
 // no scheduler in the loop.
 //
-//   * linear rule scan vs. entrypoint-indexed chains vs. the tuple
-//     classifier, over rule-base size, and the two dispatch strategies
+//   * linear rule scan vs. entrypoint-indexed chains, over rule-base size,
+//     and the two dispatch strategies
 //   * user-stack unwinding vs. call depth, and the per-syscall context cache
 //   * lazy vs. eager context retrieval
 //   * pftables rule compilation throughput
@@ -82,58 +82,6 @@ BENCHMARK(BM_AuthorizeCompiledScan)
     ->Arg(100000)
     ->Arg(200000);
 
-// Tuple-space pre-classification (DESIGN.md §5g) against the bucket scan
-// above, at matched rule counts: instead of walking every candidate record,
-// Authorize hashes the request's exact-match dimensions (subject, resolved
-// entrypoint, object, --ino) into the per-bucket tuple tables and evaluates
-// only the surviving slices plus the residual. The synthetic distributor
-// base is all entrypoint rules, so the probe resolves one tuple (or none)
-// and latency stays flat while the scan path grows linearly — the scaling
-// headline the bench-smoke CI job asserts (100k within 3x of 1218).
-void BM_AuthorizeTupleScan(benchmark::State& state) {
-  EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
-                   /*indexed=*/false);
-  fx.sys.engine->config().tuple_dispatch = true;
-  sim::AccessRequest req = fx.OpenRequest();
-  for (auto _ : state) {
-    ++fx.task.syscall_count;
-    benchmark::DoNotOptimize(fx.sys.engine->Authorize(req));
-  }
-  state.SetItemsProcessed(state.iterations());
-  const core::ClassifierStats cs =
-      core::ComputeClassifierStats(fx.sys.engine->PublishedRuleset()->program);
-  state.counters["tuples"] = static_cast<double>(cs.tuples);
-  state.counters["max_slice"] = static_cast<double>(cs.max_slice);
-  state.counters["residual"] = static_cast<double>(cs.residual_rules);
-}
-BENCHMARK(BM_AuthorizeTupleScan)
-    ->Arg(1218)
-    ->Arg(10000)
-    ->Arg(50000)
-    ->Arg(100000)
-    ->Arg(200000);
-
-// Tuple dispatch layered over the entrypoint-indexed chains: the classifier
-// takes precedence in ExecChain, so this measures the combined configuration
-// a production commit would run (both features on).
-void BM_AuthorizeTupleIndexed(benchmark::State& state) {
-  EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
-                   /*indexed=*/true);
-  fx.sys.engine->config().tuple_dispatch = true;
-  sim::AccessRequest req = fx.OpenRequest();
-  for (auto _ : state) {
-    ++fx.task.syscall_count;
-    benchmark::DoNotOptimize(fx.sys.engine->Authorize(req));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AuthorizeTupleIndexed)
-    ->Arg(1218)
-    ->Arg(10000)
-    ->Arg(50000)
-    ->Arg(100000)
-    ->Arg(200000);
-
 // The program evaluator with the computed-goto threaded dispatcher turned
 // off: the same arena program run through the portable switch loop. The
 // delta against BM_AuthorizeCompiledScan is the pure dispatch-strategy win;
@@ -151,6 +99,12 @@ void BM_AuthorizeSwitchScan(benchmark::State& state) {
 }
 BENCHMARK(BM_AuthorizeSwitchScan)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->Arg(2048);
 
+// The shipping configuration: entrypoint-indexed chains (paper §4.3, the
+// EPTSPC rung) over the same synthetic bases as BM_AuthorizeCompiledScan.
+// Every synthetic rule pins an entrypoint and none names /bin/true, so each
+// decision scans the op bucket's plain rules (none) and misses the index:
+// latency stays flat while the scan grows linearly. The bench-smoke CI job
+// asserts 100k rules within 3x of 1218.
 void BM_AuthorizeCompiledIndexed(benchmark::State& state) {
   EngineFixture fx(/*frames=*/2, /*rules=*/static_cast<int>(state.range(0)),
                    /*indexed=*/true);
@@ -161,7 +115,15 @@ void BM_AuthorizeCompiledIndexed(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AuthorizeCompiledIndexed)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->Arg(2048);
+BENCHMARK(BM_AuthorizeCompiledIndexed)
+    ->Arg(16)
+    ->Arg(128)
+    ->Arg(512)
+    ->Arg(1218)
+    ->Arg(2048)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(200000);
 
 // The tracing tax with every tracepoint stream live (decision + rule +
 // ctx records, latency histograms): compare against
@@ -222,8 +184,6 @@ void BM_CompileProgram(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   auto snap = sys.engine->CompileRuleset();
   state.counters["arena_words"] = static_cast<double>(snap->program.arena.size());
-  state.counters["classifier_ns"] =
-      static_cast<double>(snap->program.classifier_build_ns);
 }
 BENCHMARK(BM_CompileProgram)->Arg(128)->Arg(1218)->Arg(2048)->Arg(100000);
 

@@ -4,8 +4,8 @@
 #
 #   table6_lmbench   us/op for every (syscall, config) cell
 #   table7_macro     macro means (Without PF / PF Base / PF Full)
-#   ablation_engine  switch loop vs threaded evaluator, scan vs indexed vs
-#                    tuple dispatch, the context cache on vs off,
+#   ablation_engine  switch loop vs threaded evaluator, scan vs indexed
+#                    dispatch, the context cache on vs off,
 #                    BM_CompileProgram + BM_VerifyProgram (commit-time costs)
 #   pfcheck          static-analyzer wall time over the shipped rule base
 #
@@ -24,7 +24,7 @@ trap 'rm -rf "$TMP"' EXIT
 # Medians of 3 repetitions: the dispatch-ladder and verifier-share summary
 # numbers gate CI, and single-shot runs swing +-20% on shared machines.
 "$BUILD/bench/ablation_engine" \
-  --benchmark_filter='BM_AuthorizeCompiled|BM_AuthorizeSwitchScan|BM_AuthorizeTuple|BM_CompileProgram|BM_VerifyProgram|BM_BuildSymbolicModel|BM_ContextCache' \
+  --benchmark_filter='BM_AuthorizeCompiled|BM_AuthorizeSwitchScan|BM_CompileProgram|BM_VerifyProgram|BM_BuildSymbolicModel|BM_ContextCache' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_out="$TMP/ablation.json" --benchmark_out_format=json
 "$BUILD/src/apps/pfcheck" --library --json > "$TMP/pfcheck.json"
@@ -43,9 +43,7 @@ with open(os.path.join(tmp, "ablation.json")) as f:
 out["ablation_engine"] = {
     b["name"].removesuffix("_median"): {
         "ns_per_op": b["real_time"],
-        **{k: b[k] for k in ("arena_words", "classifier_ns",
-                             "tuples", "max_slice", "residual",
-                             "regions", "unwinds_per_call")
+        **{k: b[k] for k in ("arena_words", "regions", "unwinds_per_call")
            if k in b},
     }
     for b in ab.get("benchmarks", [])
@@ -98,23 +96,20 @@ out["summary"].update({
     "symbolic_library_regions": out["pfcheck"].get("symbolic", {}).get("regions"),
 })
 
-# Tuple-space classifier (DESIGN.md §5g): the scaling headline is flat
-# authorize latency at 100k rules (within 3x of the 1218-rule base). Every
-# commit relowers the whole base, so compile_program_100k_ns is also the
-# per-commit lowering cost at that scale.
-tuple_1218 = ae.get("BM_AuthorizeTupleScan/1218", {}).get("ns_per_op")
-tuple_100k = ae.get("BM_AuthorizeTupleScan/100000", {}).get("ns_per_op")
+# Scaling through the entrypoint index (DESIGN.md §5g): the headline is
+# flat authorize latency at 100k rules (within 3x of the 1218-rule base)
+# while the scan grows linearly. Every commit relowers the whole base, so
+# compile_program_100k_ns is also the per-commit lowering cost at that scale.
+indexed_1218 = ae.get("BM_AuthorizeCompiledIndexed/1218", {}).get("ns_per_op")
+indexed_100k = ae.get("BM_AuthorizeCompiledIndexed/100000", {}).get("ns_per_op")
 out["summary"].update({
-    "authorize_tuple_1218_ns": tuple_1218,
-    "authorize_tuple_100k_ns": tuple_100k,
-    "authorize_tuple_200k_ns":
-        ae.get("BM_AuthorizeTupleScan/200000", {}).get("ns_per_op"),
+    "authorize_indexed_100k_ns": indexed_100k,
+    "authorize_indexed_200k_ns":
+        ae.get("BM_AuthorizeCompiledIndexed/200000", {}).get("ns_per_op"),
     "authorize_compiled_scan_100k_ns":
         ae.get("BM_AuthorizeCompiledScan/100000", {}).get("ns_per_op"),
-    "tuple_scaling_100k_vs_1218": (tuple_100k / tuple_1218
-                                   if tuple_100k and tuple_1218 else None),
-    "classifier_build_ns":
-        ae.get("BM_CompileProgram/100000", {}).get("classifier_ns"),
+    "indexed_scaling_100k_vs_1218": (indexed_100k / indexed_1218
+                                     if indexed_100k and indexed_1218 else None),
     "compile_program_100k_ns":
         ae.get("BM_CompileProgram/100000", {}).get("ns_per_op"),
 })

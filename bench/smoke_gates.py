@@ -1,20 +1,27 @@
 #!/usr/bin/env python3
 """Checks the bench-smoke gates over google-benchmark JSON outputs.
 
-usage: python3 bench/smoke_gates.py SMOKE.json NOTRACE.json NOAUDIT.json
+usage: python3 bench/smoke_gates.py SMOKE.json NOAUDIT.json DEFAULT_1.json
+         NOTRACE_1.json DEFAULT_2.json NOTRACE_2.json DEFAULT_3.json
+         NOTRACE_3.json [DEFAULT_4.json NOTRACE_4.json ...]
 
-SMOKE.json is an ablation_engine run of a release build; NOTRACE.json and
-NOAUDIT.json are BM_AuthorizeCompiledIndexed runs of release builds with
-PF_TRACE=OFF and PF_AUDIT=OFF. Every run must use --benchmark_repetitions with
+SMOKE.json is an ablation_engine run of a release build; NOAUDIT.json is a
+BM_AuthorizeCompiledIndexed run of a release build with PF_AUDIT=OFF. The
+DEFAULT_i/NOTRACE_i pairs are rounds of BM_AuthorizeCompiledIndexed from the
+release build and from a PF_TRACE=OFF release build, run in turns (at least
+MIN_TRACE_ROUNDS rounds; the bench-smoke CI job runs five and alternates
+which binary goes first). Every run must use --benchmark_repetitions with
 --benchmark_report_aggregates_only, since the gates compare medians. The
 script prints every gate with its numbers and exits non-zero if any fails.
 """
 
 import json
 import math
+import statistics
 import sys
 
 RULE_COUNTS = (16, 128, 512, 1218, 2048)
+MIN_TRACE_ROUNDS = 3
 
 
 def medians(path):
@@ -24,7 +31,7 @@ def medians(path):
             if b.get("aggregate_name") == "median"}
 
 
-def dispatch_ladder(smoke, _notrace, _noaudit):
+def dispatch_ladder(smoke, _noaudit, _rounds):
     # The threaded evaluator (BM_AuthorizeCompiledScan) must beat or tie the
     # portable switch loop. The gap is a branch-predictor effect measured in
     # single-digit percent, so the gate allows a wide 15% for noise on shared
@@ -40,13 +47,10 @@ def dispatch_ladder(smoke, _notrace, _noaudit):
     return ok
 
 
-def verifier_share(smoke, _notrace, _noaudit):
-    # The bound was 5% before the tuple-space classifier: the program
-    # artifact now carries per-bucket hash tables, slot pools, and candidate
-    # slices that the verifier must prove in-bounds and exactly-once covering
-    # (classifier-oob / classifier-coverage), so the pass guards ~40% more
-    # surface. Steady state is ~8%; 10% leaves noise headroom without letting
-    # the proof grow unnoticed.
+def verifier_share(smoke, _noaudit, _rounds):
+    # The verifier proves every record, pool index and chain-table slice of
+    # the program on every commit. The bound leaves noise headroom over the
+    # measured share without letting the proof grow unnoticed.
     verify = smoke["BM_VerifyProgram/1218"]
     compile_ = smoke["BM_CompileProgram/1218"]
     share = verify / compile_
@@ -55,34 +59,44 @@ def verifier_share(smoke, _notrace, _noaudit):
     return share < 0.10
 
 
-def tuple_scaling(smoke, _notrace, _noaudit):
-    # The tuple-space classifier's whole point: Authorize at 100k rules must
+def indexed_scaling(smoke, _noaudit, _rounds):
+    # The entrypoint index's point (paper §4.3): Authorize at 100k rules must
     # stay within 3x of the 1218-rule baseline (the scan path is linear, ~80x
     # at that scale). Shared-runner noise is irrelevant at a 3x bound.
-    small = smoke["BM_AuthorizeTupleIndexed/1218"]
-    big = smoke["BM_AuthorizeTupleIndexed/100000"]
+    small = smoke["BM_AuthorizeCompiledIndexed/1218"]
+    big = smoke["BM_AuthorizeCompiledIndexed/100000"]
     print(f"  1218 rules {small:.0f} ns, 100k rules {big:.0f} ns "
           f"({big / small:.2f}x, bound 3x)")
     return big <= small * 3.0
 
 
-def trace_disabled(smoke, notrace, _noaudit):
-    # Tracing compiled in but disabled must keep the BM_AuthorizeCompiled*
-    # medians within 2% of a PF_TRACE=OFF build. Shared runners are noisy, so
-    # the gate allows 5%; the 2% target is what bench/run_bench.sh reports on
-    # quiet hardware.
-    ok = True
-    for arg in RULE_COUNTS:
-        name = f"BM_AuthorizeCompiledIndexed/{arg}"
-        w, n = smoke[name], notrace[name]
-        passed = w <= n * 1.05
-        print(f"  {name}: trace-disabled {w:.1f} ns vs no-trace {n:.1f} ns "
-              f"({'ok' if passed else 'REGRESSION'})")
-        ok &= passed
-    return ok
+def trace_disabled(_smoke, _noaudit, rounds):
+    # Tracing compiled in but disabled must keep BM_AuthorizeCompiledIndexed
+    # within 2% of a PF_TRACE=OFF build. The two binaries take turns; each
+    # round yields one ratio, the geometric mean across rule counts of
+    # default over no-trace (a decision's tracepoints do not depend on the
+    # rule count, and single ~150 ns medians swing 10% on a busy host). The
+    # gate is the median of the per-round ratios, so a load swing that hits
+    # one binary's turn moves one ratio, not the verdict. Shared runners are
+    # noisy, so the bound is 5%; the 2% target is what bench/run_bench.sh
+    # reports on quiet hardware.
+    if len(rounds) < MIN_TRACE_ROUNDS:
+        print(f"  {len(rounds)} round(s); the gate needs at least {MIN_TRACE_ROUNDS}")
+        return False
+    per_round = []
+    for i, (default, notrace) in enumerate(rounds, 1):
+        ratios = [default[f"BM_AuthorizeCompiledIndexed/{arg}"] /
+                  notrace[f"BM_AuthorizeCompiledIndexed/{arg}"] for arg in RULE_COUNTS]
+        per_round.append(math.exp(sum(map(math.log, ratios)) / len(ratios)))
+        print(f"  round {i}: trace-disabled / no-trace "
+              f"{' '.join(f'/{arg} {r:.3f}' for arg, r in zip(RULE_COUNTS, ratios))}; "
+              f"geometric mean {per_round[-1]:.3f}")
+    ratio = statistics.median(per_round)
+    print(f"  median of {len(per_round)} rounds {ratio:.3f} (bound 1.05)")
+    return ratio <= 1.05
 
 
-def audit_armed(smoke, _notrace, noaudit):
+def audit_armed(smoke, noaudit, _rounds):
     # With the audit pipeline *enabled* (every kind, suppression off) the
     # allow hot path must stay within 5%: security events pay for provenance,
     # allowed traffic must not. The gate is the geometric mean across rule
@@ -103,7 +117,7 @@ def audit_armed(smoke, _notrace, noaudit):
     return gmean <= 1.05
 
 
-def context_cache(smoke, _notrace, _noaudit):
+def context_cache(smoke, _noaudit, _rounds):
     # The paper's context cache (§4.2, the CONCACHE rung) must pay for
     # itself: with eight hooks per system call sharing one unwind, the
     # cache-on median must be at most 0.9x the cache-off median.
@@ -116,23 +130,25 @@ def context_cache(smoke, _notrace, _noaudit):
 GATES = [
     ("dispatch ladder: threaded <= 1.15x switch", dispatch_ladder),
     ("verifier share of program compilation < 10%", verifier_share),
-    ("tuple-dispatch authorize at 100k rules <= 3x 1218", tuple_scaling),
-    ("compiled-in but disabled tracing <= 1.05x PF_TRACE=OFF", trace_disabled),
+    ("entrypoint-indexed authorize at 100k rules <= 3x 1218", indexed_scaling),
+    ("compiled-in but disabled tracing, median round <= 1.05x PF_TRACE=OFF",
+     trace_disabled),
     ("armed audit pipeline geometric mean <= 1.05x disabled", audit_armed),
     ("context cache on <= 0.9x off", context_cache),
 ]
 
 
 def main(argv):
-    if len(argv) != 4:
+    if len(argv) < 3 or len(argv) % 2 != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    inputs = [medians(path) for path in argv[1:]]
+    smoke, noaudit = medians(argv[1]), medians(argv[2])
+    rounds = [(medians(argv[i]), medians(argv[i + 1])) for i in range(3, len(argv), 2)]
     failed = []
     for title, gate in GATES:
         print(f"{title}:")
         try:
-            ok = gate(*inputs)
+            ok = gate(smoke, noaudit, rounds)
         except KeyError as e:
             print(f"  missing benchmark {e}")
             ok = False

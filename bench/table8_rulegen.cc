@@ -6,6 +6,7 @@
 // that would actually misfire. Paper shape: false positives decay with the
 // threshold and reach zero at the trace's latest class switch (1149).
 
+#include <algorithm>
 #include <cinttypes>
 
 #include "bench/bench_util.h"
@@ -64,13 +65,25 @@ void Run() {
 // suggested entrypoint rule lands in the tens-of-thousands; this section
 // materializes synthetic distributor bases at 1218 (the paper's PF Full) up
 // to 200k rules and reports what commit-time costs: parse+install, the full
-// lowering (with the classifier-build share), the verifier, and the shape
-// of the tuple-space classifier the compile produced.
+// lowering, the verifier, and the longest rule list an entrypoint-indexed
+// decision scans (one op bucket's plain rules, or one entrypoint's rules).
+uint32_t MaxIndexedSlice(const core::PfProgram& prog) {
+  uint32_t longest = 0;
+  for (const core::ProgramChain& pc : prog.chains) {
+    for (const core::ProgramBucket& pb : pc.ops) {
+      longest = std::max(longest, pb.plain_len);
+    }
+    for (const auto& [key, slice] : pc.ept) {
+      longest = std::max(longest, slice.second);
+    }
+  }
+  return longest;
+}
+
 void RunScale() {
   Caption("Rule generation at scale: commit-time costs, 1218 -> 200k rules");
-  std::printf("%8s %12s %12s %14s %12s %10s %10s %12s %10s\n", "Rules",
-              "install ms", "compile ms", "classifier ms", "verify ms", "tuples",
-              "max slice", "symbolic ms", "regions");
+  std::printf("%8s %12s %12s %12s %10s %12s %10s\n", "Rules", "install ms", "compile ms",
+              "verify ms", "max slice", "symbolic ms", "regions");
   for (int count : {1218, 10000, 50000, 100000, 200000}) {
     System sys;
     Stopwatch sw;
@@ -80,16 +93,13 @@ void RunScale() {
     sw.Start();
     auto snap = sys.engine->CompileRuleset();
     const double compile_us = sw.ElapsedUs();
-    const core::ClassifierStats cstats = core::ComputeClassifierStats(snap->program);
     // The symbolic decision-space model over the same compiled base: the
     // full-partition build whose 1218-rule wall time the CI budget bounds.
     const analysis::symbolic::SymbolicModel model =
         analysis::symbolic::BuildModel(*snap, sys.engine->policy());
-    std::printf("%8d %12.1f %12.1f %14.1f %12.1f %10u %10u %12.1f %10zu\n",
-                count, install_us / 1e3, compile_us / 1e3,
-                static_cast<double>(snap->program.classifier_build_ns) / 1e6,
-                static_cast<double>(snap->verify_ns) / 1e6, cstats.tuples,
-                cstats.max_slice, static_cast<double>(model.build_us) / 1e3,
+    std::printf("%8d %12.1f %12.1f %12.1f %10u %12.1f %10zu\n", count, install_us / 1e3,
+                compile_us / 1e3, static_cast<double>(snap->verify_ns) / 1e6,
+                MaxIndexedSlice(snap->program), static_cast<double>(model.build_us) / 1e3,
                 model.region_count);
   }
 }

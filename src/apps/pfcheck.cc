@@ -201,27 +201,18 @@ int main(int argc, char** argv) {
   const bool verified = compiled->verified;
   const double verify_us = static_cast<double>(compiled->verify_ns) / 1000.0;
 
-  // Tuple-space classifier shape of the same compile (DESIGN.md §5g): how
-  // the rule base partitions into hash-probed tuples vs the always-scanned
-  // residual, and the longest candidate slice a single Authorize can see.
-  const pf::core::ClassifierStats cstats =
-      pf::core::ComputeClassifierStats(compiled->program);
-
   if (json) {
     std::ostringstream out;
     // `schema` versions the machine-readable surface (same contract as the
     // pfdiff object): consumers gate on it before parsing. Version 2 dropped
-    // the "automata" object along with the automaton tier.
-    out << "{\"pfcheck\": {\"schema\": 2, \"rules\": " << rules
+    // the "automata" object along with the automaton tier, version 3 the
+    // "classifier" object along with the tuple-space classifier.
+    out << "{\"pfcheck\": {\"schema\": 3, \"rules\": " << rules
         << ", \"chains\": " << nchains
         << ", \"analysis_us\": " << analysis_us
         << ", \"verified\": " << (verified ? "true" : "false")
         << ", \"verify_us\": " << verify_us
         << ", \"verifier\": " << compiled->verify_report.RenderJson()
-        << ", \"classifier\": {\"tables\": " << cstats.tables
-        << ", \"tuples\": " << cstats.tuples
-        << ", \"max_slice\": " << cstats.max_slice
-        << ", \"residual_rules\": " << cstats.residual_rules << "}"
         << ", \"symbolic\": {\"regions\": " << model.region_count
         << ", \"max_op_regions\": " << model.max_op_regions
         << ", \"dead_rules\": " << model.dead.size()
@@ -250,10 +241,9 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "pfcheck: %zu rule(s) in %zu chain(s): %zu error(s), %zu warning(s) [%.1f us], "
-        "program %s [%.1f us], classifier tables=%u tuples=%u max_slice=%u residual=%u\n",
+        "program %s [%.1f us]\n",
         rules, nchains, report.errors(), report.warnings(), analysis_us,
-        verified ? "verified" : "REJECTED by verifier", verify_us, cstats.tables,
-        cstats.tuples, cstats.max_slice, cstats.residual_rules);
+        verified ? "verified" : "REJECTED by verifier", verify_us);
     std::printf(
         "pfcheck: symbolic model: %zu region(s) (max %zu per op), %zu dead rule(s)%s%s "
         "[%llu us]\n",

@@ -11,9 +11,6 @@
 // Every commit lowers the whole staging rule base into a fresh program, the
 // way iptables commits a rule change by replacing the whole table (DESIGN.md
 // §5g).
-#include <algorithm>
-#include <chrono>
-#include <map>
 #include <tuple>
 
 #include "src/core/engine.h"
@@ -137,114 +134,6 @@ RuleRecord LowerRule(ProgramBuilder& b, const Rule& rule, uint32_t rec_idx,
   return rec;
 }
 
-// --- tuple-space classifier --------------------------------------------------
-
-// The exact-match dimensions a rule pins to a single value. A dimension only
-// qualifies when a mismatching request is *guaranteed* to fail the rule's
-// own guard: a one-sid positive non-SYSHIGH label set, a fully resolved
-// entrypoint (-p and -i), an --ino. Everything else (wildcards, negations,
-// multi-sid sets, SYSHIGH sets whose membership depends on the MAC policy)
-// stays residual and is always scanned.
-uint8_t RuleTupleMask(const Rule& rule, TupleKey* key) {
-  uint8_t mask = 0;
-  const LabelSet& s = rule.subject;
-  if (!s.wildcard && !s.negate && !s.syshigh && s.sids.size() == 1) {
-    mask |= kTupleDimSubject;
-    key->subject = s.sids[0];
-  }
-  if (rule.IndexableByEntrypoint()) {
-    mask |= kTupleDimEpt;
-    key->ept_dev = rule.program_file.dev;
-    key->ept_ino = rule.program_file.ino;
-    key->ept_off = *rule.entrypoint;
-  }
-  const LabelSet& o = rule.object;
-  if (!o.wildcard && !o.negate && !o.syshigh && o.sids.size() == 1) {
-    mask |= kTupleDimObject;
-    key->object = o.sids[0];
-  }
-  if (rule.ino) {
-    mask |= kTupleDimIno;
-    key->ino = *rule.ino;
-  }
-  return mask;
-}
-
-// (mask, key values) — a std::map over this keeps group, table, and slice
-// layout deterministic across compiles of the same rule base.
-using GroupKey = std::tuple<uint8_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>;
-
-uint32_t NextPow2(uint32_t v) {
-  uint32_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
-
-void BuildBucketClassifier(PfProgram& prog, ProgramBucket& pb) {
-  pb.has_classifier = pb.all_len > 0;
-  if (!pb.has_classifier) {
-    return;
-  }
-  std::map<GroupKey, std::vector<uint32_t>> groups;
-  std::vector<uint32_t> residual;
-  for (uint32_t i = 0; i < pb.all_len; ++i) {
-    const uint32_t rec_idx = prog.entries[pb.all_off + i];
-    TupleKey key;
-    const uint8_t mask = RuleTupleMask(*prog.rules[rec_idx].rule, &key);
-    if (mask == 0) {
-      residual.push_back(rec_idx);
-    } else {
-      groups[GroupKey{mask, key.subject, key.ept_dev, key.ept_ino, key.ept_off, key.object,
-                      key.ino}]
-          .push_back(rec_idx);
-    }
-  }
-  pb.residual_off = static_cast<uint32_t>(prog.entries.size());
-  pb.residual_len = static_cast<uint32_t>(residual.size());
-  prog.entries.insert(prog.entries.end(), residual.begin(), residual.end());
-  pb.tuple_off = static_cast<uint32_t>(prog.tuple_tables.size());
-  // One open-addressed table per distinct mask; the map is mask-major so
-  // each mask's groups are contiguous.
-  for (auto it = groups.begin(); it != groups.end();) {
-    const uint8_t mask = std::get<0>(it->first);
-    auto end = it;
-    uint32_t n = 0;
-    while (end != groups.end() && std::get<0>(end->first) == mask) {
-      ++end;
-      ++n;
-    }
-    TupleTable table;
-    table.mask = mask;
-    table.used = n;
-    table.slot_count = NextPow2(std::max<uint32_t>(2, n * 2));
-    table.slot_off = static_cast<uint32_t>(prog.tuple_slots.size());
-    prog.tuple_slots.resize(prog.tuple_slots.size() + table.slot_count);
-    for (; it != end; ++it) {
-      TupleSlot slot;
-      slot.key.subject = static_cast<sim::Sid>(std::get<1>(it->first));
-      slot.key.ept_dev = std::get<2>(it->first);
-      slot.key.ept_ino = std::get<3>(it->first);
-      slot.key.ept_off = std::get<4>(it->first);
-      slot.key.object = static_cast<sim::Sid>(std::get<5>(it->first));
-      slot.key.ino = std::get<6>(it->first);
-      slot.off = static_cast<uint32_t>(prog.entries.size());
-      slot.len = static_cast<uint32_t>(it->second.size());
-      prog.entries.insert(prog.entries.end(), it->second.begin(), it->second.end());
-      uint32_t idx =
-          static_cast<uint32_t>(TupleKeyHash(mask, slot.key)) & (table.slot_count - 1);
-      while (prog.tuple_slots[table.slot_off + idx].len != 0) {
-        idx = (idx + 1) & (table.slot_count - 1);
-      }
-      prog.tuple_slots[table.slot_off + idx] = slot;
-    }
-    prog.tuple_tables.push_back(table);
-    pb.tuple_dims = static_cast<uint8_t>(pb.tuple_dims | mask);
-    ++pb.tuple_cnt;
-  }
-}
-
 // --- per-chain lowering helpers ---------------------------------------------
 
 void LowerChainRules(ProgramBuilder& b, PfProgram& prog, int32_t id, const Chain& chain,
@@ -263,8 +152,7 @@ void LowerChainRules(ProgramBuilder& b, PfProgram& prog, int32_t id, const Chain
 }
 
 // Re-points one chain's OpBucket tables and entrypoint index at entry-table
-// slices and links the CompiledChain to its program chain. The classifier is
-// built afterwards (timed separately) over the freshly written `all` slices.
+// slices and links the CompiledChain to its program chain.
 void BuildChainTables(CompiledRuleset& snap, const Chain& chain, int32_t id,
                       const std::unordered_map<const Rule*, uint32_t>& rec_of) {
   PfProgram& prog = snap.program;
@@ -332,17 +220,6 @@ analysis::AnalysisReport LowerProgram(CompiledRuleset& snap) {
     BuildChainTables(snap, chain, prog.chain_ids.at(name), rec_of);
   }
 
-  // Phase 4: the tuple-space classifier over every bucket's `all` slice.
-  const auto t0 = std::chrono::steady_clock::now();
-  for (ProgramChain& pc : prog.chains) {
-    for (ProgramBucket& pb : pc.ops) {
-      BuildBucketClassifier(prog, pb);
-    }
-  }
-  prog.classifier_build_ns += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                           t0)
-          .count());
   return report;
 }
 

@@ -108,19 +108,84 @@ bool IsCreateOp(sim::Op op) {
          op == sim::Op::kSocketBind;
 }
 
+namespace {
+
+// Leased worker indices and the engines whose slots they name.
+struct WorkerRegistry {
+  std::mutex mu;
+  size_t next = 0;
+  std::vector<size_t> free;      // indices returned by exited threads
+  std::vector<Engine*> engines;  // every live engine
+};
+
+WorkerRegistry& Registry() {
+  // Never destroyed: threads may exit during static destruction.
+  static auto* registry = new WorkerRegistry;
+  return *registry;
+}
+
+}  // namespace
+
+// One thread's worker index. The destructor runs when the thread exits: it
+// empties the thread's slot in every live engine (the thread owns that slot,
+// so no decision races the reset), then returns the index. The registry
+// lock orders the reset before the next lessee's first pin.
+struct WorkerLease {
+  size_t index;
+
+  WorkerLease() {
+    WorkerRegistry& r = Registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    if (r.free.empty()) {
+      index = r.next++;
+    } else {
+      index = r.free.back();
+      r.free.pop_back();
+    }
+  }
+
+  ~WorkerLease() {
+    std::vector<std::shared_ptr<const CompiledRuleset>> pins;
+    {
+      WorkerRegistry& r = Registry();
+      std::lock_guard<std::mutex> lock(r.mu);
+      for (Engine* engine : r.engines) {
+        if (auto pin = engine->ReleaseWorker(index)) {
+          pins.push_back(std::move(pin));
+        }
+      }
+      r.free.push_back(index);
+    }
+    // `pins` frees any generation this thread held last, outside the lock.
+  }
+
+  WorkerLease(const WorkerLease&) = delete;
+  WorkerLease& operator=(const WorkerLease&) = delete;
+};
+
 size_t WorkerIndex() {
-  static std::atomic<size_t> next{0};
-  thread_local size_t index = next.fetch_add(1, kRelaxed);
-  return index;
+  thread_local WorkerLease lease;
+  return lease.index;
 }
 
 // --- Engine wiring -----------------------------------------------------------
 
 Engine::Engine(sim::Kernel& kernel, EngineConfig config)
     : kernel_(kernel), config_(config) {
+  {
+    WorkerRegistry& r = Registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    r.engines.push_back(this);
+  }
   // Publish generation 1 (the empty builtin chains). An empty program always
   // verifies, so the commit cannot fail here.
   (void)CommitRuleset();
+}
+
+Engine::~Engine() {
+  WorkerRegistry& r = Registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  r.engines.erase(std::find(r.engines.begin(), r.engines.end(), this));
 }
 
 Engine* InstallProcessFirewall(sim::Kernel& kernel, EngineConfig config) {
@@ -239,7 +304,9 @@ std::shared_ptr<CompiledRuleset> Engine::CompileRuleset() const {
   return snap;
 }
 
-Status Engine::CommitRuleset() {
+Status Engine::CommitRuleset() { return PublishRuleset(CompileForCommit()); }
+
+std::shared_ptr<CompiledRuleset> Engine::CompileForCommit() {
   // Free the generation the previous commit displaced (see displaced_)
   // outside the lock, and before the next one is built, so a compile never
   // runs with three generations live.
@@ -249,7 +316,10 @@ Status Engine::CommitRuleset() {
     displaced.swap(displaced_);
   }
   displaced.reset();
-  std::shared_ptr<CompiledRuleset> snap = CompileRuleset();
+  return CompileRuleset();
+}
+
+Status Engine::PublishRuleset(std::shared_ptr<CompiledRuleset> snap) {
   if (!snap->verified) {
     // Abort the publish: hook evaluation keeps serving the previous
     // generation, exactly as if the commit never happened. (The staging
@@ -284,6 +354,15 @@ const CompiledRuleset& Engine::PinRuleset(std::shared_ptr<const CompiledRuleset>
   std::lock_guard<std::mutex> lock(commit_mu_);
   *hold = published_;
   return **hold;
+}
+
+std::shared_ptr<const CompiledRuleset> Engine::ReleaseWorker(size_t index) {
+  if (index >= kMaxWorkers) {
+    return nullptr;
+  }
+  WorkerSlot& w = workers_[index];
+  w.generation = ~0ull;
+  return std::move(w.snap);
 }
 
 EngineStatsBlock& Engine::StatsLocal() {
@@ -722,13 +801,8 @@ Engine::Verdict Engine::ExecRule(const CompiledRuleset& rs, const RuleRecord& re
 
 Engine::Verdict Engine::ExecEntries(const CompiledRuleset& rs, uint32_t off, uint32_t len,
                                     bool op_checked, Packet& pkt, int depth) {
-  return ExecEntryList(rs, rs.program.entries.data() + off, len, op_checked, pkt, depth);
-}
-
-Engine::Verdict Engine::ExecEntryList(const CompiledRuleset& rs, const uint32_t* recs,
-                                      uint32_t len, bool op_checked, Packet& pkt,
-                                      int depth) {
   const PfProgram& prog = rs.program;
+  const uint32_t* recs = prog.entries.data() + off;
   DecisionScratch* ds = nullptr;
   if constexpr (kObsCompiledIn) {
     ds = g_scratch;
@@ -792,124 +866,12 @@ Engine::Verdict Engine::ExecEntryList(const CompiledRuleset& rs, const uint32_t*
   return Verdict::kFallthrough;
 }
 
-// Tuple-space dispatch (program.h): resolve the contexts the bucket's
-// dimension masks key on, probe one hash table per mask, and merge the few
-// surviving slices back into the scan's order for the shared evaluation
-// loop. Soundness: a rule sits in a tuple only when a key mismatch
-// guarantees its own guards would fail, and tables whose dimensions are
-// unresolvable (no valid entrypoint frame, no object) hold only rules whose
-// guards fail for that very reason — so skipping them changes no verdict,
-// side effect, or per-rule hit counter; eval counters drop exactly for rules
-// a scan would have rejected.
-Engine::Verdict Engine::ExecChainTuple(const CompiledRuleset& rs,
-                                       const ProgramBucket& bucket, bool ept_order,
-                                       Packet& pkt, int depth) {
-  const PfProgram& prog = rs.program;
-  if ((bucket.tuple_dims & kTupleDimEpt) != 0) {
-    EnsureContext(pkt, CtxBit(Ctx::kEntrypoint));
-  }
-  if ((bucket.tuple_dims & (kTupleDimObject | kTupleDimIno)) != 0) {
-    EnsureContext(pkt, CtxBit(Ctx::kObject));
-  }
-  TupleKey probe;
-  probe.subject = pkt.req->task->cred.sid;
-  if (pkt.entrypoint_valid) {
-    probe.ept_dev = pkt.entrypoint.image.dev;
-    probe.ept_ino = pkt.entrypoint.image.ino;
-    probe.ept_off = pkt.entrypoint.offset;
-  }
-  if (pkt.has_object) {
-    probe.object = pkt.object_sid;
-    probe.ino = pkt.object_id.ino;
-  }
-  // Under entrypoint-indexed traversal the scan runs the plain rules before
-  // the entrypoint bucket (paper §4.3), and the entrypoint tables hold
-  // exactly the indexed rules; their slices are marked `late` and merge
-  // after everything else. Otherwise all slices merge in chain order.
-  struct ActiveSlice {
-    const uint32_t* cur;
-    const uint32_t* end;
-    bool late;
-  };
-  ActiveSlice act[kTupleMaskLimit + 1];
-  uint32_t nact = 0;
-  uint32_t total = 0;
-  const auto push = [&](uint32_t off, uint32_t len, bool late = false) {
-    if (len != 0) {
-      act[nact].cur = prog.entries.data() + off;
-      act[nact].end = act[nact].cur + len;
-      act[nact].late = late;
-      ++nact;
-      total += len;
-    }
-  };
-  push(bucket.residual_off, bucket.residual_len);
-  for (uint32_t t = 0; t < bucket.tuple_cnt; ++t) {
-    const TupleTable& table = prog.tuple_tables[bucket.tuple_off + t];
-    if ((table.mask & kTupleDimEpt) != 0 && !pkt.entrypoint_valid) {
-      continue;
-    }
-    if ((table.mask & (kTupleDimObject | kTupleDimIno)) != 0 && !pkt.has_object) {
-      continue;
-    }
-    uint32_t idx =
-        static_cast<uint32_t>(TupleKeyHash(table.mask, probe)) & (table.slot_count - 1);
-    for (;;) {
-      const TupleSlot& slot = prog.tuple_slots[table.slot_off + idx];
-      if (slot.len == 0) {
-        break;  // empty slot: no tuple with this key
-      }
-      if (TupleKeyEq(table.mask, slot.key, probe)) {
-        push(slot.off, slot.len, ept_order && (table.mask & kTupleDimEpt) != 0);
-        break;
-      }
-      idx = (idx + 1) & (table.slot_count - 1);
-    }
-  }
-  if (nact == 0) {
-    return Verdict::kFallthrough;
-  }
-  if (nact == 1) {
-    // One surviving slice: run it in place, no merge buffer.
-    return ExecEntryList(rs, act[0].cur, static_cast<uint32_t>(act[0].end - act[0].cur),
-                         /*op_checked=*/true, pkt, depth);
-  }
-  // K-way merge by (late, record index); record index order == chain order
-  // (records of one chain are lowered in chain order, and the slices are
-  // disjoint).
-  uint32_t stack_buf[128];
-  std::vector<uint32_t> heap_buf;
-  uint32_t* merged = stack_buf;
-  if (total > 128) {
-    heap_buf.resize(total);
-    merged = heap_buf.data();
-  }
-  uint32_t n = 0;
-  while (nact > 0) {
-    uint32_t best = 0;
-    for (uint32_t i = 1; i < nact; ++i) {
-      if (act[i].late != act[best].late ? act[best].late
-                                        : *act[i].cur < *act[best].cur) {
-        best = i;
-      }
-    }
-    merged[n++] = *act[best].cur;
-    if (++act[best].cur == act[best].end) {
-      act[best] = act[--nact];
-    }
-  }
-  return ExecEntryList(rs, merged, n, /*op_checked=*/true, pkt, depth);
-}
-
 Engine::Verdict Engine::ExecChain(const CompiledRuleset& rs, const ProgramChain& pc,
                                   Packet& pkt, int depth) {
   if (depth >= kMaxChainDepth) {
     return Verdict::kFallthrough;
   }
   const ProgramBucket& bucket = pc.ops[static_cast<size_t>(pkt.req->op)];
-  if (config_.tuple_dispatch && bucket.has_classifier) {
-    return ExecChainTuple(rs, bucket, config_.ept_chains && pc.index_built, pkt, depth);
-  }
   if (config_.ept_chains && pc.index_built) {
     if (bucket.plain_len != 0) {
       Verdict v = ExecEntries(rs, bucket.plain_off, bucket.plain_len,

@@ -86,17 +86,6 @@ struct EngineConfig {
   // switch loop runs) when the build lacks computed goto — non-GNU
   // compilers, or -DPF_THREADED_DISPATCH=OFF at configure time.
   bool threaded_eval = true;
-  // Dispatch Authorize through the tuple-space classifier (program.h): probe
-  // one hash table per distinct exact-match dimension mask and evaluate only
-  // the rules whose pinned key matches the request (plus the residual rules
-  // with no exact dimension), merged back into the scan's order. Skipped rules
-  // could only have failed their own guards, so verdicts, side effects, and
-  // per-rule hit counters are bit-identical to the scan path (TUPLE ablation
-  // rung); per-rule eval counters only drop for rules a scan would have
-  // rejected. Off by default: the scan path is the correctness oracle, the
-  // classifier is the 100k-rule scaling path (benches and the ablation rung
-  // turn it on).
-  bool tuple_dispatch = false;
   // Audit mode: evaluate rules and count/log would-be denials, but allow
   // everything. This is how an OS distributor shakes out false positives
   // before enforcing a generated rule base (paper §6.3.2).
@@ -154,9 +143,14 @@ struct alignas(64) EngineStatsBlock {
   std::array<std::atomic<uint64_t>, static_cast<size_t>(Ctx::kCount)> ctx_fetches{};
 };
 
-// Stable index of the calling worker thread (monotonic per thread, assigned
-// on first use). Shared by every engine instance in the process.
+// Index of the calling worker thread, leased on first use and returned for
+// reuse when the thread exits, so indices stay below the number of threads
+// alive at once. Shared by every engine instance in the process: an exiting
+// thread first drops its pins in every live engine (WorkerLease, engine.cc),
+// so a dead thread keeps no generation alive and the next thread to lease
+// the index starts with empty slots.
 size_t WorkerIndex();
+struct WorkerLease;
 
 // A seqlock cell: a trivially copyable value kept as atomic words behind a
 // sequence counter that is odd while a writer publishes. A read is a few
@@ -330,6 +324,7 @@ size_t ApplicableChains(const CompiledRuleset& rs, const sim::AccessRequest& req
 class Engine : public sim::SecurityModule {
  public:
   Engine(sim::Kernel& kernel, EngineConfig config);
+  ~Engine() override;
 
   // --- SecurityModule ---
   std::string_view ModuleName() const override { return "pf"; }
@@ -393,14 +388,26 @@ class Engine : public sim::SecurityModule {
   // in metrics.cc.
   std::string MetricsText() const;
 
-  // Publishes the staging rule base as a new immutable generation. Called by
-  // Pftables after every successful mutating command; safe to call while
-  // worker threads evaluate. Like an iptables table replace, every commit
-  // lowers and verifies the whole staging base (CompileRuleset). When the
-  // load-time verifier rejects the compiled program, or a module cannot be
-  // lowered, nothing is published — the live generation keeps serving and
-  // the error carries the report.
+  // Publishes the staging rule base as a new immutable generation:
+  // PublishRuleset(CompileForCommit()). Called by Pftables after every
+  // successful mutating command; safe to call while worker threads evaluate.
+  // Like an iptables table replace, every commit lowers and verifies the
+  // whole staging base (CompileRuleset). When the load-time verifier rejects
+  // the compiled program, or a module cannot be lowered, nothing is
+  // published — the live generation keeps serving and the error carries the
+  // report.
   Status CommitRuleset();
+
+  // The two steps of CommitRuleset, for callers that gate a commit on the
+  // compiled snapshot (pftables --check, --widening-gate) and then publish
+  // the very snapshot they inspected instead of compiling it again.
+  // CompileForCommit frees the generation the previous commit displaced
+  // (see displaced_), then compiles the staging base, so a compile never
+  // runs with three generations live. PublishRuleset publishes `snap`, or
+  // refuses one the verifier rejected; `snap` must come from
+  // CompileForCommit with no staging edit since.
+  std::shared_ptr<CompiledRuleset> CompileForCommit();
+  Status PublishRuleset(std::shared_ptr<CompiledRuleset> snap);
 
   // Compiles the staging rule base into a CompiledRuleset snapshot without
   // publishing it (generation stays 0). This is what the static analyzer
@@ -444,6 +451,10 @@ class Engine : public sim::SecurityModule {
   // Pins the current ruleset generation for this worker. `hold` keeps the
   // snapshot alive for callers beyond the per-worker slot capacity.
   const CompiledRuleset& PinRuleset(std::shared_ptr<const CompiledRuleset>* hold);
+  // Empties worker `index`'s slot for its exiting thread and hands back the
+  // pin it held, for the caller to free outside the lease registry's lock.
+  std::shared_ptr<const CompiledRuleset> ReleaseWorker(size_t index);
+  friend struct WorkerLease;
 
   EngineStatsBlock& StatsLocal();
 
@@ -458,19 +469,6 @@ class Engine : public sim::SecurityModule {
   // entrypoint index's lists are not op-filtered and keep the guard.
   Verdict ExecEntries(const CompiledRuleset& rs, uint32_t off, uint32_t len,
                       bool op_checked, Packet& pkt, int depth);
-  // The same evaluation loop over an arbitrary rule-record index list (the
-  // tuple probe's merge buffer); ExecEntries forwards into it. Accounting is
-  // shared, so classifier-reached rules bump eval/hit counters exactly as a
-  // scan does.
-  Verdict ExecEntryList(const CompiledRuleset& rs, const uint32_t* recs, uint32_t len,
-                        bool op_checked, Packet& pkt, int depth);
-  // Tuple-space dispatch for one (chain, op) bucket (EngineConfig::
-  // tuple_dispatch): probe the bucket's per-mask hash tables, merge the
-  // surviving slices back into the scan's order (chain order, or with
-  // `ept_order` plain rules before entrypoint-indexed ones, as the indexed
-  // scan runs them), and run the shared loop.
-  Verdict ExecChainTuple(const CompiledRuleset& rs, const ProgramBucket& bucket,
-                         bool ept_order, Packet& pkt, int depth);
   // ExecRule picks a dispatch strategy per EngineConfig::threaded_eval. The
   // two strategies are expansions of the same handler bodies
   // (src/core/exec_insn.inc): ExecRuleSwitch is the portable switch loop,

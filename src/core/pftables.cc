@@ -323,12 +323,14 @@ void Pftables::Reindex(Table& table) {
   ReindexAll(table);
 }
 
-Status Pftables::CommitStaged() {
+Status Pftables::CommitStaged(std::shared_ptr<CompiledRuleset> staged) {
   if (batching_) {
     batch_dirty_ = true;
     return Status::Ok();
   }
-  if (Status cs = engine_->CommitRuleset(); !cs.ok()) {
+  if (Status cs = staged != nullptr ? engine_->PublishRuleset(std::move(staged))
+                                    : engine_->CommitRuleset();
+      !cs.ok()) {
     return Status::Error("commit rejected: " + cs.message());
   }
   return Status::Ok();
@@ -589,10 +591,11 @@ Status Pftables::Exec(const std::string& command) {
     }
   }
 
-  // The gates below all read one compile of the staged base.
+  // The gates below all read one compile of the staged base, and a command
+  // they pass publishes that same compile.
   std::shared_ptr<CompiledRuleset> staged;
   if (check != CheckMode::kOff || (widening_gate && need_commit)) {
-    staged = engine_->CompileRuleset();
+    staged = engine_->CompileForCommit();
   }
   if (check != CheckMode::kOff) {
     last_check_ = analysis::AnalyzeRuleset(*staged, engine_->policy());
@@ -606,13 +609,6 @@ Status Pftables::Exec(const std::string& command) {
     if (!last_check_.empty()) {
       std::fputs(("pftables --check:\n" + last_check_.RenderText()).c_str(), stderr);
     }
-    // Shape of the tuple-space classifier the gated compile produced — the
-    // operator-facing view of how much of the base Authorize can skip.
-    const ClassifierStats cstats = ComputeClassifierStats(staged->program);
-    std::fprintf(stderr,
-                 "pftables --check: classifier tables=%u tuples=%u max_slice=%u "
-                 "residual=%u\n",
-                 cstats.tables, cstats.tuples, cstats.max_slice, cstats.residual_rules);
   }
   if (widening_gate && need_commit) {
     // Semantic no-unintended-widening gate: diff the staged base against the
@@ -643,7 +639,7 @@ Status Pftables::Exec(const std::string& command) {
     }
   }
   if (need_commit) {
-    if (Status cs = CommitStaged(); !cs.ok()) {
+    if (Status cs = CommitStaged(std::move(staged)); !cs.ok()) {
       // The load-time verifier vetoed the compiled program: the published
       // generation is untouched (CommitRuleset never swaps on error). Roll
       // the staged edit back too when --check armed a backup; without one

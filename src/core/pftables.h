@@ -136,7 +136,9 @@ class Pftables {
   Status ParseRule(const std::vector<std::string>& tokens, size_t from, Rule* rule);
   void ReindexAll(Table& table);
   void Reindex(Table& table);           // batch-aware: defers while batching
-  Status CommitStaged();                // batch-aware commit wrapper
+  // Batch-aware commit wrapper: publishes `staged` (a gate's compile of the
+  // staging base) when given, else compiles and publishes.
+  Status CommitStaged(std::shared_ptr<CompiledRuleset> staged = nullptr);
   Status FlushBatch();                  // reindex + commit deferred batch work
 
   Engine* engine_;

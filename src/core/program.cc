@@ -64,65 +64,6 @@ uint32_t ProgramBuilder::AddNativeTarget(const NativeTargetModule* t) {
   return static_cast<uint32_t>(prog_.native_targets.size() - 1);
 }
 
-// --- tuple-space classifier keys ---------------------------------------------
-
-uint64_t TupleKeyHash(uint8_t mask, const TupleKey& key) {
-  size_t h = std::hash<uint64_t>()(0x7f00u | mask);
-  if ((mask & kTupleDimSubject) != 0) {
-    h = HashCombine(h, std::hash<uint64_t>()(key.subject));
-  }
-  if ((mask & kTupleDimEpt) != 0) {
-    h = HashCombine(h, std::hash<uint64_t>()(key.ept_dev));
-    h = HashCombine(h, std::hash<uint64_t>()(key.ept_ino));
-    h = HashCombine(h, std::hash<uint64_t>()(key.ept_off));
-  }
-  if ((mask & kTupleDimObject) != 0) {
-    h = HashCombine(h, std::hash<uint64_t>()(key.object));
-  }
-  if ((mask & kTupleDimIno) != 0) {
-    h = HashCombine(h, std::hash<uint64_t>()(key.ino));
-  }
-  return h;
-}
-
-bool TupleKeyEq(uint8_t mask, const TupleKey& lhs, const TupleKey& rhs) {
-  if ((mask & kTupleDimSubject) != 0 && lhs.subject != rhs.subject) {
-    return false;
-  }
-  if ((mask & kTupleDimEpt) != 0 &&
-      (lhs.ept_dev != rhs.ept_dev || lhs.ept_ino != rhs.ept_ino ||
-       lhs.ept_off != rhs.ept_off)) {
-    return false;
-  }
-  if ((mask & kTupleDimObject) != 0 && lhs.object != rhs.object) {
-    return false;
-  }
-  return (mask & kTupleDimIno) == 0 || lhs.ino == rhs.ino;
-}
-
-ClassifierStats ComputeClassifierStats(const PfProgram& prog) {
-  ClassifierStats stats;
-  for (const ProgramChain& pc : prog.chains) {
-    for (const ProgramBucket& pb : pc.ops) {
-      if (!pb.has_classifier) {
-        continue;
-      }
-      stats.tables += pb.tuple_cnt;
-      stats.max_slice = std::max(stats.max_slice, pb.residual_len);
-      stats.residual_rules += pb.residual_len;
-      for (uint32_t t = 0; t < pb.tuple_cnt; ++t) {
-        const TupleTable& table = prog.tuple_tables[pb.tuple_off + t];
-        stats.tuples += table.used;
-        for (uint32_t s = 0; s < table.slot_count; ++s) {
-          stats.max_slice =
-              std::max(stats.max_slice, prog.tuple_slots[table.slot_off + s].len);
-        }
-      }
-    }
-  }
-  return stats;
-}
-
 // --- disassembler ------------------------------------------------------------
 
 namespace {
@@ -294,9 +235,6 @@ std::string DisassemblePfProgram(const PfProgram& prog, const sim::LabelRegistry
       << " sids=" << prog.sid_pool.size() << " operands=" << prog.operands.size()
       << " native_matches=" << prog.native_matches.size()
       << " native_targets=" << prog.native_targets.size() << "\n";
-  const ClassifierStats cs = ComputeClassifierStats(prog);
-  oss << ";; classifier: tables=" << cs.tables << " tuples=" << cs.tuples
-      << " max_slice=" << cs.max_slice << " residual=" << cs.residual_rules << "\n";
   for (const ProgramChain& chain : prog.chains) {
     oss << "chain " << chain.name << " (" << (chain.builtin ? "builtin" : "user")
         << ", policy " << (chain.policy_drop ? "DROP" : "ACCEPT") << ", "

@@ -148,56 +148,6 @@ struct RuleRecord {
   const Rule* rule = nullptr;
 };
 
-// Tuple-space classifier (DESIGN.md §5g). At lowering time every rule in a
-// per-(chain,op) bucket is assigned the set of *exact-match* dimensions its
-// guards pin to a single value: a one-sid positive subject set, a resolved
-// entrypoint (-p + -i), a one-sid positive object set, an --ino. Rules that
-// share a dimension mask are grouped by their key values into tuples —
-// contiguous, chain-ordered slices of the entries table — and each mask gets
-// an open-addressed hash table from key to slice. Authorize then probes one
-// table per distinct mask (a handful) instead of scanning the bucket, and
-// merges the few surviving slices back into the scan's order; a rule whose
-// exact key differs from the request's could only have failed its guards,
-// so skipping it is verdict- and counter-invariant.
-inline constexpr uint8_t kTupleDimSubject = 1u << 0;  // -s, single positive sid
-inline constexpr uint8_t kTupleDimEpt = 1u << 1;      // -p + -i (entrypoint)
-inline constexpr uint8_t kTupleDimObject = 1u << 2;   // -d, single positive sid
-inline constexpr uint8_t kTupleDimIno = 1u << 3;      // --ino
-// Distinct non-empty dimension masks; bounds the per-probe table count and
-// the merge fan-in.
-inline constexpr uint32_t kTupleMaskLimit = 15;
-
-// Full-width key: only the dimensions named by the owning table's mask are
-// compared (the rest stay zero for determinism).
-struct TupleKey {
-  sim::Sid subject = 0;
-  sim::Sid object = 0;
-  uint64_t ept_dev = 0;
-  uint64_t ept_ino = 0;
-  uint64_t ept_off = 0;
-  uint64_t ino = 0;
-};
-
-uint64_t TupleKeyHash(uint8_t mask, const TupleKey& key);
-bool TupleKeyEq(uint8_t mask, const TupleKey& lhs, const TupleKey& rhs);
-
-// One occupied (or empty, len == 0) slot of a tuple hash table: key -> a
-// chain-ordered slice of PfProgram::entries.
-struct TupleSlot {
-  TupleKey key;
-  uint32_t off = 0;
-  uint32_t len = 0;  // 0 = empty slot
-};
-
-// Open-addressed (linear probing) table for one dimension mask; slots live
-// in PfProgram::tuple_slots, slot_count is a power of two.
-struct TupleTable {
-  uint8_t mask = 0;
-  uint32_t slot_off = 0;
-  uint32_t slot_count = 0;
-  uint32_t used = 0;  // occupied slots (tuples)
-};
-
 // Per-(chain, op) dispatch bucket, the program-form twin of OpBucket
 // (engine.h) with the rule pointers re-pointed at entry-table slices.
 struct ProgramBucket {
@@ -206,16 +156,6 @@ struct ProgramBucket {
   uint32_t plain_off = 0;  // the non-entrypoint-indexed subset
   uint32_t plain_len = 0;
   bool has_indexed = false;
-  // Tuple-space classifier over the `all` slice: `residual` holds the rules
-  // with no exact dimension (always evaluated), `tuple_off/cnt` the per-mask
-  // hash tables in PfProgram::tuple_tables, `tuple_dims` the union of their
-  // masks (which contexts a probe must resolve up front).
-  uint32_t residual_off = 0;
-  uint32_t residual_len = 0;
-  uint32_t tuple_off = 0;
-  uint32_t tuple_cnt = 0;
-  uint8_t tuple_dims = 0;
-  bool has_classifier = false;
 };
 
 // Entrypoint index of one lowered chain: key -> an entry-table slice.
@@ -263,11 +203,6 @@ struct PfProgram {
   // shared Rule instances (same lifetime as the program).
   std::vector<const NativeMatchModule*> native_matches;
   std::vector<const NativeTargetModule*> native_targets;
-
-  // Tuple-space classifier pools (see ProgramBucket).
-  std::vector<TupleTable> tuple_tables;
-  std::vector<TupleSlot> tuple_slots;
-  uint64_t classifier_build_ns = 0;
 
   PfInsn Fetch(uint32_t pc) const {
     PfInsn insn{};
@@ -348,15 +283,6 @@ struct CompiledRuleset;  // engine.h
 // Returns one module-unlowerable error per module that neither lowers nor
 // is native; CommitRuleset refuses to publish a program with any.
 analysis::AnalysisReport LowerProgram(CompiledRuleset& snap);
-
-// Classifier shape summary for pfcheck / pftables --check.
-struct ClassifierStats {
-  uint32_t tables = 0;     // tuple tables across all (chain,op) buckets
-  uint32_t tuples = 0;     // occupied slots
-  uint32_t max_slice = 0;  // longest candidate slice (tuple or residual)
-  uint32_t residual_rules = 0;  // entries reachable only by residual scan
-};
-ClassifierStats ComputeClassifierStats(const PfProgram& prog);
 
 // Renders the program as deterministic, pool-resolved assembly (the
 // `pftables -L --compiled` listing). Interned content is printed by value

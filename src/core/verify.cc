@@ -1,6 +1,5 @@
 #include "src/core/verify.h"
 
-#include <algorithm>
 #include <deque>
 #include <string>
 #include <tuple>
@@ -34,8 +33,6 @@ struct Verifier {
   const uint64_t nchains = prog.chains.size();
   const uint64_t nmatches = prog.native_matches.size();
   const uint64_t ntargets = prog.native_targets.size();
-  const uint64_t ntuptables = prog.tuple_tables.size();
-  const uint64_t ntupslots = prog.tuple_slots.size();
 
   RuleLocus LocusOf(const RuleRecord& rec) const {
     RuleLocus locus;
@@ -270,145 +267,6 @@ struct Verifier {
     }
   }
 
-  // --- classifier proof -----------------------------------------------------
-  //
-  // Two properties make tuple dispatch safe to substitute for a bucket scan:
-  // every slice the probe can merge is in bounds and names only real records
-  // (classifier-oob), and the residual plus the tuple slices together cover
-  // the bucket's `all` slice exactly once — a rule the classifier can skip
-  // or double-evaluate would change verdicts and counters
-  // (classifier-coverage).
-  // Coverage scratch, reused across buckets so the clean path allocates
-  // (and zeroes) once per run instead of building and sorting two vectors
-  // per (chain, op) bucket: cover_cnt is indexed by record index and is
-  // all-zero between CheckClassifier calls (reset through cover_touched).
-  std::vector<int32_t> cover_cnt;
-  std::vector<uint32_t> cover_touched;
-
-  void CheckClassifier(const RuleLocus& l, const ProgramBucket& b) {
-    if (!b.has_classifier) {
-      return;
-    }
-    if (cover_cnt.size() < prog.rules.size()) {
-      cover_cnt.resize(prog.rules.size(), 0);
-    }
-    cover_touched.clear();
-    CheckClassifierSlices(l, b);
-    for (const uint32_t e : cover_touched) {
-      cover_cnt[e] = 0;
-    }
-  }
-
-  void CheckClassifierSlices(const RuleLocus& l, const ProgramBucket& b) {
-    const uint64_t num_entries = prog.entries.size();
-    const uint64_t num_rules = prog.rules.size();
-    bool sound = true;
-    uint64_t covered_total = 0;
-    auto collect = [&](uint32_t off, uint32_t len, const char* what) {
-      if (static_cast<uint64_t>(off) + len > num_entries) {
-        Err(l, "classifier-oob", std::string(what) + " slice [" + std::to_string(off) +
-                                     ", " + std::to_string(off + len) +
-                                     ") outside entry table of " +
-                                     std::to_string(num_entries));
-        return false;
-      }
-      for (uint32_t i = 0; i < len; ++i) {
-        const uint32_t e = prog.entries[off + i];
-        if (e >= num_rules) {
-          Err(l, "classifier-oob", std::string(what) + " entry " + std::to_string(e) +
-                                       " outside record table of " +
-                                       std::to_string(num_rules));
-          return false;
-        }
-      }
-      for (uint32_t i = 0; i < len; ++i) {
-        const uint32_t e = prog.entries[off + i];
-        ++cover_cnt[e];
-        cover_touched.push_back(e);
-      }
-      covered_total += len;
-      return true;
-    };
-    sound &= collect(b.residual_off, b.residual_len, "classifier residual");
-    // The evaluator's probe merges at most one slice per table plus the
-    // residual into a fixed-size active array, so the table count must stay
-    // within the dimension-mask limit.
-    if (b.tuple_cnt > kTupleMaskLimit ||
-        static_cast<uint64_t>(b.tuple_off) + b.tuple_cnt > ntuptables) {
-      Err(l, "classifier-oob",
-          "tuple-table slice [" + std::to_string(b.tuple_off) + ", " +
-              std::to_string(b.tuple_off + b.tuple_cnt) + ") outside table pool of " +
-              std::to_string(ntuptables) + " (mask limit " +
-              std::to_string(kTupleMaskLimit) + ")");
-      return;
-    }
-    for (uint32_t ti = 0; ti < b.tuple_cnt; ++ti) {
-      const TupleTable& t = prog.tuple_tables[b.tuple_off + ti];
-      if (t.mask == 0 || t.mask > kTupleMaskLimit || (t.mask & ~b.tuple_dims) != 0) {
-        Err(l, "classifier-oob",
-            "tuple table mask " + std::to_string(t.mask) +
-                " invalid for bucket dimension set " + std::to_string(b.tuple_dims));
-        sound = false;
-        continue;
-      }
-      if (t.slot_count == 0 || (t.slot_count & (t.slot_count - 1)) != 0) {
-        Err(l, "classifier-oob", "tuple table slot count " + std::to_string(t.slot_count) +
-                                     " is not a power of two");
-        sound = false;
-        continue;
-      }
-      if (static_cast<uint64_t>(t.slot_off) + t.slot_count > ntupslots) {
-        Err(l, "classifier-oob",
-            "tuple slot slice [" + std::to_string(t.slot_off) + ", " +
-                std::to_string(t.slot_off + t.slot_count) + ") outside slot pool of " +
-                std::to_string(ntupslots));
-        sound = false;
-        continue;
-      }
-      uint32_t used = 0;
-      for (uint32_t s = 0; s < t.slot_count; ++s) {
-        const TupleSlot& slot = prog.tuple_slots[t.slot_off + s];
-        if (slot.len == 0) {
-          continue;
-        }
-        ++used;
-        sound &= collect(slot.off, slot.len, "tuple");
-      }
-      if (used != t.used) {
-        Err(l, "classifier-oob", "tuple table records " + std::to_string(t.used) +
-                                     " occupied slots but holds " + std::to_string(used));
-        sound = false;
-      }
-    }
-    if (!sound || static_cast<uint64_t>(b.all_off) + b.all_len > num_entries) {
-      return;  // slice corruption already reported; coverage is meaningless
-    }
-    // Multiset equality by counting: every collect above incremented its
-    // entry's count, the `all` slice now decrements — residual + tuples
-    // cover the bucket exactly once iff every touched count returns to zero.
-    bool balanced = true;
-    for (uint32_t i = 0; i < b.all_len; ++i) {
-      const uint32_t e = prog.entries[b.all_off + i];
-      if (e >= num_rules) {
-        return;  // chain-table pass reports this entry; coverage is meaningless
-      }
-      --cover_cnt[e];
-      cover_touched.push_back(e);
-    }
-    for (const uint32_t e : cover_touched) {
-      if (cover_cnt[e] != 0) {
-        balanced = false;
-        break;
-      }
-    }
-    if (!balanced) {
-      Err(l, "classifier-coverage",
-          "classifier reaches " + std::to_string(covered_total) +
-              " entries but the bucket lists " + std::to_string(b.all_len) +
-              "; residual + tuples must cover every rule exactly once");
-    }
-  }
-
   // --- chain dispatch-table proof -------------------------------------------
 
   void CheckChainTables() {
@@ -456,7 +314,6 @@ struct Verifier {
       for (size_t op = 0; op < sim::kOpCount; ++op) {
         slice(pc.ops[op].all_off, pc.ops[op].all_len, "op bucket");
         slice(pc.ops[op].plain_off, pc.ops[op].plain_len, "op bucket (plain)");
-        CheckClassifier(l, pc.ops[op]);
       }
       for (const auto& [key, span] : pc.ept) {
         slice(span.first, span.second, "entrypoint index");

@@ -55,8 +55,7 @@ struct VerifyResult {
 // Single forward verification pass over `prog`. Diagnostics use the stable
 // codes: arena-truncated, rule-malformed, bad-opcode, pool-oob,
 // state-slot-oob, native-oob, jump-target-oob, syscall-arg-oob,
-// ctx-mask-invalid, chain-table-oob, classifier-oob, classifier-coverage,
-// depth-exceeded.
+// ctx-mask-invalid, chain-table-oob, depth-exceeded.
 VerifyResult VerifyProgram(const PfProgram& prog, const VerifyOptions& opts = {});
 
 }  // namespace pf::core

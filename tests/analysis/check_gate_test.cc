@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/engine.h"
 #include "src/core/pftables.h"
@@ -130,6 +133,54 @@ TEST_F(CheckGateTest, ListOfCleanBaseHasNoAnnotations) {
   ASSERT_TRUE(pft_.Exec("pftables -o FILE_READ -d shadow_t -j DROP").ok());
   const std::string listing = pft_.List();
   EXPECT_EQ(listing.find("# analyzer:"), std::string::npos) << listing;
+}
+
+// Counts compiles of the staged base: lowering asks every module of every
+// rule to lower itself once per compile, and this one declines (it is a
+// native escape that never matches).
+class LowerCountMatch : public NativeMatchModule {
+ public:
+  explicit LowerCountMatch(int* lowers) : lowers_(lowers) {}
+  std::string_view Name() const override { return "LOWERCOUNT"; }
+  bool Lower(ProgramBuilder&) const override {
+    ++*lowers_;
+    return false;
+  }
+  bool Matches(Packet&, Engine&) const override { return false; }
+  std::string Render() const override { return "LOWERCOUNT"; }
+
+ private:
+  int* lowers_;
+};
+
+// A gated command publishes the compile its gates inspected: one compile of
+// the staged base per command, not one for the gates and another for the
+// commit.
+TEST_F(CheckGateTest, GatedCommandCompilesTheStagedBaseOnce) {
+  int lowers = 0;
+  pft_.RegisterMatch("LOWERCOUNT", [&lowers](const std::vector<std::string>&,
+                                             std::unique_ptr<MatchModule>* out) {
+    *out = std::make_unique<LowerCountMatch>(&lowers);
+    return Status::Ok();
+  });
+  ASSERT_TRUE(pft_.Exec("pftables -A input -o FILE_WRITE -m LOWERCOUNT -j DROP").ok());
+  const std::pair<const char*, const char*> commands[] = {
+      {"--check", "FILE_READ"},
+      {"--widening-gate", "FILE_OPEN"},
+      {"--check --widening-gate", "FILE_GETATTR"},
+  };
+  for (const auto& [gate, op] : commands) {
+    lowers = 0;
+    const uint64_t gen = engine_->ruleset_generation();
+    const Status s = pft_.Exec(std::string("pftables ") + gate + " -A input -o " + op +
+                               " -d shadow_t -j DROP");
+    ASSERT_TRUE(s.ok()) << gate << ": " << s.message();
+    EXPECT_EQ(lowers, 1) << gate << ": compiles of the staged base";
+    EXPECT_EQ(engine_->ruleset_generation(), gen + 1) << gate;
+    EXPECT_EQ(engine_->PublishedRuleset()->rules.filter().total_rules(),
+              engine_->ruleset().filter().total_rules())
+        << gate << ": the published generation is not the staged base";
+  }
 }
 
 }  // namespace

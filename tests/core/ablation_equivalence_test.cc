@@ -1,6 +1,5 @@
 // Ablation equivalence: the engine optimizations (context caching, lazy
-// context, entrypoint chains, the dispatch strategy, the tuple classifier)
-// are performance knobs, not semantics. All Table-6 configurations must produce byte-identical
+// context, entrypoint chains, the dispatch strategy) are performance knobs, not semantics. All Table-6 configurations must produce byte-identical
 // verdict sequences — and identical per-task STATE dictionaries — on a
 // randomized workload of opens, binds, signal deliveries, and syscall
 // entries.
@@ -26,14 +25,12 @@ constexpr int kOps = 10000;
 constexpr int kTasks = 3;
 constexpr uint64_t kWorkloadSeed = 0xab1a7e5eedull;
 
-EngineConfig MakeConfig(bool lazy, bool cache, bool ept, bool threaded = true,
-                        bool tuple = false) {
+EngineConfig MakeConfig(bool lazy, bool cache, bool ept, bool threaded = true) {
   EngineConfig cfg;
   cfg.lazy_context = lazy;
   cfg.cache_context = cache;
   cfg.ept_chains = ept;
   cfg.threaded_eval = threaded;
-  cfg.tuple_dispatch = tuple;
   return cfg;
 }
 
@@ -43,9 +40,7 @@ EngineConfig MakeConfig(bool lazy, bool cache, bool ept, bool threaded = true,
 // dispatch strategy itself is proven to be semantics-free. The TRACE rung
 // re-runs EPTSPC with every tracepoint stream enabled: observability must
 // be a pure observer — verdicts, STATE dicts, and the decision counters all
-// stay byte-identical. The TUPLE rung turns the tuple-space classifier on
-// above EPTSPC: probing per-mask hash tables and k-way-merging candidate
-// slices must pick exactly the rules a linear scan would. The AUDIT rung
+// stay byte-identical. The AUDIT rung
 // re-runs EPTSPC with the security-event audit pipeline armed (suppression
 // off, every kind enabled): like TRACE, audit must be a pure observer of
 // verdicts, STATE dicts, and decision counters.
@@ -60,7 +55,6 @@ const struct {
     {"LAZYCON", MakeConfig(true, true, false)},
     {"EPTSPC", MakeConfig(true, true, true)},
     {"SWITCHED", MakeConfig(true, true, true, /*threaded=*/false)},
-    {"TUPLE", MakeConfig(true, true, true, true, /*tuple=*/true)},
     {"TRACE", MakeConfig(true, true, true), true},
     {"AUDIT", MakeConfig(true, true, true), false, true},
 };
@@ -283,57 +277,6 @@ TEST(AblationEquivalenceTest, AuditIsAPureObserver) {
   EXPECT_EQ(off, on) << "audit changed a verdict";
   EXPECT_EQ(dicts_off, dicts_on) << "audit changed STATE side effects";
   EXPECT_EQ(counters_off, counters_on) << "audit changed decision counters";
-}
-
-TEST(AblationEquivalenceTest, TupleClassifierPreservesHitCountersAndOnlySkipsWork) {
-  // The classifier may only *skip* rules a scan would have rejected on an
-  // exact-match dimension: every rule a scan fires must still fire (hits
-  // bit-identical, bumped by the same evaluator path), every rule the
-  // classifier does evaluate must be one the scan evaluated too (per-rule
-  // evals <= scan), and at this workload's shape the candidate slices must
-  // be strictly narrower than the full chain (total rules_evaluated drops).
-  const auto replay = [](bool tuple, std::vector<uint64_t>* evals,
-                         std::vector<uint64_t>* hits, EngineStats* stats) {
-    const EngineConfig cfg = MakeConfig(true, true, true, true, tuple);
-    Workload w(cfg);
-    std::vector<int64_t> verdicts;
-    std::mt19937_64 rng(kWorkloadSeed);
-    const char* paths[] = {"/etc/passwd", "/etc/shadow", "/tmp/t"};
-    for (int i = 0; i < kOps; ++i) {
-      sim::Task& task = *w.tasks[rng() % kTasks];
-      if (rng() % 4 != 0) {
-        ++task.syscall_count;
-      }
-      sim::AccessRequest req = w.OpenRequest(task, paths[rng() % 3]);
-      verdicts.push_back(w.engine->Authorize(req));
-    }
-    for (const auto& [name, chain] : w.engine->ruleset().filter().chains()) {
-      for (const auto& r : chain.rules()) {
-        evals->push_back(r->evals.load(std::memory_order_relaxed));
-        hits->push_back(r->hits.load(std::memory_order_relaxed));
-      }
-    }
-    *stats = w.engine->stats();
-    return verdicts;
-  };
-
-  std::vector<uint64_t> scan_evals, scan_hits, tup_evals, tup_hits;
-  EngineStats scan_stats, tup_stats;
-  std::vector<int64_t> scan = replay(false, &scan_evals, &scan_hits, &scan_stats);
-  std::vector<int64_t> tup = replay(true, &tup_evals, &tup_hits, &tup_stats);
-
-  ASSERT_EQ(scan, tup) << "classifier changed a verdict";
-  ASSERT_EQ(scan_hits, tup_hits) << "classifier changed a per-rule hit count";
-  ASSERT_EQ(scan_evals.size(), tup_evals.size());
-  for (size_t i = 0; i < scan_evals.size(); ++i) {
-    EXPECT_LE(tup_evals[i], scan_evals[i])
-        << "classifier evaluated rule " << i << " more often than a scan — it "
-        << "may only skip rules, never add candidates";
-  }
-  EXPECT_LT(tup_stats.rules_evaluated, scan_stats.rules_evaluated)
-      << "classifier never narrowed a candidate slice on a workload built "
-      << "around exact-match dimensions";
-  EXPECT_EQ(tup_stats.drops, scan_stats.drops);
 }
 
 TEST(AblationEquivalenceTest, ReplayIsDeterministic) {

@@ -1,19 +1,22 @@
-// Commit churn test (DESIGN.md §5g): random edit scripts applied
-// command-by-command to two identically-seeded systems —
+// Commit churn test (DESIGN.md §5g): random edit scripts checked for
+// history independence. Two identically-seeded systems —
 //
-//   F  tuple_dispatch on   (the tuple-space classifier under test)
-//   G  tuple_dispatch off  (scan-path verdict oracle)
+//   F  applies the script one command at a time (appends, inserts,
+//      deletes, flushes, policy flips, one mid-script -N), committing
+//      after each;
+//   G  after each of F's edits, replaces its whole rule base with F's
+//      Save() dump in one batch (one commit).
 //
-// Every commit relowers the whole staging base, so the two systems publish
-// the same program; they differ only in how Authorize dispatches over it.
-// After every single edit a short seeded operation stream, and after the
-// full script a long one, must produce identical verdicts, STATE
-// dictionaries, LOG records, native-target fires, per-rule hit counters and
-// drop counts on F and G. Eval counters legitimately drop under the
-// classifier (that is the optimization), so they are not compared.
+// Every commit relowers the whole staging base, so a rule base must compile
+// and decide the same however it was reached. After every edit F and G must
+// list byte-identical `-L --compiled` programs, and a short seeded
+// operation stream must give identical verdicts, STATE dictionaries, LOG
+// records, native-target fires, and per-rule hit deltas over the stream
+// (G's rules are fresh objects after each reload, so hits compare as
+// deltas). After the full script a long stream must agree the same way.
 //
 // Seeds cycle through every fuzz generator flavor (fuzz_rules.h), so the
-// classifier is exercised over state protocols, native escapes, deep JUMP
+// edit paths are exercised over state protocols, native escapes, deep JUMP
 // nests, and degenerate sparse chains, not just plain label rules.
 
 #include <gtest/gtest.h>
@@ -22,7 +25,9 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/apps/programs.h"
@@ -42,12 +47,6 @@ constexpr int kEdits = 24;
 constexpr uint64_t kSeedBase = 0xdc17;  // consecutive seeds cycle the flavors
 constexpr int kSeedCount = 16;
 
-EngineConfig MakeCfg(bool tuple) {
-  EngineConfig cfg;
-  cfg.tuple_dispatch = tuple;
-  return cfg;
-}
-
 // One booted system under churn. Both systems use the same sim seed, so
 // inode numbers and label sids line up and command scripts are portable
 // between them.
@@ -59,11 +58,11 @@ struct System {
   std::vector<std::unique_ptr<sim::Task>> tasks;
   std::vector<std::shared_ptr<sim::Inode>> pins;
 
-  explicit System(const EngineConfig& cfg) {
+  System() {
     kernel = std::make_unique<sim::Kernel>(0x5eed);
     sim::BuildSysImage(*kernel);
     apps::InstallPrograms(*kernel);
-    engine = InstallProcessFirewall(*kernel, cfg);
+    engine = InstallProcessFirewall(*kernel);
     pft = std::make_unique<Pftables>(engine);
     fuzzgen::RegisterFuzzModules(*pft, count_fires.get());
     kernel->MkFileAt("/tmp/t", "x", 0666, 0, 0, "tmp_t");
@@ -86,18 +85,31 @@ struct System {
   }
 };
 
+// Per-rule hit counters of the staging base, in chain-sorted order.
+std::vector<uint64_t> Hits(const System& sys) {
+  std::vector<uint64_t> hits;
+  for (const auto& [name, chain] : sys.engine->ruleset().filter().chains()) {
+    for (const auto& r : chain.rules()) {
+      hits.push_back(r->hits.load(std::memory_order_relaxed));
+    }
+  }
+  return hits;
+}
+
 // Everything observable from one replay of the seeded operation stream.
 struct RunResult {
   std::vector<int64_t> verdicts;
   std::vector<std::map<std::string, int64_t>> dicts;
-  std::string log_lines;
-  uint64_t count_fires = 0;
-  std::vector<uint64_t> hits;  // per-rule hit counters, chain-sorted order
-  EngineStats stats;
+  std::string log_lines;        // records the stream logged
+  uint64_t count_fires = 0;     // native-target fires during the stream
+  std::vector<uint64_t> hits;   // per-rule hit deltas, chain-sorted order
 };
 
 RunResult Replay(System& sys, uint64_t seed, int ops) {
   RunResult out;
+  sys.engine->log().Clear();
+  const uint64_t fires_before = *sys.count_fires;
+  out.hits = Hits(sys);
   const char* kPaths[] = {"/etc/passwd", "/etc/shadow", "/tmp/t", "/bin/true"};
   std::mt19937_64 rng(seed ^ 0x0bdeadbeefULL);
   out.verdicts.reserve(static_cast<size_t>(ops));
@@ -151,14 +163,25 @@ RunResult Replay(System& sys, uint64_t seed, int ops) {
     out.dicts.push_back(sys.engine->TaskState(*task).dict);
   }
   out.log_lines = sys.engine->log().ToJsonLines();
-  out.count_fires = *sys.count_fires;
-  for (const auto& [name, chain] : sys.engine->ruleset().filter().chains()) {
-    for (const auto& r : chain.rules()) {
-      out.hits.push_back(r->hits.load(std::memory_order_relaxed));
-    }
+  out.count_fires = *sys.count_fires - fires_before;
+  const std::vector<uint64_t> after = Hits(sys);
+  for (size_t i = 0; i < after.size(); ++i) {
+    out.hits[i] = after[i] - out.hits[i];
   }
-  out.stats = sys.engine->stats();
   return out;
+}
+
+// Replaces the whole rule base of `sys` with `dump` in one batch: staging
+// starts over from empty builtin chains, and the leading flush (a no-op on
+// them) makes ExecAll commit exactly once, even for a dump with no rules.
+Status Reload(System& sys, const std::string& dump) {
+  sys.engine->ruleset() = RuleSet();
+  std::vector<std::string> lines = {"pftables -F"};
+  std::istringstream in(dump);
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  return sys.pft->ExecAll(lines);
 }
 
 // Builds the next edit command as a pure function of the rng and the current
@@ -202,15 +225,20 @@ std::string NextEdit(std::mt19937_64& rng, Engine& shape_engine,
   return "pftables -F " + chain;
 }
 
-// F (classifier) against G (scan oracle) over one replay: the verdict and
-// side-effect surface must agree exactly.
-void ExpectAgree(const RunResult& rf, const RunResult& rg, const std::string& where) {
+// F (edited step by step) against G (reloaded in one step): the compiled
+// program, and one replay's verdict and side-effect surface, must agree
+// exactly. (The listing compiles the staging base: after a -N, which
+// publishes nothing, F's live generation still lacks the empty chain.)
+void ExpectAgree(System& f, System& g, uint64_t replay_seed, int ops,
+                 const std::string& where) {
+  ASSERT_EQ(f.pft->ListCompiled(), g.pft->ListCompiled()) << where << ": compiled programs";
+  const RunResult rf = Replay(f, replay_seed, ops);
+  const RunResult rg = Replay(g, replay_seed, ops);
   ASSERT_EQ(rf.verdicts, rg.verdicts) << where << ": verdicts";
   EXPECT_EQ(rf.dicts, rg.dicts) << where << ": STATE dicts";
   EXPECT_EQ(rf.log_lines, rg.log_lines) << where << ": LOG records";
-  EXPECT_EQ(rf.count_fires, rg.count_fires) << where;
-  EXPECT_EQ(rf.hits, rg.hits) << where << ": classifier changed a per-rule hit count";
-  EXPECT_EQ(rf.stats.drops, rg.stats.drops) << where;
+  EXPECT_EQ(rf.count_fires, rg.count_fires) << where << ": native-target fires";
+  EXPECT_EQ(rf.hits, rg.hits) << where << ": per-rule hit deltas";
 }
 
 void RunChurn(uint64_t seed) {
@@ -220,18 +248,16 @@ void RunChurn(uint64_t seed) {
     return std::string(b);
   }() + " flavor=" + fuzzgen::FlavorName(fuzzgen::FlavorForSeed(seed));
 
-  System f(MakeCfg(/*tuple=*/true));
-  System g(MakeCfg(/*tuple=*/false));
+  System f;
+  System g;
 
-  // Identical initial bases (batch-installed: one commit each). rule_rng is
-  // advanced past the base batch so the pool batches below differ from it.
+  // The initial base, batch-installed on F (one commit) and reloaded from
+  // F's dump on G.
   std::mt19937_64 rule_rng(seed);
-  (void)fuzzgen::RandomRules(rule_rng, fuzzgen::FlavorForSeed(seed));
-  for (System* sys : {&f, &g}) {
-    std::mt19937_64 r(seed);
-    ASSERT_TRUE(sys->pft->ExecAll(fuzzgen::RandomRules(r, fuzzgen::FlavorForSeed(seed))).ok())
-        << tag;
-  }
+  ASSERT_TRUE(
+      f.pft->ExecAll(fuzzgen::RandomRules(rule_rng, fuzzgen::FlavorForSeed(seed))).ok())
+      << tag;
+  ASSERT_TRUE(Reload(g, f.pft->Save()).ok()) << tag;
 
   // Harvest an append-command pool from fresh generator batches (same flavor,
   // so every referenced chain already exists).
@@ -247,8 +273,8 @@ void RunChurn(uint64_t seed) {
   ASSERT_FALSE(pool.empty()) << tag;
 
   // The churn script, with one mid-script -N that changes the chain-name
-  // set. After every command both systems must hold the same rule base and
-  // decide a short operation stream alike.
+  // set. After every command G reloads F's rule base, and both must list the
+  // same compiled program and decide a short operation stream alike.
   std::mt19937_64 edit_rng(seed ^ 0xed17ULL);
   for (int step = 0; step < kEdits; ++step) {
     const std::string cmd = step == kEdits / 2
@@ -256,21 +282,20 @@ void RunChurn(uint64_t seed) {
                                 : NextEdit(edit_rng, *f.engine, pool, step);
     const std::string where = tag + " step " + std::to_string(step) + ": " + cmd;
     const Status sf = f.pft->Exec(cmd);
-    const Status sg = g.pft->Exec(cmd);
-    ASSERT_EQ(sf.ok(), sg.ok()) << where;
     ASSERT_TRUE(sf.ok()) << where << " rejected: " << sf.message();
-    ASSERT_EQ(f.pft->Save(), g.pft->Save()) << where;
-    const uint64_t replay_seed = seed + static_cast<uint64_t>(step);
-    ExpectAgree(Replay(f, replay_seed, kOpsPerEdit), Replay(g, replay_seed, kOpsPerEdit),
-                where);
+    const std::string dump = f.pft->Save();
+    const Status sg = Reload(g, dump);
+    ASSERT_TRUE(sg.ok()) << where << " reload rejected: " << sg.message();
+    ASSERT_EQ(g.pft->Save(), dump) << where << ": the dump does not round-trip";
+    ExpectAgree(f, g, seed + static_cast<uint64_t>(step), kOpsPerEdit, where);
     if (::testing::Test::HasFailure()) {
       return;
     }
   }
-  ExpectAgree(Replay(f, seed, kOps), Replay(g, seed, kOps), tag + " after the script");
+  ExpectAgree(f, g, seed, kOps, tag + " after the script");
 }
 
-TEST(CommitChurnTest, TupleClassifierMatchesScanAfterEveryEdit) {
+TEST(CommitChurnTest, EditHistoryMatchesOneStepReloadAfterEveryEdit) {
   for (int i = 0; i < kSeedCount; ++i) {
     RunChurn(kSeedBase + static_cast<uint64_t>(i));
     if (::testing::Test::HasFailure()) {
@@ -292,6 +317,32 @@ TEST(CommitChurnTest, DisplacedGenerationIsFreedByTheNextCommit) {
   EXPECT_FALSE(displaced.expired()) << "a decision freed the displaced generation";
   ASSERT_TRUE(rig.pft->Exec("pftables -D input 2").ok());
   EXPECT_TRUE(displaced.expired()) << "the next commit kept the displaced generation";
+}
+
+// A thread that exits drops its worker-slot pin: the generation its last
+// decision pinned is freed by the commits that follow, not held until the
+// engine dies.
+TEST(CommitChurnTest, ExitedThreadKeepsNoGenerationAlive) {
+  DecisionRig rig({"pftables -A input -o FILE_OPEN -d shadow_t -j DROP"});
+  const std::weak_ptr<const CompiledRuleset> pinned = rig.engine->PublishedRuleset();
+  std::thread([&rig] { EXPECT_EQ(rig.Decide(rig.Open("/etc/shadow")), kDeny); }).join();
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(rig.engine->CommitRuleset().ok());
+  }
+  EXPECT_TRUE(pinned.expired()) << "an exited thread still pins its last generation";
+}
+
+// Worker indices are reused once their thread exits, so threads that run
+// one after another each pin through a slot (one refresh per first
+// decision) instead of falling past the slot capacity onto the locked path.
+TEST(CommitChurnTest, SequentialThreadsEachPinThroughASlot) {
+  DecisionRig rig({"pftables -A input -o FILE_OPEN -d shadow_t -j DROP"});
+  const uint64_t before = rig.engine->stats().ruleset_refreshes;
+  constexpr int kThreads = 100;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([&rig] { EXPECT_EQ(rig.Decide(rig.Open("/etc/shadow")), kDeny); }).join();
+  }
+  EXPECT_EQ(rig.engine->stats().ruleset_refreshes - before, uint64_t{kThreads});
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Differential fuzzing of the evaluator's three ways to reach a decision:
-// seeded random rule bases (five generator flavors, see fuzz_rules.h)
-// replayed over seeded random operation streams, with the way (portable
-// switch loop / computed-goto threaded loop / threaded loop behind the
-// tuple-space classifier) as the only difference between runs.
+// Differential fuzzing of the evaluator's two dispatch strategies: seeded
+// random rule bases (five generator flavors, see fuzz_rules.h) replayed over
+// seeded random operation streams, with the strategy (portable switch loop /
+// computed-goto threaded loop) as the only difference between runs.
 //
 // The two dispatch strategies expand the same handler bodies
 // (exec_insn.inc), so a divergence between them is a dispatch bug: a wrong
@@ -10,10 +9,7 @@
 // observable must be bit-identical — the verdict sequence, per-task STATE
 // dictionaries, LOG records, rule counters (via the List() rendering), and
 // the engine statistics, including the context-fetch counters that would
-// expose a divergent EnsureContext order. The classifier may only skip rules
-// a scan would have rejected, so it must reproduce every decision, side
-// effect and per-rule hit counter; only the work counters (rule evals,
-// context fetches) may drop.
+// expose a divergent EnsureContext order.
 //
 // What the handlers themselves mean is pinned elsewhere: verdicts by the
 // symbolic model (symbolic_diff_fuzz_test, explain_fuzz_test), counters and
@@ -57,8 +53,8 @@ constexpr int kDefaultSeedCount = 16;
 
 // Seeds past the default window, appended to every default run. 0xf037
 // (mixed flavor) puts an entrypoint-indexed rule ahead of a plain rule that
-// also fires, so with ept_chains on the tuple classifier must reproduce the
-// indexed scan's plain-first order rather than chain order.
+// also fires, so with ept_chains on the indexed scan's plain-first order
+// (paper §4.3), not chain order, decides.
 constexpr uint64_t kRegressionSeeds[] = {0xf037};
 
 // Filled by main() from --pf_fuzz_seed / PF_FUZZ_SEED / PF_FUZZ_SEEDS.
@@ -67,14 +63,12 @@ std::vector<uint64_t>& SeedList() {
   return seeds;
 }
 
-// The evaluator paths under diff: the two dispatch strategies, and the
-// threaded loop fed by the tuple-space classifier instead of a chain scan.
-enum class Mode { kSwitch, kThreaded, kTuple };
+// The dispatch strategies under diff.
+enum class Mode { kSwitch, kThreaded };
 
 EngineConfig MakeConfig(Mode mode, bool ept) {
   EngineConfig cfg;
-  cfg.threaded_eval = mode != Mode::kSwitch;
-  cfg.tuple_dispatch = mode == Mode::kTuple;
+  cfg.threaded_eval = mode == Mode::kThreaded;
   cfg.ept_chains = ept;
   return cfg;
 }
@@ -197,9 +191,9 @@ FuzzRun Replay(uint64_t seed, const EngineConfig& cfg) {
   return out;
 }
 
-// The decision surface: verdicts, side effects, per-rule hit counters and
-// the decision counters. Every evaluator path must reproduce it exactly.
-void ExpectSameDecisions(const FuzzRun& want, const FuzzRun& got,
+// Verdicts, side effects, per-rule counters and every engine counter: what
+// two dispatch strategies over the same instruction stream must agree on.
+void ExpectBitEquivalent(const FuzzRun& want, const FuzzRun& got,
                          const std::string& what) {
   ASSERT_EQ(want.verdicts.size(), got.verdicts.size()) << what;
   for (size_t i = 0; i < want.verdicts.size(); ++i) {
@@ -214,13 +208,6 @@ void ExpectSameDecisions(const FuzzRun& want, const FuzzRun& got,
   EXPECT_EQ(got.stats.invocations, want.stats.invocations) << what;
   EXPECT_EQ(got.stats.drops, want.stats.drops) << what;
   EXPECT_EQ(got.stats.audited_drops, want.stats.audited_drops) << what;
-}
-
-// The decision surface plus every work counter: what two dispatch
-// strategies over the same instruction stream must agree on.
-void ExpectBitEquivalent(const FuzzRun& want, const FuzzRun& got,
-                         const std::string& what) {
-  ExpectSameDecisions(want, got, what);
   EXPECT_EQ(got.listing, want.listing)
       << what << ": List() rendering (rule evals/hits counters) diverges";
 
@@ -244,7 +231,7 @@ void DumpFailure(uint64_t seed, bool ept, const FuzzRun& compiled) {
                ept ? "on" : "off", compiled.compiled_listing.c_str());
 }
 
-TEST(CompiledDiffFuzzTest, ThreeWayEquivalenceAcrossSeeds) {
+TEST(CompiledDiffFuzzTest, SwitchAndThreadedAgreeUnderDefaultContext) {
   for (uint64_t seed : SeedList()) {
     const std::string tag =
         "seed=" + std::to_string(seed) + " flavor=" +
@@ -253,11 +240,7 @@ TEST(CompiledDiffFuzzTest, ThreeWayEquivalenceAcrossSeeds) {
       const std::string what = tag + (ept ? " ept=on" : " ept=off");
       FuzzRun swtch = Replay(seed, MakeConfig(Mode::kSwitch, ept));
       FuzzRun threaded = Replay(seed, MakeConfig(Mode::kThreaded, ept));
-      FuzzRun tuple = Replay(seed, MakeConfig(Mode::kTuple, ept));
       ExpectBitEquivalent(swtch, threaded, what + " threaded-vs-switch");
-      ExpectSameDecisions(swtch, tuple, what + " tuple-vs-switch");
-      EXPECT_LE(tuple.stats.rules_evaluated, swtch.stats.rules_evaluated)
-          << what << ": the classifier may only skip rules, never add any";
       if (::testing::Test::HasFailure()) {
         DumpFailure(seed, ept, threaded);
         return;  // first divergence wins; later seeds would bury the dump
@@ -277,7 +260,8 @@ TEST(CompiledDiffFuzzTest, ReplayIsDeterministic) {
 
 // The dispatch pair once more with context fetched eagerly and uncached
 // (the FULL rung's knobs): every fetch handler then takes its
-// already-present branch, which the default-knob runs above rarely reach.
+// already-present branch, which the default-context runs above rarely
+// reach.
 TEST(CompiledDiffFuzzTest, SwitchAndThreadedAgree) {
   for (uint64_t seed : SeedList()) {
     EngineConfig swtch_cfg = MakeConfig(Mode::kSwitch, /*ept=*/true);

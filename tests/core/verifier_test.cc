@@ -271,112 +271,20 @@ TEST(VerifierTest, RejectsChainTableOutOfBounds) {
   EXPECT_FALSE(d->locus.chain.empty());
 }
 
-// --- classifier proofs -------------------------------------------------------
+// --- rule records ------------------------------------------------------------
 
-// First bucket with a live classifier matching `pred`.
+// First (chain, op) bucket matching `pred`.
 template <typename Pred>
 ProgramBucket* FindBucket(PfProgram& prog, Pred pred) {
   for (ProgramChain& chain : prog.chains) {
     for (ProgramBucket& b : chain.ops) {
-      if (b.has_classifier && pred(b)) {
+      if (pred(b)) {
         return &b;
       }
     }
   }
   return nullptr;
 }
-
-void ExpectClassifierDiag(const PfProgram& prog, const char* code) {
-  VerifyResult vr = VerifyProgram(prog);
-  EXPECT_FALSE(vr.ok()) << "corrupted classifier was accepted";
-  const Diagnostic* d = FindDiag(vr.report, code);
-  ASSERT_NE(d, nullptr) << "missing " << code << " diagnostic:\n"
-                        << vr.report.RenderText();
-  EXPECT_EQ(d->severity, Severity::kError);
-  // Classifier findings are chain-level (the bucket has no single rule).
-  EXPECT_EQ(d->locus.pos, 0) << d->locus.Render();
-  EXPECT_FALSE(d->locus.chain.empty());
-}
-
-TEST(VerifierTest, RejectsClassifierResidualSliceOutOfBounds) {
-  Compiled c = Build(CorpusRules());
-  ASSERT_NE(c.snap, nullptr);
-  PfProgram prog = c.snap->program;
-  ProgramBucket* b =
-      FindBucket(prog, [](const ProgramBucket& pb) { return pb.residual_len > 0; });
-  ASSERT_NE(b, nullptr) << "corpus produced no classifier residual";
-  b->residual_off = static_cast<uint32_t>(prog.entries.size());
-  ExpectClassifierDiag(prog, "classifier-oob");
-}
-
-TEST(VerifierTest, RejectsClassifierTupleCountBeyondMaskLimit) {
-  Compiled c = Build(CorpusRules());
-  ASSERT_NE(c.snap, nullptr);
-  PfProgram prog = c.snap->program;
-  // The evaluator merges into a fixed array of kTupleMaskLimit + 1 active
-  // slices; a count past that (or past the table pool) must be rejected
-  // before dispatch, not discovered by an overrun.
-  ProgramBucket* b =
-      FindBucket(prog, [](const ProgramBucket& pb) { return pb.tuple_cnt > 0; });
-  ASSERT_NE(b, nullptr) << "corpus produced no tuple tables (exact-dim rules missing?)";
-  b->tuple_cnt = kTupleMaskLimit + 1;
-  ExpectClassifierDiag(prog, "classifier-oob");
-}
-
-TEST(VerifierTest, RejectsClassifierSlotCountNotPowerOfTwo) {
-  Compiled c = Build(CorpusRules());
-  ASSERT_NE(c.snap, nullptr);
-  PfProgram prog = c.snap->program;
-  const ProgramBucket* b =
-      FindBucket(prog, [](const ProgramBucket& pb) { return pb.tuple_cnt > 0; });
-  ASSERT_NE(b, nullptr);
-  // The probe's wrap-around masks with slot_count - 1; anything that is not
-  // a power of two would silently alias slots.
-  prog.tuple_tables[b->tuple_off].slot_count += 1;
-  ExpectClassifierDiag(prog, "classifier-oob");
-}
-
-TEST(VerifierTest, RejectsClassifierDroppingARuleFromCoverage) {
-  Compiled c = Build(CorpusRules());
-  ASSERT_NE(c.snap, nullptr);
-  PfProgram prog = c.snap->program;
-  // Shrinking the residual by one rule keeps every slice in bounds but
-  // leaves a rule the scan would evaluate unreachable by any probe — the
-  // exactly-once coverage proof must catch it.
-  ProgramBucket* b =
-      FindBucket(prog, [](const ProgramBucket& pb) { return pb.residual_len > 0; });
-  ASSERT_NE(b, nullptr);
-  b->residual_len -= 1;
-  ExpectClassifierDiag(prog, "classifier-coverage");
-}
-
-TEST(VerifierTest, RejectsClassifierDoubleCoveringARule) {
-  Compiled c = Build(CorpusRules());
-  ASSERT_NE(c.snap, nullptr);
-  PfProgram prog = c.snap->program;
-  // Pointing an occupied tuple slot at the bucket's full `all` slice keeps
-  // everything in bounds but double-covers whatever the residual already
-  // holds — a probe hitting that key would evaluate rules twice, so the
-  // multiset comparison must reject it.
-  const ProgramBucket* b = FindBucket(prog, [](const ProgramBucket& pb) {
-    return pb.tuple_cnt > 0 && pb.all_len > 0;
-  });
-  ASSERT_NE(b, nullptr);
-  const TupleTable& t = prog.tuple_tables[b->tuple_off];
-  TupleSlot* slot = nullptr;
-  for (uint32_t s = 0; s < t.slot_count; ++s) {
-    if (prog.tuple_slots[t.slot_off + s].len > 0) {
-      slot = &prog.tuple_slots[t.slot_off + s];
-      break;
-    }
-  }
-  ASSERT_NE(slot, nullptr) << "occupied tuple table has no occupied slot";
-  slot->off = b->all_off;
-  slot->len = b->all_len;
-  ExpectClassifierDiag(prog, "classifier-coverage");
-}
-
-// --- rule records ------------------------------------------------------------
 
 // The evaluator bumps the counters of every record an entry list names
 // through RuleRecord::rule, so a record without a rule must never load.
