@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Runs the engine-focused benchmarks and folds their machine-readable
-# outputs into one BENCH_engine.json:
+# outputs into one entry of the BENCH_engine.json trajectory:
 #
 #   table6_lmbench   us/op for every (syscall, config) cell
 #   table7_macro     macro means (Without PF / PF Base / PF Full)
@@ -8,6 +8,11 @@
 #                    dispatch, the context cache on vs off,
 #                    BM_CompileProgram + BM_VerifyProgram (commit-time costs)
 #   pfcheck          static-analyzer wall time over the shipped rule base
+#
+# BENCH_engine.json is {"entries": [...]}, oldest first. Each entry is
+# keyed by the commit it measured (`git rev-parse HEAD`, with a "-dirty"
+# suffix when tracked files other than BENCH_engine.json differ from HEAD);
+# a run appends its entry, or replaces the one with the same key.
 #
 # Usage: bench/run_bench.sh [build-dir] [output.json]
 # (run from the repository root; build the default preset first:
@@ -19,6 +24,11 @@ OUT="${2:-BENCH_engine.json}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
+COMMIT="$(git rev-parse HEAD)"
+if ! git diff --quiet HEAD -- . ':(exclude)BENCH_engine.json'; then
+  COMMIT="$COMMIT-dirty"
+fi
+
 "$BUILD/bench/table6_lmbench" --json "$TMP/table6.json"
 "$BUILD/bench/table7_macro" --json "$TMP/table7.json"
 # Medians of 3 repetitions: the dispatch-ladder and verifier-share summary
@@ -29,11 +39,12 @@ trap 'rm -rf "$TMP"' EXIT
   --benchmark_out="$TMP/ablation.json" --benchmark_out_format=json
 "$BUILD/src/apps/pfcheck" --library --json > "$TMP/pfcheck.json"
 
-python3 - "$TMP" "$OUT" <<'EOF'
-import json, sys, os
+python3 - "$TMP" "$OUT" "$COMMIT" <<'EOF'
+import datetime, json, sys, os
 
-tmp, out_path = sys.argv[1], sys.argv[2]
-out = {}
+tmp, out_path, commit = sys.argv[1], sys.argv[2], sys.argv[3]
+out = {"commit": commit,
+       "measured": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%MZ")}
 for name in ("table6", "table7"):
     with open(os.path.join(tmp, name + ".json")) as f:
         out.update(json.load(f))
@@ -131,9 +142,14 @@ cache_on = ae.get("BM_ContextCache/1", {}).get("ns_per_op")
 out["summary"]["context_cache_on_vs_off"] = (cache_on / cache_off
                                              if cache_on and cache_off else None)
 
+entries = []
+if os.path.exists(out_path):
+    with open(out_path) as f:
+        entries = json.load(f)["entries"]
+entries = [e for e in entries if e["commit"] != commit] + [out]
 with open(out_path, "w") as f:
-    json.dump(out, f, indent=2)
+    json.dump({"entries": entries}, f, indent=2)
     f.write("\n")
-print(f"wrote {out_path}")
+print(f"wrote entry {commit} to {out_path} ({len(entries)} entries)")
 print(json.dumps(out["summary"], indent=2))
 EOF

@@ -73,8 +73,8 @@ uint32_t MaxIndexedSlice(const core::PfProgram& prog) {
     for (const core::ProgramBucket& pb : pc.ops) {
       longest = std::max(longest, pb.plain_len);
     }
-    for (const auto& [key, slice] : pc.ept) {
-      longest = std::max(longest, slice.second);
+    for (const core::EptItem& item : pc.ept.items) {
+      longest = std::max(longest, item.len);
     }
   }
   return longest;

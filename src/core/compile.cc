@@ -175,10 +175,13 @@ void BuildChainTables(CompiledRuleset& snap, const Chain& chain, int32_t id,
     pb.has_indexed = ob.has_indexed;
   }
   if (chain.index_built()) {
-    pc.ept.reserve(chain.ept_index().size());
+    std::vector<EptItem> keys;
+    keys.reserve(chain.ept_index().size());
     for (const auto& [key, rules] : chain.ept_index()) {
-      pc.ept.emplace(key, slice(rules));
+      const auto [off, len] = slice(rules);
+      keys.push_back(EptItem{key, off, len});
     }
+    pc.ept.Build(std::move(keys));
   }
 }
 
@@ -208,8 +211,16 @@ analysis::AnalysisReport LowerProgram(CompiledRuleset& snap) {
   prog.root_create = prog.FindChain("create");
   prog.root_syscallbegin = prog.FindChain("syscallbegin");
 
-  // Phase 2: lower every rule body, chain by chain in id order.
+  // Size the record table and rec_of once, from the rule count.
+  size_t num_rules = 0;
+  for (const auto& [name, chain] : filter.chains()) {
+    num_rules += chain.size();
+  }
+  prog.rules.reserve(num_rules);
   std::unordered_map<const Rule*, uint32_t> rec_of;
+  rec_of.reserve(num_rules);
+
+  // Phase 2: lower every rule body, chain by chain in id order.
   for (const auto& [name, chain] : filter.chains()) {
     LowerChainRules(b, prog, prog.chain_ids.at(name), chain, rec_of, report);
   }

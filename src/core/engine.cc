@@ -338,15 +338,15 @@ Status Engine::PublishRuleset(std::shared_ptr<CompiledRuleset> snap) {
   return Status::Ok();
 }
 
-const CompiledRuleset& Engine::PinRuleset(std::shared_ptr<const CompiledRuleset>* hold) {
-  const size_t index = WorkerIndex();
-  if (index < kMaxWorkers) {
-    WorkerSlot& w = workers_[index];
+const CompiledRuleset& Engine::PinRuleset(size_t worker, EngineStatsBlock& sb,
+                                          std::shared_ptr<const CompiledRuleset>* hold) {
+  if (worker < kMaxWorkers) {
+    WorkerSlot& w = workers_[worker];
     if (w.generation != generation_.load(std::memory_order_acquire)) {
       std::lock_guard<std::mutex> lock(commit_mu_);
       w.snap = published_;
       w.generation = w.snap->generation;
-      StatsLocal().ruleset_refreshes.fetch_add(1, kRelaxed);
+      sb.Add(Stat::kRulesetRefreshes);
     }
     return *w.snap;
   }
@@ -365,25 +365,45 @@ std::shared_ptr<const CompiledRuleset> Engine::ReleaseWorker(size_t index) {
   return std::move(w.snap);
 }
 
-EngineStatsBlock& Engine::StatsLocal() {
-  return stats_blocks_[WorkerIndex() & (kStatsBlocks - 1)];
+void Engine::SumBlocks(std::array<uint64_t, kStatCount>& out) const {
+  out.fill(0);
+  auto add = [&out](const EngineStatsBlock& b) {
+    for (size_t i = 0; i < kStatCount; ++i) {
+      out[i] += b.counters[i].load(kRelaxed);
+    }
+  };
+  for (const EngineStatsBlock& b : stats_blocks_) {
+    add(b);
+  }
+  add(stats_overflow_);
 }
 
 EngineStats Engine::stats() const {
   EngineStats out;
   const uint64_t gen_before = stats_gen_.load(std::memory_order_acquire);
-  for (const EngineStatsBlock& b : stats_blocks_) {
-    out.invocations += b.invocations.load(kRelaxed);
-    out.drops += b.drops.load(kRelaxed);
-    out.audited_drops += b.audited_drops.load(kRelaxed);
-    out.rules_evaluated += b.rules_evaluated.load(kRelaxed);
-    out.ept_chain_hits += b.ept_chain_hits.load(kRelaxed);
-    out.unwinds += b.unwinds.load(kRelaxed);
-    out.unwind_cache_hits += b.unwind_cache_hits.load(kRelaxed);
-    out.ruleset_refreshes += b.ruleset_refreshes.load(kRelaxed);
-    for (size_t i = 0; i < out.ctx_fetches.size(); ++i) {
-      out.ctx_fetches[i] += b.ctx_fetches[i].load(kRelaxed);
-    }
+  // The baseline is read before the blocks, and a counter reads 0 where a
+  // reset racing this read left the baseline above the sum: a torn
+  // snapshot may read low, never wrap.
+  std::array<uint64_t, kStatCount> base;
+  for (size_t i = 0; i < kStatCount; ++i) {
+    base[i] = stats_base_[i].load(kRelaxed);
+  }
+  std::array<uint64_t, kStatCount> c;
+  SumBlocks(c);
+  for (size_t i = 0; i < kStatCount; ++i) {
+    c[i] = c[i] > base[i] ? c[i] - base[i] : 0;
+  }
+  auto get = [&c](Stat stat) { return c[static_cast<size_t>(stat)]; };
+  out.invocations = get(Stat::kInvocations);
+  out.drops = get(Stat::kDrops);
+  out.audited_drops = get(Stat::kAuditedDrops);
+  out.rules_evaluated = get(Stat::kRulesEvaluated);
+  out.ept_chain_hits = get(Stat::kEptChainHits);
+  out.unwinds = get(Stat::kUnwinds);
+  out.unwind_cache_hits = get(Stat::kUnwindCacheHits);
+  out.ruleset_refreshes = get(Stat::kRulesetRefreshes);
+  for (size_t i = 0; i < out.ctx_fetches.size(); ++i) {
+    out.ctx_fetches[i] = get(CtxFetchStat(static_cast<Ctx>(i)));
   }
   out.trace_records = trace_.records();
   out.trace_drops = trace_.drops();
@@ -399,18 +419,10 @@ EngineStats Engine::stats() const {
 
 void Engine::ResetStats() {
   BeginCounterMutation();
-  for (EngineStatsBlock& b : stats_blocks_) {
-    b.invocations.store(0, kRelaxed);
-    b.drops.store(0, kRelaxed);
-    b.audited_drops.store(0, kRelaxed);
-    b.rules_evaluated.store(0, kRelaxed);
-    b.ept_chain_hits.store(0, kRelaxed);
-    b.unwinds.store(0, kRelaxed);
-    b.unwind_cache_hits.store(0, kRelaxed);
-    b.ruleset_refreshes.store(0, kRelaxed);
-    for (auto& c : b.ctx_fetches) {
-      c.store(0, kRelaxed);
-    }
+  std::array<uint64_t, kStatCount> now;
+  SumBlocks(now);
+  for (size_t i = 0; i < kStatCount; ++i) {
+    stats_base_[i].store(now[i], kRelaxed);
   }
   EndCounterMutation();
 }
@@ -431,12 +443,18 @@ size_t Engine::slot() {
 }
 
 PfTaskState& Engine::TaskState(sim::Task& task) {
-  // The slot pointer is written exactly once, inside call_once, so the load
-  // below needs no lock: call_once orders it after the creating store.
+  // The state is created exactly once, inside call_once, which then
+  // publishes its address with release: every later touch is one acquire
+  // load, and only the first touches of a task pay for call_once.
   const size_t s = slot();
-  std::call_once(task.security_once[s],
-                 [&task, s] { task.security[s] = std::make_shared<PfTaskState>(); });
-  return *static_cast<PfTaskState*>(task.security[s].get());
+  if (void* ready = task.security_ready[s].load(std::memory_order_acquire)) [[likely]] {
+    return *static_cast<PfTaskState*>(ready);
+  }
+  std::call_once(task.security_once[s], [&task, s] {
+    task.security[s] = std::make_shared<PfTaskState>();
+    task.security_ready[s].store(task.security[s].get(), std::memory_order_release);
+  });
+  return *static_cast<PfTaskState*>(task.security_ready[s].load(std::memory_order_acquire));
 }
 
 void Engine::OnTaskExit(sim::Task& task) {
@@ -474,8 +492,8 @@ void Engine::OnTaskExec(sim::Task& task) {
 
 // --- context modules ---------------------------------------------------------
 
-void Engine::FetchObject(Packet& pkt) {
-  StatsLocal().ctx_fetches[static_cast<size_t>(Ctx::kObject)].fetch_add(1, kRelaxed);
+void Engine::FetchObject(Packet& pkt, EngineStatsBlock& sb) {
+  sb.Add(CtxFetchStat(Ctx::kObject));
   sim::AccessRequest& req = *pkt.req;
   if (req.inode != nullptr) {
     pkt.has_object = true;
@@ -487,8 +505,8 @@ void Engine::FetchObject(Packet& pkt) {
   pkt.Mark(Ctx::kObject);
 }
 
-void Engine::FetchLinkTarget(Packet& pkt) {
-  StatsLocal().ctx_fetches[static_cast<size_t>(Ctx::kLinkTarget)].fetch_add(1, kRelaxed);
+void Engine::FetchLinkTarget(Packet& pkt, EngineStatsBlock& sb) {
+  sb.Add(CtxFetchStat(Ctx::kLinkTarget));
   sim::AccessRequest& req = *pkt.req;
   if (req.op == sim::Op::kLnkFileRead && req.inode != nullptr) {
     pkt.link_owner = req.inode->uid;
@@ -502,12 +520,11 @@ void Engine::FetchLinkTarget(Packet& pkt) {
   pkt.Mark(Ctx::kLinkTarget);
 }
 
-void Engine::FetchAdversaryAccess(Packet& pkt) {
+void Engine::FetchAdversaryAccess(Packet& pkt, EngineStatsBlock& sb) {
   if (!pkt.Has(Ctx::kObject)) {
-    FetchObject(pkt);
+    FetchObject(pkt, sb);
   }
-  StatsLocal().ctx_fetches[static_cast<size_t>(Ctx::kAdversaryAccess)].fetch_add(1,
-                                                                                kRelaxed);
+  sb.Add(CtxFetchStat(Ctx::kAdversaryAccess));
   if (pkt.has_object) {
     const sim::MacPolicy& pol = kernel_.policy();
     pkt.adversary_writable = pol.AdversaryWritable(pkt.object_sid);
@@ -520,17 +537,16 @@ PfTaskState* Engine::ContextCache(sim::Task& task) {
   return config_.cache_context && task.syscall_depth > 0 ? &TaskState(task) : nullptr;
 }
 
-void Engine::FetchStack(Packet& pkt) {
-  EngineStatsBlock& sb = StatsLocal();
-  sb.ctx_fetches[static_cast<size_t>(Ctx::kEntrypoint)].fetch_add(1, kRelaxed);
+void Engine::FetchStack(Packet& pkt, EngineStatsBlock& sb) {
+  sb.Add(CtxFetchStat(Ctx::kEntrypoint));
   sim::Task& task = *pkt.req->task;
   PfTaskState* cache = ContextCache(task);
   CachedFrame entry;
   if (cache != nullptr && cache->stack.Load(&entry) && entry.serial == task.syscall_count) {
-    sb.unwind_cache_hits.fetch_add(1, kRelaxed);
+    sb.Add(Stat::kUnwindCacheHits);
   } else {
     // A miss, a torn read, or an entry of an earlier system call.
-    sb.unwinds.fetch_add(1, kRelaxed);
+    sb.Add(Stat::kUnwinds);
     const InnermostFrame top = UnwindInnermost(task);
     entry.serial = task.syscall_count;
     entry.valid = top.usable() ? 1 : 0;
@@ -549,8 +565,8 @@ void Engine::FetchStack(Packet& pkt) {
   pkt.Mark(Ctx::kUserStack);
 }
 
-void Engine::FetchInterp(Packet& pkt) {
-  StatsLocal().ctx_fetches[static_cast<size_t>(Ctx::kInterpStack)].fetch_add(1, kRelaxed);
+void Engine::FetchInterp(Packet& pkt, EngineStatsBlock& sb) {
+  sb.Add(CtxFetchStat(Ctx::kInterpStack));
   sim::Task& task = *pkt.req->task;
   PfTaskState* cache = ContextCache(task);
   CachedInterp entry;
@@ -591,20 +607,21 @@ void Engine::EnsureContext(Packet& pkt, CtxMask mask) {
       t0 = trace::NowNs();
     }
   }
+  EngineStatsBlock& sb = *pkt.stats;
   if (missing & CtxBit(Ctx::kObject)) {
-    FetchObject(pkt);
+    FetchObject(pkt, sb);
   }
   if (missing & CtxBit(Ctx::kLinkTarget)) {
-    FetchLinkTarget(pkt);
+    FetchLinkTarget(pkt, sb);
   }
   if (missing & CtxBit(Ctx::kAdversaryAccess)) {
-    FetchAdversaryAccess(pkt);
+    FetchAdversaryAccess(pkt, sb);
   }
   if (missing & (CtxBit(Ctx::kEntrypoint) | CtxBit(Ctx::kUserStack))) {
-    FetchStack(pkt);
+    FetchStack(pkt, sb);
   }
   if (missing & CtxBit(Ctx::kInterpStack)) {
-    FetchInterp(pkt);
+    FetchInterp(pkt, sb);
   }
   if constexpr (kObsCompiledIn) {
     if (DecisionScratch* ds = g_scratch; ds != nullptr && ds->time_ctx) {
@@ -807,13 +824,13 @@ Engine::Verdict Engine::ExecEntries(const CompiledRuleset& rs, uint32_t off, uin
   if constexpr (kObsCompiledIn) {
     ds = g_scratch;
   }
-  // rules_evaluated is batched: one thread-local lookup and one atomic add
-  // per entry list instead of per rule. Every return path below flushes, so
-  // the total still counts each rule entered; the per-rule `evals` counter
-  // stays per rule — `pftables -L -v` prints it.
-  EngineStatsBlock& sb = StatsLocal();
+  // rules_evaluated is batched: one counter add per entry list instead of
+  // per rule. Every return path below flushes, so the total still counts
+  // each rule entered; the per-rule `evals` counter stays per rule —
+  // `pftables -L -v` prints it.
+  EngineStatsBlock& sb = *pkt.stats;
   uint32_t evals = 0;
-  const auto flush = [&] { sb.rules_evaluated.fetch_add(evals, kRelaxed); };
+  const auto flush = [&] { sb.Add(Stat::kRulesEvaluated, evals); };
   for (uint32_t i = 0; i < len; ++i) {
     const RuleRecord& rec = prog.rules[recs[i]];
     ++evals;
@@ -883,11 +900,10 @@ Engine::Verdict Engine::ExecChain(const CompiledRuleset& rs, const ProgramChain&
     if (bucket.has_indexed) {
       EnsureContext(pkt, CtxBit(Ctx::kEntrypoint));
       if (pkt.entrypoint_valid) {
-        auto it = pc.ept.find(EptKey{pkt.entrypoint.image, pkt.entrypoint.offset});
-        if (it != pc.ept.end()) {
-          StatsLocal().ept_chain_hits.fetch_add(1, kRelaxed);
-          return ExecEntries(rs, it->second.first, it->second.second,
-                             /*op_checked=*/false, pkt, depth);
+        const EptItem* hit = pc.ept.Find(EptKey{pkt.entrypoint.image, pkt.entrypoint.offset});
+        if (hit != nullptr) {
+          pkt.stats->Add(Stat::kEptChainHits);
+          return ExecEntries(rs, hit->off, hit->len, /*op_checked=*/false, pkt, depth);
         }
       }
     }
@@ -943,10 +959,13 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
   if (!config_.enabled || req.task == nullptr) {
     return 0;
   }
-  EngineStatsBlock& sb = StatsLocal();
-  sb.invocations.fetch_add(1, kRelaxed);
+  // The one worker lookup of the decision: every counter bump below, and
+  // the context fetches through pkt.stats, use this block.
+  const size_t worker = WorkerIndex();
+  EngineStatsBlock& sb = StatsBlock(worker);
+  sb.Add(Stat::kInvocations);
   std::shared_ptr<const CompiledRuleset> hold;
-  const CompiledRuleset& rs = PinRuleset(&hold);
+  const CompiledRuleset& rs = PinRuleset(worker, sb, &hold);
 
   const CompiledChain* applicable[3];
   const size_t num_applicable = ApplicableChains(rs, req, applicable);
@@ -972,8 +991,7 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
       scratch.trace_ctx = (ev & trace::EventBit(trace::Event::kCtxFetch)) != 0;
       trace_active = trace_decision || scratch.trace_rules || scratch.trace_ctx;
       if (trace_active) {
-        scratch.worker =
-            static_cast<uint16_t>(WorkerIndex() & (trace::TraceHub::kMaxWorkers - 1));
+        scratch.worker = static_cast<uint16_t>(worker & (trace::TraceHub::kMaxWorkers - 1));
         scratch.op = static_cast<uint8_t>(req.op);
         scratch.time_ctx = true;
         scratch.hub = &trace_;
@@ -1015,6 +1033,7 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
 
   Packet pkt;
   pkt.req = &req;
+  pkt.stats = &sb;
   if (!config_.lazy_context) {
     EnsureContext(pkt, kAllCtx);
   }
@@ -1098,7 +1117,7 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
       if (deny_event || n_phase != 0 || n_log != 0) {
         const size_t w =
             trace_active ? scratch.worker
-                         : (WorkerIndex() & (trace::TraceHub::kMaxWorkers - 1));
+                         : (worker & (trace::TraceHub::kMaxWorkers - 1));
         audit::AuditRecord base;
         base.ts_ns = trace::NowNs();
         base.generation = rs.generation;
@@ -1156,11 +1175,11 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
   if (drop) {
     if (config_.audit_only) {
       // Permissive deployment: log what enforcement would have denied.
-      sb.audited_drops.fetch_add(1, kRelaxed);
+      sb.Add(Stat::kAuditedDrops);
       EmitLog(pkt, "audit-drop");
       return 0;
     }
-    sb.drops.fetch_add(1, kRelaxed);
+    sb.Add(Stat::kDrops);
     return sim::SysError(sim::Err::kAcces);
   }
   return 0;  // default allow

@@ -23,13 +23,18 @@
 //
 //   * Per-task state (the STATE dictionary, context caches) lives in the
 //     task's own security slot (sim::Task::security[slot]), created once
-//     under the slot's std::once_flag. Each PfTaskState carries a small
+//     under the slot's std::once_flag and then reached through one acquire
+//     load of the slot's published pointer. Each PfTaskState carries a small
 //     mutex guarding its dictionary; each context-cache entry is a few words
 //     behind a sequence counter (SeqCell), so a reader either copies a whole
 //     entry or sees a miss and unwinds — never a torn unwind.
 //   * Statistics are per-worker ("per-CPU") cache-line-aligned counter
-//     blocks bumped with relaxed atomics and aggregated on read — there is
-//     no shared hot counter.
+//     blocks aggregated on read — there is no shared hot counter. The
+//     worker-index lease makes each block's writer unique, so a bump is a
+//     relaxed load and store, never a locked read-modify-write; threads past
+//     the block count share one overflow block that adds atomically.
+//     ResetStats records a baseline instead of zeroing blocks it does not
+//     own. Authorize resolves the worker index once per decision.
 //   * The compiled rule base is published RCU-style: each pftables commit
 //     copies the staging RuleSet into an immutable CompiledRuleset snapshot
 //     and bumps a generation counter. Hook-side readers pin the snapshot
@@ -93,8 +98,8 @@ struct EngineConfig {
 };
 
 // Aggregated engine statistics (a consistent-enough snapshot: each counter
-// is the sum of the per-worker blocks at read time; see Engine::stats() for
-// the exact tearing contract).
+// is the sum of the per-worker blocks at read time less the last reset's
+// baseline; see Engine::stats() for the exact tearing contract).
 struct EngineStats {
   uint64_t invocations = 0;
   uint64_t drops = 0;
@@ -128,19 +133,43 @@ struct EngineStats {
   bool torn = false;
 };
 
-// One per-worker ("per-CPU") counter block. The atomics are only ever
-// contended when more threads than blocks exist (indices wrap); the common
-// case is an uncontended relaxed add on a worker-private cache line.
+// The counters of one EngineStatsBlock, in EngineStats order; the context
+// fetches take the last Ctx::kCount entries.
+enum class Stat : uint8_t {
+  kInvocations,
+  kDrops,
+  kAuditedDrops,
+  kRulesEvaluated,
+  kEptChainHits,
+  kUnwinds,
+  kUnwindCacheHits,
+  kRulesetRefreshes,
+  kCtxFetches,
+};
+inline constexpr size_t kStatCount =
+    static_cast<size_t>(Stat::kCtxFetches) + static_cast<size_t>(Ctx::kCount);
+
+constexpr Stat CtxFetchStat(Ctx c) {
+  return static_cast<Stat>(static_cast<size_t>(Stat::kCtxFetches) + static_cast<size_t>(c));
+}
+
+// One per-worker ("per-CPU") counter block. A worker block has exactly one
+// writer, the thread holding its worker index, so Add is a relaxed load and
+// a relaxed store: no locked read-modify-write. Only the overflow block,
+// shared by every thread whose index is past the block count, adds with
+// fetch_add.
 struct alignas(64) EngineStatsBlock {
-  std::atomic<uint64_t> invocations{0};
-  std::atomic<uint64_t> drops{0};
-  std::atomic<uint64_t> audited_drops{0};
-  std::atomic<uint64_t> rules_evaluated{0};
-  std::atomic<uint64_t> ept_chain_hits{0};
-  std::atomic<uint64_t> unwinds{0};
-  std::atomic<uint64_t> unwind_cache_hits{0};
-  std::atomic<uint64_t> ruleset_refreshes{0};
-  std::array<std::atomic<uint64_t>, static_cast<size_t>(Ctx::kCount)> ctx_fetches{};
+  std::array<std::atomic<uint64_t>, kStatCount> counters{};
+  bool shared = false;
+
+  void Add(Stat stat, uint64_t n = 1) {
+    std::atomic<uint64_t>& c = counters[static_cast<size_t>(stat)];
+    if (shared) {
+      c.fetch_add(n, std::memory_order_relaxed);
+    } else {
+      c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+    }
+  }
 };
 
 // Index of the calling worker thread, leased on first use and returned for
@@ -349,7 +378,18 @@ class Engine : public sim::SecurityModule {
   void set_slot(size_t slot) { slot_.store(slot, std::memory_order_release); }
   size_t slot();
 
-  // Aggregates the per-worker counter blocks.
+  // Worker counter blocks; a thread whose worker index is at or past this
+  // count writes the shared overflow block.
+  static constexpr size_t kStatsBlocks = 64;
+  // The counter block worker `worker` writes: its own, or the shared
+  // overflow block past kStatsBlocks. Only that worker bumps it (a test
+  // may stand in for the worker).
+  EngineStatsBlock& StatsBlock(size_t worker) {
+    return worker < kStatsBlocks ? stats_blocks_[worker] : stats_overflow_;
+  }
+
+  // Aggregates the per-worker counter blocks, less the baseline the last
+  // ResetStats() recorded.
   //
   // Tearing contract: every per-worker counter is read with a relaxed load
   // while workers keep adding, so the snapshot is not a point-in-time cut —
@@ -361,8 +401,12 @@ class Engine : public sim::SecurityModule {
   // `pftables -Z`: those bump `stats_gen_` to odd for their duration, and
   // stats() re-reads the generation after aggregating — a reader that saw an
   // odd or moved generation gets `torn = true` in the snapshot and should
-  // retry or discard (MetricsText() and pftrace do exactly that).
+  // retry or discard (MetricsText() and pftrace do exactly that). A torn
+  // snapshot's counters may read low, never above the decisions counted.
   EngineStats stats() const;
+  // Records the current totals as the baseline stats() subtracts. It stores
+  // into no worker block: the block's owner could be between the load and
+  // the store of a bump, and its store would overwrite a zero.
   void ResetStats();
 
   // Marks a counter-mutation window (even/odd generation) so concurrent
@@ -448,15 +492,18 @@ class Engine : public sim::SecurityModule {
  private:
   enum class Verdict { kAccept, kDrop, kFallthrough, kReturn };
 
-  // Pins the current ruleset generation for this worker. `hold` keeps the
-  // snapshot alive for callers beyond the per-worker slot capacity.
-  const CompiledRuleset& PinRuleset(std::shared_ptr<const CompiledRuleset>* hold);
+  // Pins the current ruleset generation for worker `worker`, whose counter
+  // block is `sb`. `hold` keeps the snapshot alive for callers beyond the
+  // per-worker slot capacity.
+  const CompiledRuleset& PinRuleset(size_t worker, EngineStatsBlock& sb,
+                                    std::shared_ptr<const CompiledRuleset>* hold);
   // Empties worker `index`'s slot for its exiting thread and hands back the
   // pin it held, for the caller to free outside the lease registry's lock.
   std::shared_ptr<const CompiledRuleset> ReleaseWorker(size_t index);
   friend struct WorkerLease;
 
-  EngineStatsBlock& StatsLocal();
+  // Sums every block's counters into `out`, without the baseline.
+  void SumBlocks(std::array<uint64_t, kStatCount>& out) const;
 
   // The program evaluator (engine.cc): an instruction interpreter over the
   // arena, no virtual calls on the builtin-module path. RunRootChain runs
@@ -482,15 +529,17 @@ class Engine : public sim::SecurityModule {
   Verdict ExecRuleThreaded(const CompiledRuleset& rs, const RuleRecord& rec,
                            uint32_t start, Packet& pkt, int depth);
 
-  void FetchObject(Packet& pkt);
-  void FetchLinkTarget(Packet& pkt);
-  void FetchAdversaryAccess(Packet& pkt);
+  // The context modules bump their fetch counters in `sb`, the deciding
+  // worker's block.
+  void FetchObject(Packet& pkt, EngineStatsBlock& sb);
+  void FetchLinkTarget(Packet& pkt, EngineStatsBlock& sb);
+  void FetchAdversaryAccess(Packet& pkt, EngineStatsBlock& sb);
   // The task's context cache, or null when this hook must not use one:
   // caching is off, or the hook runs outside any system call (signal
   // delivery at a checkpoint), where syscall_count names an earlier call.
   PfTaskState* ContextCache(sim::Task& task);
-  void FetchStack(Packet& pkt);
-  void FetchInterp(Packet& pkt);
+  void FetchStack(Packet& pkt, EngineStatsBlock& sb);
+  void FetchInterp(Packet& pkt, EngineStatsBlock& sb);
 
   sim::Kernel& kernel_;
   EngineConfig config_;
@@ -519,9 +568,11 @@ class Engine : public sim::SecurityModule {
   std::atomic<uint64_t> generation_{0};
   std::array<WorkerSlot, kMaxWorkers> workers_;
 
-  // Per-worker stats blocks (indices wrap; see EngineStatsBlock).
-  static constexpr size_t kStatsBlocks = 64;
+  // Per-worker stats blocks, the overflow block for indices past them, and
+  // the baseline ResetStats() recorded (see EngineStatsBlock).
   std::array<EngineStatsBlock, kStatsBlocks> stats_blocks_;
+  EngineStatsBlock stats_overflow_{.shared = true};
+  std::array<std::atomic<uint64_t>, kStatCount> stats_base_{};
 };
 
 // Creates an Engine, registers it with the kernel, and wires its per-task

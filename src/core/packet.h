@@ -21,6 +21,8 @@
 
 namespace pf::core {
 
+struct EngineStatsBlock;  // engine.h
+
 // Context fields a rule may require. Each has a context module that knows
 // how to retrieve it (engine.cc) and a bit in Packet::have.
 enum class Ctx : uint32_t {
@@ -59,6 +61,9 @@ std::string_view CtxVarName(CtxVar v);
 struct Packet {
   sim::AccessRequest* req = nullptr;
   uint32_t have = 0;  // bitmask of collected Ctx fields
+  // The deciding worker's counter block, resolved once per decision by
+  // Engine::Authorize. Every context fetch and rule evaluation bumps it.
+  EngineStatsBlock* stats = nullptr;
 
   // --- kObject ---
   sim::Sid object_sid = sim::kInvalidSid;

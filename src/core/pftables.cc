@@ -774,7 +774,7 @@ std::string Pftables::List(const std::string& table_name, bool verbose) const {
 }
 
 std::string Pftables::ListCompiled() const {
-  return DisassemblePfProgram(engine_->CompileRuleset()->program,
+  return DisassemblePfProgram(engine_->PublishedRuleset()->program,
                               engine_->kernel().labels());
 }
 

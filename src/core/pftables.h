@@ -89,7 +89,8 @@ class Pftables {
   std::string List(const std::string& table = "filter", bool verbose = false) const;
 
   // Renders the committed program form (`pftables -L --compiled`): the
-  // commit-time lowering of the filter table disassembled chain by chain —
+  // published generation hooks run, not the staging base (a `-N` shows up
+  // with the next commit), disassembled chain by chain —
   // arena instructions with pool operands resolved to label/string values,
   // per-op dispatch masks, and the entrypoint index. Deterministic across
   // kernel instances: Restore(Save()) into a fresh kernel disassembles

@@ -1,11 +1,31 @@
 #include "src/core/program.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <sstream>
 
 
 namespace pf::core {
+
+// --- EptTable ------------------------------------------------------------------
+
+void EptTable::Build(std::vector<EptItem> keys) {
+  items = std::move(keys);
+  slots.clear();
+  if (items.empty()) {
+    return;
+  }
+  slots.assign(std::bit_ceil(2 * items.size()), kPfNoIndex);
+  const size_t mask = slots.size() - 1;
+  for (uint32_t item = 0; item < items.size(); ++item) {
+    size_t i = Home(items[item].key);
+    while (slots[i] != kPfNoIndex) {
+      i = (i + 1) & mask;
+    }
+    slots[i] = item;
+  }
+}
 
 // --- ProgramBuilder ----------------------------------------------------------
 
@@ -26,16 +46,18 @@ uint32_t ProgramBuilder::InternString(const std::string& s) {
 }
 
 uint32_t ProgramBuilder::InternLabelSet(const LabelSet& ls) {
-  // Canonical key over the sid values and modifier bits (sids are stable
-  // within one kernel; the disassembler renders names, not pool contents,
-  // so interning order never leaks into user-visible output).
-  std::ostringstream key;
-  key << (ls.wildcard ? 'w' : '-') << (ls.negate ? 'n' : '-') << (ls.syshigh ? 's' : '-');
-  for (sim::Sid sid : ls.sids) {
-    key << ',' << sid;
+  // Canonical key over the modifier bits and the sid values, as raw bytes
+  // (sids are stable within one kernel; the disassembler renders names, not
+  // pool contents, so interning order never leaks into user-visible
+  // output). Short sets fit the string's inline buffer.
+  std::string key(1 + ls.sids.size() * sizeof(sim::Sid), '\0');
+  key[0] = static_cast<char>((ls.wildcard ? 1 : 0) | (ls.negate ? 2 : 0) |
+                             (ls.syshigh ? 4 : 0));
+  if (!ls.sids.empty()) {
+    std::memcpy(key.data() + 1, ls.sids.data(), ls.sids.size() * sizeof(sim::Sid));
   }
   auto [it, inserted] =
-      intern_labelsets_.try_emplace(key.str(), static_cast<uint32_t>(prog_.labelsets.size()));
+      intern_labelsets_.try_emplace(std::move(key), static_cast<uint32_t>(prog_.labelsets.size()));
   if (inserted) {
     LabelSetRef ref;
     ref.off = static_cast<uint32_t>(prog_.sid_pool.size());
@@ -269,31 +291,30 @@ std::string DisassemblePfProgram(const PfProgram& prog, const sim::LabelRegistry
     // Entrypoint index, in deterministic (dev, ino, offset) order. Rule
     // lists render as chain positions, not record indices.
     if (!chain.ept.empty()) {
-      std::vector<std::pair<EptKey, std::pair<uint32_t, uint32_t>>> keys(chain.ept.begin(),
-                                                                         chain.ept.end());
-      std::sort(keys.begin(), keys.end(), [](const auto& x, const auto& y) {
-        if (x.first.file.dev != y.first.file.dev) {
-          return x.first.file.dev < y.first.file.dev;
+      std::vector<EptItem> keys = chain.ept.items;
+      std::sort(keys.begin(), keys.end(), [](const EptItem& x, const EptItem& y) {
+        if (x.key.file.dev != y.key.file.dev) {
+          return x.key.file.dev < y.key.file.dev;
         }
-        if (x.first.file.ino != y.first.file.ino) {
-          return x.first.file.ino < y.first.file.ino;
+        if (x.key.file.ino != y.key.file.ino) {
+          return x.key.file.ino < y.key.file.ino;
         }
-        return x.first.offset < y.first.offset;
+        return x.key.offset < y.key.offset;
       });
-      for (const auto& [key, slice] : keys) {
+      for (const EptItem& item : keys) {
         oss << "  ept ";
         // Render the entrypoint via a member rule's program path (stable
         // across kernels, unlike dev/ino).
         std::string path = "?";
-        if (slice.second > 0) {
-          const RuleRecord& rec = prog.rules[prog.entries[slice.first]];
+        if (item.len > 0) {
+          const RuleRecord& rec = prog.rules[prog.entries[item.off]];
           if (!rec.rule->program.empty()) {
             path = rec.rule->program;
           }
         }
-        oss << path << "+0x" << std::hex << key.offset << std::dec << " -> rules";
-        for (uint32_t i = 0; i < slice.second; ++i) {
-          oss << " " << chain_pos[prog.entries[slice.first + i]];
+        oss << path << "+0x" << std::hex << item.key.offset << std::dec << " -> rules";
+        for (uint32_t i = 0; i < item.len; ++i) {
+          oss << " " << chain_pos[prog.entries[item.off + i]];
         }
         oss << "\n";
       }

@@ -158,9 +158,58 @@ struct ProgramBucket {
   bool has_indexed = false;
 };
 
-// Entrypoint index of one lowered chain: key -> an entry-table slice.
-using EptSliceMap =
-    std::unordered_map<EptKey, std::pair<uint32_t, uint32_t>, EptKeyHash>;
+// One key of a chain's entrypoint index and its slice of PfProgram::entries.
+struct EptItem {
+  EptKey key;
+  uint32_t off = 0;
+  uint32_t len = 0;
+};
+
+// The entrypoint index of one lowered chain: an open-addressed hash table
+// over full (dev, ino, offset) keys. `slots` has a power-of-two capacity of
+// at least twice the key count; a slot holds an index into `items`, or
+// kPfNoIndex when empty. A lookup hashes the key to its home slot and probes
+// linearly until it meets the key or an empty slot, so a table always keeps
+// one empty slot. The load-time verifier proves that shape (verify.cc), so a
+// lookup always ends and never misses a key the table holds. `items` keeps
+// the keys in build order for the readers that walk the whole index (the
+// verifier, the disassembler, table8_rulegen).
+struct EptTable {
+  std::vector<EptItem> items;
+  std::vector<uint32_t> slots;
+
+  // A multiplicative hash, folded so the low bits the slot mask keeps
+  // depend on every bit of the key.
+  static uint64_t Hash(const EptKey& key) {
+    constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+    uint64_t h = ((static_cast<uint64_t>(key.file.dev) << 48) ^ key.file.ino) * kMul;
+    h = (h ^ key.offset) * kMul;
+    return h ^ (h >> 32);
+  }
+  size_t Home(const EptKey& key) const { return Hash(key) & (slots.size() - 1); }
+
+  // Replaces the table with `keys`, which must be distinct.
+  void Build(std::vector<EptItem> keys);
+
+  const EptItem* Find(const EptKey& key) const {
+    if (slots.empty()) {
+      return nullptr;
+    }
+    const size_t mask = slots.size() - 1;
+    for (size_t i = Home(key);; i = (i + 1) & mask) {
+      const uint32_t item = slots[i];
+      if (item == kPfNoIndex) {
+        return nullptr;
+      }
+      if (items[item].key == key) {
+        return &items[item];
+      }
+    }
+  }
+
+  bool empty() const { return items.empty(); }
+  size_t size() const { return items.size(); }
+};
 
 // One lowered chain. `rules` lists the chain's rule records in chain order
 // (the disassembler's and analyzer's view); the buckets and the entrypoint
@@ -177,7 +226,7 @@ struct ProgramChain {
   // Like the Chain index it mirrors, the per-key rule list is NOT
   // op-filtered (the kCheckOp guard handles mismatches, and the rule still
   // counts as evaluated).
-  EptSliceMap ept;
+  EptTable ept;
 };
 
 // The compiled program artifact: one relocatable arena plus interned pools.
@@ -271,7 +320,7 @@ class ProgramBuilder {
  private:
   PfProgram& prog_;
   std::unordered_map<std::string, uint32_t> intern_strings_;
-  std::map<std::string, uint32_t> intern_labelsets_;  // keyed by canonical form
+  std::unordered_map<std::string, uint32_t> intern_labelsets_;  // keyed by canonical form
 };
 
 struct CompiledRuleset;  // engine.h

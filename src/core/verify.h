@@ -5,8 +5,10 @@
 // through a label table and indexes the interned pools raw. What makes that
 // safe is the same contract eBPF uses: no program reaches the evaluator
 // until a load-time verifier has proved, instruction by instruction, that
-// every fetch it can perform is in bounds. VerifyProgram is that pass: one
-// forward walk over every rule record proving
+// every fetch it can perform is in bounds. VerifyProgram is that pass. It
+// proves each rule record's shape, then every instruction in one linear
+// pass over the arena (lowering lays the records end to end), falling back
+// to a walk record by record to attribute findings; together they prove
 //
 //   * arena integrity — every record names its rule, lies inside the arena,
 //     is instruction-aligned, and opens with RULE_BEGIN naming itself;
@@ -20,6 +22,10 @@
 //     kPfNoIndex "undefined chain" sentinel, which the evaluator treats as a
 //     fallthrough), and the chain dispatch tables (buckets, entrypoint
 //     index) only reference real rule records;
+//   * index shape — each entrypoint index is an open-addressed table with a
+//     power-of-two capacity, an empty slot, in-range slots, and every key
+//     found by a lookup from its home slot, so a lookup always ends and
+//     never misses an entrypoint rule;
 //   * bounded depth — chains reachable from the builtin roots only beyond
 //     kMaxChainDepth JUMP hops are flagged. The runtime depth guard already
 //     makes such chains unreachable (never executed, not unsafe), so depth
@@ -55,7 +61,7 @@ struct VerifyResult {
 // Single forward verification pass over `prog`. Diagnostics use the stable
 // codes: arena-truncated, rule-malformed, bad-opcode, pool-oob,
 // state-slot-oob, native-oob, jump-target-oob, syscall-arg-oob,
-// ctx-mask-invalid, chain-table-oob, depth-exceeded.
+// ctx-mask-invalid, chain-table-oob, ept-index-malformed, depth-exceeded.
 VerifyResult VerifyProgram(const PfProgram& prog, const VerifyOptions& opts = {});
 
 }  // namespace pf::core

@@ -3,6 +3,7 @@
 #define SRC_SIM_TASK_H_
 
 #include <array>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -65,9 +66,12 @@ struct Task {
 
   // Opaque per-task state owned by security modules. A module creates its
   // slot's state under the slot's once_flag, so concurrent first touches of
-  // one task's slot from several threads create it exactly once.
+  // one task's slot from several threads create it exactly once. Inside the
+  // once_flag it then publishes the state's address in security_ready with
+  // release, so every later touch is one acquire load.
   std::array<std::shared_ptr<void>, kMaxSecuritySlots> security;
   std::array<std::once_flag, kMaxSecuritySlots> security_once;
+  std::array<std::atomic<void*>, kMaxSecuritySlots> security_ready{};
 
   // Registers a script path, returning its id.
   uint32_t RegisterScript(const std::string& path) {

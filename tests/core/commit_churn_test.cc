@@ -225,13 +225,19 @@ std::string NextEdit(std::mt19937_64& rng, Engine& shape_engine,
   return "pftables -F " + chain;
 }
 
+// The staging base compiled and disassembled. `-L --compiled` lists the
+// published generation, and after a -N, which publishes nothing, F's live
+// generation still lacks the empty chain that G's reload committed.
+std::string StagedListing(const System& s) {
+  return DisassemblePfProgram(s.engine->CompileRuleset()->program, s.kernel->labels());
+}
+
 // F (edited step by step) against G (reloaded in one step): the compiled
-// program, and one replay's verdict and side-effect surface, must agree
-// exactly. (The listing compiles the staging base: after a -N, which
-// publishes nothing, F's live generation still lacks the empty chain.)
+// staging program, and one replay's verdict and side-effect surface, must
+// agree exactly.
 void ExpectAgree(System& f, System& g, uint64_t replay_seed, int ops,
                  const std::string& where) {
-  ASSERT_EQ(f.pft->ListCompiled(), g.pft->ListCompiled()) << where << ": compiled programs";
+  ASSERT_EQ(StagedListing(f), StagedListing(g)) << where << ": compiled programs";
   const RunResult rf = Replay(f, replay_seed, ops);
   const RunResult rg = Replay(g, replay_seed, ops);
   ASSERT_EQ(rf.verdicts, rg.verdicts) << where << ": verdicts";

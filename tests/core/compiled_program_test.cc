@@ -16,6 +16,7 @@
 #include "src/core/program.h"
 #include "src/sim/sched.h"
 #include "src/sim/sysimage.h"
+#include "tests/core/decision_rig.h"
 #include "tests/testutil.h"
 
 namespace pf::core {
@@ -200,6 +201,52 @@ TEST_F(CompiledProgramTest, CompiledEvaluatorEnforces) {
   });
   sched().RunUntilExit(pid);
   EXPECT_EQ(engine_->stats().drops, 1u);
+}
+
+// `-L --compiled` lists the generation hooks run. A -N publishes nothing,
+// so the new chain appears in the listing with the next commit.
+TEST_F(CompiledProgramTest, CompiledListingShowsThePublishedGeneration) {
+  ASSERT_TRUE(pft_.Exec("pftables -N pending").ok());
+  EXPECT_EQ(pft_.ListCompiled().find("chain pending"), std::string::npos);
+  const std::string staged =
+      DisassemblePfProgram(engine_->CompileRuleset()->program, kernel().labels());
+  EXPECT_NE(staged.find("chain pending (user"), std::string::npos);
+  ASSERT_TRUE(pft_.Exec("pftables -A pending -o FILE_OPEN -j ACCEPT").ok());
+  EXPECT_EQ(pft_.ListCompiled(), DisassemblePfProgram(engine_->CompileRuleset()->program,
+                                                      kernel().labels()));
+  EXPECT_NE(pft_.ListCompiled().find("chain pending (user"), std::string::npos);
+}
+
+// Three hundred entrypoints of one binary in one index: many keys sit past
+// their home slot, and a lookup must probe on to each of them. A lookup
+// that stopped early would let that entrypoint's denial through.
+TEST(EntrypointIndexTest, EveryKeyIsFoundPastCollisions) {
+  constexpr uint64_t kKeys = 300;
+  const auto offset = [](uint64_t k) { return 0x1000 + k * 0x10; };
+  std::vector<std::string> rules;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    rules.push_back("pftables -p /bin/true -i " + std::to_string(offset(k)) +
+                    " -o FILE_OPEN -j DROP");
+  }
+  DecisionRig rig(rules);
+  const auto snap = rig.engine->PublishedRuleset();
+  const EptTable& t =
+      snap->program.chains[static_cast<size_t>(snap->program.FindChain("input"))].ept;
+  ASSERT_EQ(t.size(), kKeys);
+  size_t displaced = 0;
+  for (size_t i = 0; i < t.slots.size(); ++i) {
+    displaced += t.slots[i] != kPfNoIndex && t.Home(t.items[t.slots[i]].key) != i;
+  }
+  ASSERT_GT(displaced, 0u) << "no key sits past its home slot";
+
+  rig.engine->ResetStats();
+  for (uint64_t k = 0; k <= kKeys; ++k) {
+    rig.Frame(offset(k));
+    EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), k < kKeys ? kDeny : kAllow)
+        << "entrypoint +0x" << std::hex << offset(k);
+    rig.task.mm.PopFrame();
+  }
+  EXPECT_EQ(rig.engine->stats().ept_chain_hits, kKeys);
 }
 
 }  // namespace

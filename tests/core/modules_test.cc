@@ -34,6 +34,7 @@ class ModulesTest : public ::testing::Test {
     req_.id = inode_->id();
     req_.syscall_nr = sim::SyscallNr::kOpen;
     pkt_.req = &req_;
+    pkt_.stats = &stats_;
   }
 
   // Collects object context into the packet.
@@ -44,6 +45,7 @@ class ModulesTest : public ::testing::Test {
   sim::Task task_;
   std::shared_ptr<sim::Inode> inode_;
   sim::AccessRequest req_;
+  EngineStatsBlock stats_;
   Packet pkt_;
 };
 

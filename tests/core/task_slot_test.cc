@@ -5,10 +5,13 @@
 // — whether or not they were registered through Kernel::AddModule.
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/apps/programs.h"
 #include "src/core/engine.h"
@@ -140,6 +143,37 @@ TEST(TaskSlotTest, RegisteredAndUnregisteredEnginesKeepSeparateDictionaries) {
   EXPECT_EQ(Rig::Bind(loose, *task), 0);
   EXPECT_EQ(registered->TaskState(*task).dict, (Dict{{"b", 1}}));
   EXPECT_EQ(loose.TaskState(*task).dict, (Dict{{"b", 2}}));
+}
+
+// Threads of one process can take their first hook at once. The state is
+// created under the slot's once_flag and published for the lock-free fast
+// path: every racing first touch must come back with the one state the
+// task's slot owns.
+TEST(TaskSlotTest, RacingFirstTouchesCreateOneState) {
+  constexpr int kTouchers = 8;
+  Rig rig;
+  Engine* engine = InstallProcessFirewall(rig.kernel);
+  for (int round = 0; round < 16; ++round) {
+    auto task = rig.MakeTask(500 + round);
+    std::barrier start(kTouchers);
+    std::vector<PfTaskState*> seen(kTouchers, nullptr);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kTouchers; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        seen[t] = &engine->TaskState(*task);
+      });
+    }
+    for (std::thread& th : threads) {
+      th.join();
+    }
+    const std::shared_ptr<void>& owned = task->security[engine->slot()];
+    ASSERT_NE(owned, nullptr) << "round " << round;
+    EXPECT_EQ(owned.use_count(), 1) << "round " << round;
+    for (int t = 0; t < kTouchers; ++t) {
+      EXPECT_EQ(seen[t], owned.get()) << "round " << round << " thread " << t;
+    }
+  }
 }
 
 // A module that forwards the hooks to an engine it owns, registered in the

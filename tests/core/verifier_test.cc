@@ -239,6 +239,29 @@ TEST(VerifierTest, RejectsBadOpcode) {
                 [](PfInsn& insn, const PfProgram&) { insn.op = 0xee; });
 }
 
+// Only a record's first instruction may be a RULE_BEGIN: run past the
+// entry, one would bump the counters of whatever record it names. The
+// linear pass proves this by count, so a RULE_BEGIN naming its own record
+// from inside it must fail too.
+TEST(VerifierTest, RejectsRuleBeginInsideARecord) {
+  Compiled c = Build(CorpusRules());
+  ASSERT_NE(c.snap, nullptr);
+  PfProgram prog = c.snap->program;
+  auto found = FindOp(prog, PfOp::kLog);
+  ASSERT_TRUE(found.has_value());
+  ASSERT_GT(found->second, prog.rules[found->first].entry);
+  PfInsn insn = prog.Fetch(found->second);
+  insn.op = static_cast<uint8_t>(PfOp::kRuleBegin);
+  insn.a = found->first;
+  Patch(prog, found->second, insn);
+
+  VerifyResult vr = VerifyProgram(prog);
+  EXPECT_FALSE(vr.ok());
+  const Diagnostic* d = FindDiag(vr.report, "rule-malformed");
+  ASSERT_NE(d, nullptr) << vr.report.RenderText();
+  EXPECT_EQ(d->locus.Render(), LocusOf(prog, found->first)) << vr.report.RenderText();
+}
+
 TEST(VerifierTest, RejectsTruncatedArena) {
   Compiled c = Build(CorpusRules());
   ASSERT_NE(c.snap, nullptr);
@@ -321,6 +344,106 @@ TEST(VerifierTest, RejectsRecordWithoutRule) {
   EXPECT_EQ(d->severity, Severity::kError);
   EXPECT_EQ(d->locus.Render(), LocusOf(prog, idx)) << vr.report.RenderText();
   EXPECT_EQ(vr.report.errors(), 1u) << vr.report.RenderText();
+}
+
+// --- the entrypoint index's hash table ---------------------------------------
+
+// Forty entrypoints of one binary in the input chain's index: enough keys
+// that some sit past their home slot.
+std::vector<std::string> EptCorpusRules() {
+  std::vector<std::string> rules;
+  for (int i = 0; i < 40; ++i) {
+    rules.push_back("pftables -p /bin/true -i 0x" + std::to_string(1000 + i * 16) +
+                    " -o FILE_OPEN -j DROP");
+  }
+  return rules;
+}
+
+// Corrupts the input chain's entrypoint index in a snapshot compiled for
+// commit. The verifier must reject it with `code` at the chain's locus, and
+// the commit must then refuse to publish it: the live generation keeps
+// serving, exactly as when CompileRuleset's own verification fails.
+void ExpectEptCorruptionRefused(const char* code, void (*corrupt)(EptTable&)) {
+  Compiled c = Build(EptCorpusRules());
+  ASSERT_NE(c.snap, nullptr);
+  const std::shared_ptr<const CompiledRuleset> live = c.engine->PublishedRuleset();
+  const uint64_t generation = c.engine->ruleset_generation();
+  std::shared_ptr<CompiledRuleset> snap = c.engine->CompileForCommit();
+  const int32_t input = snap->program.FindChain("input");
+  ASSERT_GE(input, 0);
+  EptTable& table = snap->program.chains[static_cast<size_t>(input)].ept;
+  ASSERT_EQ(table.size(), 40u);
+  corrupt(table);
+
+  VerifyResult vr = VerifyProgram(snap->program);
+  EXPECT_FALSE(vr.ok()) << "the corrupted entrypoint index was accepted";
+  const Diagnostic* d = FindDiag(vr.report, code);
+  ASSERT_NE(d, nullptr) << "missing " << code << " diagnostic:\n" << vr.report.RenderText();
+  EXPECT_EQ(d->severity, Severity::kError);
+  EXPECT_EQ(d->locus.Render(), "filter/input") << vr.report.RenderText();
+
+  snap->verified = vr.ok();
+  snap->verify_report = std::move(vr.report);
+  EXPECT_FALSE(c.engine->PublishRuleset(std::move(snap)).ok());
+  EXPECT_EQ(c.engine->ruleset_generation(), generation);
+  EXPECT_EQ(c.engine->PublishedRuleset(), live) << "the previous generation must stay live";
+}
+
+TEST(VerifierTest, EptCorpusSpillsKeysPastTheirHomeSlot) {
+  Compiled c = Build(EptCorpusRules());
+  ASSERT_NE(c.snap, nullptr);
+  EXPECT_TRUE(c.snap->verified) << c.snap->verify_report.RenderText();
+  const EptTable& t = c.snap->program.chains[static_cast<size_t>(
+                                                 c.snap->program.FindChain("input"))]
+                          .ept;
+  size_t displaced = 0;
+  for (size_t i = 0; i < t.slots.size(); ++i) {
+    displaced += t.slots[i] != kPfNoIndex && t.Home(t.items[t.slots[i]].key) != i;
+  }
+  EXPECT_GT(displaced, 0u) << "no key sits past its home slot; the probe proofs go untested";
+}
+
+// Every probe ends at an empty slot; a full table would spin on a miss.
+TEST(VerifierTest, RejectsEptIndexWithoutAnEmptySlot) {
+  ExpectEptCorruptionRefused("ept-index-malformed", [](EptTable& t) {
+    for (uint32_t& slot : t.slots) {
+      if (slot == kPfNoIndex) {
+        slot = 0;
+      }
+    }
+  });
+}
+
+// A key moved off its probe path: its home slot is emptied and the key
+// placed in another empty slot, where no lookup of it ever arrives.
+TEST(VerifierTest, RejectsEptKeyOffItsProbePath) {
+  ExpectEptCorruptionRefused("ept-index-malformed", [](EptTable& t) {
+    for (size_t i = 0; i < t.slots.size(); ++i) {
+      const uint32_t item = t.slots[i];
+      if (item == kPfNoIndex || t.Home(t.items[item].key) != i) {
+        continue;
+      }
+      for (size_t j = 0; j < t.slots.size(); ++j) {
+        if (t.slots[j] == kPfNoIndex) {
+          t.slots[i] = kPfNoIndex;
+          t.slots[j] = item;
+          return;
+        }
+      }
+    }
+    ADD_FAILURE() << "no key sits in its home slot";
+  });
+}
+
+TEST(VerifierTest, RejectsEptSlotReferenceOutOfRange) {
+  ExpectEptCorruptionRefused("chain-table-oob", [](EptTable& t) {
+    for (uint32_t& slot : t.slots) {
+      if (slot != kPfNoIndex) {
+        slot = static_cast<uint32_t>(t.items.size()) + 5;
+        return;
+      }
+    }
+  });
 }
 
 // --- STATE protocol ------------------------------------------------------------
