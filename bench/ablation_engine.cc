@@ -171,8 +171,8 @@ void BM_AuthorizeCompiledAudited(benchmark::State& state) {
 }
 BENCHMARK(BM_AuthorizeCompiledAudited)->Arg(16)->Arg(128)->Arg(512)->Arg(1218)->Arg(2048);
 
-// Commit-time cost of the whole compilation pipeline (bucket build, arena
-// lowering, verification) over the staging rule base — the price every
+// Commit-time cost of the whole compilation pipeline (arena lowering with
+// its dispatch tables, verification) over the staging rule base — the price every
 // pftables commit pays, since each one relowers the whole base.
 void BM_CompileProgram(benchmark::State& state) {
   System sys;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <unordered_map>
 
 #include "src/core/modules.h"
@@ -11,7 +12,6 @@ namespace pf::analysis::symbolic {
 namespace {
 
 using core::Chain;
-using core::CompiledChain;
 using core::CompiledRuleset;
 using core::kMaxChainDepth;
 using core::MatchModule;
@@ -157,12 +157,24 @@ class PredSink : public core::SymbolicSink {
   const MatchModule* current_ = nullptr;
 };
 
-// Per-chain entrypoint-index view: one (atom, op-mask, rule-list) entry per
-// index key whose rules could match some op, for the indexed traversal phase.
-struct IndexEntry {
-  uint32_t atom = 0;
+// One key of a chain's entrypoint index as the model groups it: the ops
+// its rules can match, and its rules in chain order.
+struct IndexKey {
   uint64_t op_mask = 0;
-  const std::vector<const Rule*>* rules = nullptr;
+  std::vector<const Rule*> rules;
+};
+
+// The model's own traversal plan for one chain, worked out from
+// Chain::rules() alone, so the model checks lowering's bucketing instead of
+// reading it. `ops` has bit i set when some rule's -o is absent or equal to
+// op i, the test that makes a builtin chain apply. `index` groups the
+// entrypoint-indexable rules by the atom of their (image, offset) key, and
+// `index_ops` is the union of its keys' op masks.
+struct ChainPlan {
+  uint64_t ops = 0;
+  uint64_t index_ops = 0;
+  std::vector<const Rule*> plain;  // the non-indexable rules, chain order
+  std::map<uint32_t, IndexKey> index;
 };
 
 class Builder {
@@ -230,31 +242,28 @@ class Builder {
     return preds_.emplace(&rule, std::move(pred)).first->second;
   }
 
-  const std::vector<IndexEntry>& IndexFor(const Chain& chain) {
-    const auto it = index_info_.find(&chain);
-    if (it != index_info_.end()) {
+  const ChainPlan& PlanFor(const Chain& chain) {
+    const auto it = plans_.find(&chain);
+    if (it != plans_.end()) {
       return it->second;
     }
-    std::vector<IndexEntry> entries;
-    for (const auto& [key, rules] : chain.ept_index()) {
-      uint64_t mask = 0;
-      for (const Rule* rule : rules) {
-        const RulePred& pred = PredFor(*rule);
-        if (pred.never) {
-          continue;
-        }
-        mask |= pred.op ? (1ull << static_cast<size_t>(*pred.op)) : ~0ull;
+    ChainPlan plan;
+    for (const auto& r : chain.rules()) {
+      const Rule& rule = *r;
+      plan.ops |= rule.op ? 1ull << static_cast<size_t>(*rule.op) : ~0ull;
+      if (!rule.IndexableByEntrypoint()) {
+        plan.plain.push_back(&rule);
+        continue;
       }
-      if (mask != 0) {
-        entries.push_back(
-            {u_.AtomForEpt(true, key.file, key.offset), mask, &rules});
+      IndexKey& key = plan.index[u_.AtomForEpt(true, rule.program_file, *rule.entrypoint)];
+      key.rules.push_back(&rule);
+      const RulePred& pred = PredFor(rule);
+      if (!pred.never) {
+        key.op_mask |= pred.op ? (1ull << static_cast<size_t>(*pred.op)) : ~0ull;
+        plan.index_ops |= key.op_mask;
       }
     }
-    std::sort(entries.begin(), entries.end(),
-              [](const IndexEntry& a, const IndexEntry& b) {
-                return a.atom < b.atom;
-              });
-    return index_info_.emplace(&chain, std::move(entries)).first->second;
+    return plans_.emplace(&chain, std::move(plan)).first->second;
   }
 
   void NoteReach(const Chain& chain, sim::Op op, const Item& item) {
@@ -369,7 +378,7 @@ class Builder {
         return;
       }
       case TargetKind::kJump: {
-        const CompiledChain* target = rs_.FindCompiled(rule.target->jump_chain());
+        const Chain* target = rs_.rules.filter().Find(rule.target->jump_chain());
         if (target == nullptr || depth >= kMaxChainDepth) {
           next->push_back(std::move(hit));
           return;
@@ -389,9 +398,11 @@ class Builder {
     }
   }
 
-  void EvalList(const std::vector<const Rule*>& rules, std::vector<Item> items,
-                sim::Op op, int depth, std::vector<Outcome>* out) {
-    for (const Rule* rule : rules) {
+  // `rules` holds Rule pointers or shared_ptrs (Chain::rules()).
+  template <typename Rules>
+  void EvalList(const Rules& rules, std::vector<Item> items, sim::Op op, int depth,
+                std::vector<Outcome>* out) {
+    for (const auto& rule : rules) {
       if (items.empty()) {
         return;
       }
@@ -406,20 +417,23 @@ class Builder {
     }
   }
 
-  std::vector<Outcome> RunChain(const CompiledChain& cc, Item item, sim::Op op,
-                                int depth) {
+  // The engine's traversal of one chain: every rule in chain order, or,
+  // with the entrypoint index on, the non-indexable rules and then the
+  // rules of the request's entrypoint key. RuleSym passes over a rule whose
+  // op cannot match, as the engine's per-op buckets leave it out, and a key
+  // none of whose rules can match the op is passed over whole.
+  std::vector<Outcome> RunChain(const Chain& chain, Item item, sim::Op op, int depth) {
     std::vector<Outcome> out;
     if (depth >= kMaxChainDepth) {
       out.push_back({CV::kFallthrough, std::move(item), ""});
       return out;
     }
-    const Chain& chain = *cc.chain;
     NoteReach(chain, op, item);
-    const core::OpBucket& bucket = cc.ops[static_cast<size_t>(op)];
+    const ChainPlan& plan = PlanFor(chain);
     std::vector<Item> seed;
     seed.push_back(std::move(item));
-    if (!(opts_.ept_chains && chain.index_built())) {
-      EvalList(bucket.all, std::move(seed), op, depth, &out);
+    if (!opts_.ept_chains) {
+      EvalList(chain.rules(), std::move(seed), op, depth, &out);
       MergeOutcomes(&out);
       return out;
     }
@@ -427,30 +441,26 @@ class Builder {
     // entrypoint list — requests with no indexed entrypoint (including an
     // unusable stack) fall through past the index.
     std::vector<Outcome> plain;
-    EvalList(bucket.plain, std::move(seed), op, depth, &plain);
+    EvalList(plan.plain, std::move(seed), op, depth, &plain);
+    const bool indexed = ((plan.index_ops >> static_cast<size_t>(op)) & 1) != 0;
     for (Outcome& o : plain) {
-      if (o.verdict != CV::kFallthrough) {
-        out.push_back(std::move(o));
-        continue;
-      }
-      if (!bucket.has_indexed) {
+      if (o.verdict != CV::kFallthrough || !indexed) {
         out.push_back(std::move(o));
         continue;
       }
       Item rest = std::move(o.item);
       const DimSet& ept = rest.region.dims[kDimEpt];
       std::vector<uint32_t> taken;
-      for (const IndexEntry& entry : IndexFor(chain)) {
-        if (((entry.op_mask >> static_cast<size_t>(op)) & 1) == 0 ||
-            !ept.Contains(entry.atom)) {
+      for (const auto& [atom, key] : plan.index) {
+        if (((key.op_mask >> static_cast<size_t>(op)) & 1) == 0 || !ept.Contains(atom)) {
           continue;
         }
-        taken.push_back(entry.atom);
+        taken.push_back(atom);
         Item sub{rest.region, rest.env, rest.effects};
-        sub.region.dims[kDimEpt] = DimSet::Of({entry.atom});
+        sub.region.dims[kDimEpt] = DimSet::Of({atom});
         std::vector<Item> one;
         one.push_back(std::move(sub));
-        EvalList(*entry.rules, std::move(one), op, depth, &out);
+        EvalList(key.rules, std::move(one), op, depth, &out);
       }
       // Entrypoints outside every (op-relevant) index key fall through.
       rest.region.dims[kDimEpt] = DimSet::Subtract(ept, DimSet::Of(taken));
@@ -532,25 +542,26 @@ class Builder {
   // --- symbolic twin of Authorize's root loop ---
 
   void RunOp(sim::Op op) {
-    const CompiledChain* roots[3];
+    const Chain* roots[3];
     size_t num_roots = 0;
-    auto consider = [&](const CompiledChain* cc) {
-      if (cc != nullptr &&
-          (((cc->op_mask >> static_cast<size_t>(op)) & 1) != 0 ||
-           cc->chain->policy() == Chain::Policy::kDrop)) {
-        roots[num_roots++] = cc;
+    auto consider = [&](const char* name) {
+      const Chain* chain = rs_.rules.filter().Find(name);
+      if (chain != nullptr &&
+          (((PlanFor(*chain).ops >> static_cast<size_t>(op)) & 1) != 0 ||
+           chain->policy() == Chain::Policy::kDrop)) {
+        roots[num_roots++] = chain;
       }
     };
     if (op == sim::Op::kSyscallBegin) {
-      consider(rs_.cc_syscallbegin);
+      consider("syscallbegin");
     } else {
       if (core::IsCreateOp(op)) {
-        consider(rs_.cc_create);
+        consider("create");
       }
       if (core::IsOutputOp(op)) {
-        consider(rs_.cc_output);
+        consider("output");
       }
-      consider(rs_.cc_input);
+      consider("input");
     }
 
     std::vector<DecisionRegion>& final = m_.by_op[static_cast<size_t>(op)];
@@ -565,17 +576,17 @@ class Builder {
     std::vector<Item> pending;
     pending.push_back(std::move(whole));
     for (size_t i = 0; i < num_roots; ++i) {
-      const CompiledChain& cc = *roots[i];
+      const Chain& root = *roots[i];
       std::vector<Item> next;
       for (Item& item : pending) {
-        for (Outcome& o : RunChain(cc, std::move(item), op, 0)) {
+        for (Outcome& o : RunChain(root, std::move(item), op, 0)) {
           // RunRootChain: RETURN in a root chain falls through, and a
           // fallthrough under a DROP-policy builtin denies.
           if (o.verdict == CV::kFallthrough || o.verdict == CV::kReturn) {
-            if (cc.chain->policy() == Chain::Policy::kDrop) {
+            if (root.policy() == Chain::Policy::kDrop) {
               final.push_back({std::move(o.item.region), OutcomeKind::kDrop,
                                std::move(o.item.effects),
-                               "policy:" + cc.chain->name()});
+                               "policy:" + root.name()});
             } else {
               next.push_back(std::move(o.item));
             }
@@ -603,7 +614,7 @@ class Builder {
   ModelOptions opts_;
   SymbolicModel& m_;
   std::unordered_map<const Rule*, RulePred> preds_;
-  std::unordered_map<const Chain*, std::vector<IndexEntry>> index_info_;
+  std::unordered_map<const Chain*, ChainPlan> plans_;
   std::unordered_map<const Rule*, std::string> locus_of_;
 };
 

@@ -1,12 +1,16 @@
 // Symbolic decision-space model of a compiled Process Firewall rule base.
 //
-// BuildModel runs the engine's own traversal — root-chain selection, per-op
-// dispatch buckets, the plain-then-entrypoint-indexed order, JUMP edges, the
+// BuildModel runs the engine's traversal — root-chain selection, the per-op
+// rule filter, the plain-then-entrypoint-indexed order, JUMP edges, the
 // depth bound, chain policies — over *regions* of the finite atom universe
 // (universe.h) instead of single packets. The result is, per operation, a
 // partition of the full decision space into disjoint regions, each mapped to
 // the verdict the engine would return for every concrete request in it plus
 // the ordered side effects (STATE writes, LOG records) it would perform.
+// The model works its traversal out from each chain's rules
+// (Chain::rules()), never from the program's dispatch tables, so the
+// differential tests check lowering's bucketing against a reading of its
+// own.
 //
 // Exactness: with only builtin match modules, literal STATE operands, and
 // statically-kinded targets, region membership predicts the engine verdict
@@ -59,8 +63,8 @@ struct DecisionRegion {
 struct ChainReach {
   bool entered = false;
   uint64_t ops = 0;      // bit i: entered while deciding op i
-  DimSet ept{{}, false};      // union of entrypoint atoms across entries
-  DimSet subjects{{}, false}; // union of subject atoms across entries
+  DimSet ept{{}, false};      // union of entrypoint atoms over every entry
+  DimSet subjects{{}, false}; // union of subject atoms over every entry
 };
 
 struct RuleLocusInfo {

@@ -74,7 +74,7 @@ ExplainResult ExplainRequest(core::Engine& engine, sim::AccessRequest& req) {
       deny = &rec;
     }
   }
-  const core::CompiledChain* chains[3];
+  const core::ProgramChain* chains[3];
   if (deny != nullptr) {
     out.tier = std::string(
         audit::TierName(static_cast<audit::Tier>(deny->tier)));

@@ -129,8 +129,11 @@ bool AuditHub::Emit(size_t worker, AuditRecord rec) {
     }
   }
 
+  // Workers past kMaxWorkers share the overflow lane, one push at a time.
+  std::unique_lock<std::mutex> overflow;
   if (worker >= kMaxWorkers) {
-    worker = kMaxWorkers - 1;  // overflow workers share the last ring
+    worker = kMaxWorkers;
+    overflow = std::unique_lock<std::mutex>(overflow_mu_);
   }
   AuditRing* ring = rings_[worker].load(std::memory_order_acquire);
   if (ring == nullptr) {
@@ -142,7 +145,7 @@ bool AuditHub::Emit(size_t worker, AuditRecord rec) {
 
 std::vector<AuditRecord> AuditHub::Drain() {
   std::vector<AuditRecord> out;
-  for (size_t w = 0; w < kMaxWorkers; ++w) {
+  for (size_t w = 0; w < kLanes; ++w) {
     AuditRing* ring = rings_[w].load(std::memory_order_acquire);
     if (ring == nullptr) {
       continue;
@@ -162,7 +165,7 @@ std::vector<AuditRecord> AuditHub::Drain() {
 
 uint64_t AuditHub::records() const {
   uint64_t sum = 0;
-  for (size_t w = 0; w < kMaxWorkers; ++w) {
+  for (size_t w = 0; w < kLanes; ++w) {
     const AuditRing* ring = rings_[w].load(std::memory_order_acquire);
     if (ring != nullptr) {
       sum += ring->pushed();
@@ -173,7 +176,7 @@ uint64_t AuditHub::records() const {
 
 uint64_t AuditHub::ring_drops() const {
   uint64_t sum = 0;
-  for (size_t w = 0; w < kMaxWorkers; ++w) {
+  for (size_t w = 0; w < kLanes; ++w) {
     const AuditRing* ring = rings_[w].load(std::memory_order_acquire);
     if (ring != nullptr) {
       sum += ring->drops();

@@ -15,7 +15,9 @@
 //     the stream never silently loses information, it only collapses runs,
 //   * pushes admitted records into the emitting worker's lock-free ring
 //     (trace::RecordRing<AuditRecord>), where ring eviction of unread
-//     records is itself counted.
+//     records is itself counted. A ring has one producer: workers at or
+//     past kMaxWorkers share one overflow lane (lane kMaxWorkers), whose
+//     pushes a mutex serializes.
 //
 // Conservation contract, tested by tests/audit/audit_pipeline_test.cc:
 //   emitted == pushed + suppressed, and pushed == drained + ring_drops +
@@ -79,6 +81,7 @@ struct KeyWindow {
 class AuditHub {
  public:
   static constexpr size_t kMaxWorkers = 64;
+  static constexpr size_t kLanes = kMaxWorkers + 1;  // plus the overflow lane
 
   struct Config {
     size_t ring_capacity = trace::kDefaultRingCapacity;
@@ -115,7 +118,8 @@ class AuditHub {
   uint32_t kinds() const { return kinds_.load(std::memory_order_relaxed); }
 
   // Producer side: aggregate (windows, token bucket, anomaly flag) and push
-  // into `worker`'s ring. Returns false when the record was suppressed.
+  // into `worker`'s ring, or the overflow lane for a worker index at or past
+  // kMaxWorkers. Returns false when the record was suppressed.
   // Callers must have seen enabled(); records whose kind bit is off are
   // dropped silently (not counted as emitted).
   bool Emit(size_t worker, AuditRecord rec);
@@ -139,10 +143,10 @@ class AuditHub {
   // Drops every aggregator window and token bucket (rings are untouched).
   void ResetAggregator();
 
+  // The ring of lane `worker` (kMaxWorkers: the overflow lane), or null if
+  // nothing was pushed there.
   const AuditRing* ring(size_t worker) const {
-    return worker < kMaxWorkers
-               ? rings_[worker].load(std::memory_order_acquire)
-               : nullptr;
+    return worker < kLanes ? rings_[worker].load(std::memory_order_acquire) : nullptr;
   }
 
  private:
@@ -167,9 +171,10 @@ class AuditHub {
 
   Config config_;  // written by Enable() only, read under agg_mu_
 
-  std::array<std::atomic<AuditRing*>, kMaxWorkers> rings_{};
+  std::array<std::atomic<AuditRing*>, kLanes> rings_{};
   std::vector<std::unique_ptr<AuditRing>> owned_;
   std::mutex alloc_mu_;
+  std::mutex overflow_mu_;  // serializes pushes into the overflow lane
 
   // Aggregator state. Security events are rare by construction (denies, LOG
   // hits, phase flips — never the accept fast path), so one mutex suffices;

@@ -1,16 +1,17 @@
-// Commit-time lowering: CompiledRuleset -> arena-packed PfProgram (pass 2 of
+// Commit-time lowering: CompiledRuleset -> arena-packed PfProgram (pass 1 of
 // Engine::CompileRuleset; see program.h for the instruction format).
 //
-// Lowering runs after the OpBucket pass so it can re-point the per-(chain,
-// op) dispatch tables and the entrypoint index at entry-table slices instead
-// of Rule pointers. Rule bodies are emitted in chain order, one guard/match
-// instruction sequence per rule, in a fixed evaluation order (op precheck,
-// subject precheck, one context round-trip, the entrypoint/object default
-// matches, -m modules, target).
+// Rule bodies are emitted in chain order, one guard/match instruction
+// sequence per rule, in a fixed evaluation order (op precheck, subject
+// precheck, one context round-trip, the entrypoint/object default matches,
+// -m modules, target). The same pass over a chain's records builds the
+// chain's dispatch table — per-op buckets, op and syscall-number masks and
+// the entrypoint index — which is the only one the engine has.
 //
 // Every commit lowers the whole staging rule base into a fresh program, the
 // way iptables commits a rule change by replacing the whole table (DESIGN.md
 // §5g).
+#include <algorithm>
 #include <tuple>
 
 #include "src/core/engine.h"
@@ -134,55 +135,98 @@ RuleRecord LowerRule(ProgramBuilder& b, const Rule& rule, uint32_t rec_idx,
   return rec;
 }
 
-// --- per-chain lowering helpers ---------------------------------------------
+// --- per-chain lowering -------------------------------------------------------
 
-void LowerChainRules(ProgramBuilder& b, PfProgram& prog, int32_t id, const Chain& chain,
-                     std::unordered_map<const Rule*, uint32_t>& rec_of,
-                     analysis::AnalysisReport& report) {
+// The syscall-number bit of ProgramChain::nr_mask a rule may match: the one
+// it pins with `-m SYSCALL_ARGS --arg 0 --equal N`, or every bit.
+uint64_t RuleNrBits(const Rule& rule) {
+  if (!rule.target->jump_chain().empty()) {
+    return ~0ull;
+  }
+  for (const auto& match : rule.matches) {
+    const auto* args = dynamic_cast<const SyscallArgsMatch*>(match.get());
+    if (args != nullptr && args->arg == 0 && !args->negate && args->value >= 0 &&
+        args->value < 64) {
+      return 1ull << args->value;
+    }
+  }
+  return ~0ull;
+}
+
+// Lowers chain `id`'s rules and, in the same pass over its records, builds
+// its dispatch table.
+void LowerChain(ProgramBuilder& b, PfProgram& prog, int32_t id, const Chain& chain,
+                analysis::AnalysisReport& report) {
   ProgramChain& pc = prog.chains[static_cast<size_t>(id)];
+  // Per-op record lists, and the (key, record) pairs of indexable rules.
+  std::array<std::vector<uint32_t>, sim::kOpCount> all;
+  std::array<std::vector<uint32_t>, sim::kOpCount> plain;
+  std::vector<std::pair<EptKey, uint32_t>> keyed;
+  pc.nr_mask = pc.policy_drop ? ~0ull : 0;
+  constexpr auto kSyscallBegin = static_cast<size_t>(sim::Op::kSyscallBegin);
   for (const auto& rule : chain.rules()) {
     const uint32_t rec_idx = static_cast<uint32_t>(prog.rules.size());
     prog.rules.push_back(LowerRule(b, *rule, rec_idx, pc.name, pc.rules.size(), report));
     RuleRecord& rec = prog.rules.back();
     rec.chain_id = id;
     rec.chain_index = static_cast<uint32_t>(pc.rules.size());
-    rec_of.emplace(rule.get(), rec_idx);
     pc.rules.push_back(rec_idx);
-  }
-}
 
-// Re-points one chain's OpBucket tables and entrypoint index at entry-table
-// slices and links the CompiledChain to its program chain.
-void BuildChainTables(CompiledRuleset& snap, const Chain& chain, int32_t id,
-                      const std::unordered_map<const Rule*, uint32_t>& rec_of) {
-  PfProgram& prog = snap.program;
-  ProgramChain& pc = prog.chains[static_cast<size_t>(id)];
-  auto slice = [&prog, &rec_of](const std::vector<const Rule*>& rules) {
+    const bool indexed = rule->IndexableByEntrypoint();
+    if (indexed) {
+      keyed.emplace_back(EptKey{rule->program_file, *rule->entrypoint}, rec_idx);
+    }
+    // A rule whose -o pins another op can never pass that op's precheck, so
+    // it joins only its own op's bucket.
+    const size_t first = rule->op ? static_cast<size_t>(*rule->op) : 0;
+    const size_t last = rule->op ? first + 1 : sim::kOpCount;
+    for (size_t op = first; op < last; ++op) {
+      all[op].push_back(rec_idx);
+      if (indexed) {
+        pc.ops[op].has_indexed = true;
+      } else {
+        plain[op].push_back(rec_idx);
+      }
+    }
+    if (first <= kSyscallBegin && kSyscallBegin < last) {
+      pc.nr_mask |= RuleNrBits(*rule);
+    }
+  }
+
+  auto slice = [&prog](const std::vector<uint32_t>& recs) {
     const uint32_t off = static_cast<uint32_t>(prog.entries.size());
-    for (const Rule* rule : rules) {
-      prog.entries.push_back(rec_of.at(rule));
-    }
-    return std::pair<uint32_t, uint32_t>(off, static_cast<uint32_t>(rules.size()));
+    prog.entries.insert(prog.entries.end(), recs.begin(), recs.end());
+    return std::pair<uint32_t, uint32_t>(off, static_cast<uint32_t>(recs.size()));
   };
-  CompiledChain& cc = snap.compiled.at(&chain);
-  cc.program_chain = id;
-  pc.op_mask = cc.op_mask;
   for (size_t op = 0; op < sim::kOpCount; ++op) {
-    const OpBucket& ob = cc.ops[op];
     ProgramBucket& pb = pc.ops[op];
-    std::tie(pb.all_off, pb.all_len) = slice(ob.all);
-    std::tie(pb.plain_off, pb.plain_len) = slice(ob.plain);
-    pb.has_indexed = ob.has_indexed;
-  }
-  if (chain.index_built()) {
-    std::vector<EptItem> keys;
-    keys.reserve(chain.ept_index().size());
-    for (const auto& [key, rules] : chain.ept_index()) {
-      const auto [off, len] = slice(rules);
-      keys.push_back(EptItem{key, off, len});
+    std::tie(pb.all_off, pb.all_len) = slice(all[op]);
+    // With no indexable rule passing the op, plain is all.
+    std::tie(pb.plain_off, pb.plain_len) =
+        pb.has_indexed ? slice(plain[op]) : std::pair(pb.all_off, pb.all_len);
+    if (pb.all_len != 0) {
+      pc.op_mask |= 1ull << op;
     }
-    pc.ept.Build(std::move(keys));
   }
+
+  // The entrypoint index: group the indexable records by key and give each
+  // key its run of entries. Records are numbered in chain order, so sorting
+  // by (key, record) keeps chain order inside each key.
+  std::sort(keyed.begin(), keyed.end(), [](const auto& x, const auto& y) {
+    return std::tie(x.first.file.dev, x.first.file.ino, x.first.offset, x.second) <
+           std::tie(y.first.file.dev, y.first.file.ino, y.first.offset, y.second);
+  });
+  std::vector<EptItem> items;
+  for (size_t i = 0; i < keyed.size();) {
+    const uint32_t off = static_cast<uint32_t>(prog.entries.size());
+    size_t j = i;
+    for (; j < keyed.size() && keyed[j].first == keyed[i].first; ++j) {
+      prog.entries.push_back(keyed[j].second);
+    }
+    items.push_back(EptItem{keyed[i].first, off, static_cast<uint32_t>(j - i)});
+    i = j;
+  }
+  pc.ept.Build(std::move(items));
 }
 
 }  // namespace
@@ -191,7 +235,7 @@ analysis::AnalysisReport LowerProgram(CompiledRuleset& snap) {
   analysis::AnalysisReport report;
   PfProgram& prog = snap.program;
   ProgramBuilder b(prog);
-  Table& filter = snap.rules.filter();
+  const Table& filter = snap.rules.filter();
 
   // Phase 1: create every chain record up front so forward JUMPs resolve to
   // ids during lowering. std::map iteration makes ids name-sorted and
@@ -203,7 +247,6 @@ analysis::AnalysisReport LowerProgram(CompiledRuleset& snap) {
     pc.name = name;
     pc.builtin = chain.builtin();
     pc.policy_drop = chain.policy() == Chain::Policy::kDrop;
-    pc.index_built = chain.index_built();
     prog.chains.push_back(std::move(pc));
   }
   prog.root_input = prog.FindChain("input");
@@ -211,24 +254,17 @@ analysis::AnalysisReport LowerProgram(CompiledRuleset& snap) {
   prog.root_create = prog.FindChain("create");
   prog.root_syscallbegin = prog.FindChain("syscallbegin");
 
-  // Size the record table and rec_of once, from the rule count.
+  // Size the record table once, from the rule count.
   size_t num_rules = 0;
   for (const auto& [name, chain] : filter.chains()) {
     num_rules += chain.size();
   }
   prog.rules.reserve(num_rules);
-  std::unordered_map<const Rule*, uint32_t> rec_of;
-  rec_of.reserve(num_rules);
 
-  // Phase 2: lower every rule body, chain by chain in id order.
+  // Phase 2: lower every rule body and build every dispatch table, chain by
+  // chain in id order.
   for (const auto& [name, chain] : filter.chains()) {
-    LowerChainRules(b, prog, prog.chain_ids.at(name), chain, rec_of, report);
-  }
-
-  // Phase 3: re-point the OpBucket tables and the entrypoint index at
-  // entry-table slices, and link each CompiledChain to its program chain.
-  for (auto& [name, chain] : filter.chains()) {
-    BuildChainTables(snap, chain, prog.chain_ids.at(name), rec_of);
+    LowerChain(b, prog, prog.chain_ids.at(name), chain, report);
   }
 
   return report;

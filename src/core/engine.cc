@@ -195,32 +195,7 @@ Engine* InstallProcessFirewall(sim::Kernel& kernel, EngineConfig config) {
   return raw;
 }
 
-const CompiledChain* CompiledRuleset::FindCompiled(const std::string& chain) const {
-  const Chain* c = rules.filter().Find(chain);
-  if (c == nullptr) {
-    return nullptr;
-  }
-  auto it = compiled.find(c);
-  return it == compiled.end() ? nullptr : &it->second;
-}
-
 namespace {
-
-// The syscall-number bit of CompiledChain::nr_mask a rule may match: the one
-// it pins with `-m SYSCALL_ARGS --arg 0 --equal N`, or every bit.
-uint64_t RuleNrBits(const Rule& rule) {
-  if (!rule.target->jump_chain().empty()) {
-    return ~0ull;
-  }
-  for (const auto& match : rule.matches) {
-    const auto* args = dynamic_cast<const SyscallArgsMatch*>(match.get());
-    if (args != nullptr && args->arg == 0 && !args->negate && args->value >= 0 &&
-        args->value < 64) {
-      return 1ull << args->value;
-    }
-  }
-  return ~0ull;
-}
 
 // Whether a SYSCALL_BEGIN for `nr` can match any rule `nr_mask` describes.
 bool NrMayMatch(uint64_t nr_mask, sim::SyscallNr nr) {
@@ -228,35 +203,7 @@ bool NrMayMatch(uint64_t nr_mask, sim::SyscallNr nr) {
   return bit >= 64 || ((nr_mask >> bit) & 1) != 0;
 }
 
-// Pass 1 for one chain: per-(chain, op) dispatch buckets and the
-// SYSCALL_BEGIN number mask.
-void BuildChainBuckets(const Chain& chain, CompiledChain& cc) {
-  cc.op_mask = 0;
-  for (size_t op = 0; op < sim::kOpCount; ++op) {
-    OpBucket& b = cc.ops[op];
-    b = OpBucket{};
-    for (const auto& rule : chain.rules()) {
-      if (rule->op && static_cast<size_t>(*rule->op) != op) {
-        continue;  // the op precheck can never pass; drop at compile time
-      }
-      b.all.push_back(rule.get());
-      if (chain.index_built() && rule->IndexableByEntrypoint()) {
-        b.has_indexed = true;
-      } else {
-        b.plain.push_back(rule.get());
-      }
-    }
-    if (!b.all.empty()) {
-      cc.op_mask |= 1ull << op;
-    }
-  }
-  cc.nr_mask = chain.policy() == Chain::Policy::kDrop ? ~0ull : 0;
-  for (const Rule* rule : cc.ops[static_cast<size_t>(sim::Op::kSyscallBegin)].all) {
-    cc.nr_mask |= RuleNrBits(*rule);
-  }
-}
-
-// Pass 3: the load-time verifier (verify.h). The evaluator trusts every
+// Pass 2: the load-time verifier (verify.h). The evaluator trusts every
 // arena fetch; this pass is where that trust is earned. The lowering pass's
 // refusals join the verifier's findings, and CommitRuleset refuses to
 // publish a snapshot with errors of either kind.
@@ -279,27 +226,12 @@ void VerifySnapshot(CompiledRuleset& snap, const analysis::AnalysisReport& lower
 std::shared_ptr<CompiledRuleset> Engine::CompileRuleset() const {
   auto snap = std::make_shared<CompiledRuleset>();
   snap->rules = ruleset_;  // shares the Rule objects, copies chain structure
-  snap->input = snap->rules.filter().Find("input");
-  snap->output = snap->rules.filter().Find("output");
-  snap->create = snap->rules.filter().Find("create");
-  snap->syscallbegin = snap->rules.filter().Find("syscallbegin");
 
   // --- commit-time compilation ---
-  // Pass 1: per-(chain, op) dispatch buckets.
-  Table& filter = snap->rules.filter();
-  for (auto& [name, chain] : filter.chains()) {
-    CompiledChain& cc = snap->compiled[&chain];
-    cc.chain = &chain;
-    BuildChainBuckets(chain, cc);
-  }
-  snap->cc_input = snap->FindCompiled("input");
-  snap->cc_output = snap->FindCompiled("output");
-  snap->cc_create = snap->FindCompiled("create");
-  snap->cc_syscallbegin = snap->FindCompiled("syscallbegin");
-  // Pass 2: lower the whole generation into the arena-packed program form
-  // (compile.cc) — re-points the buckets just built at entry-table slices.
+  // Pass 1: lower the whole generation into the arena-packed program form
+  // and its dispatch tables (compile.cc).
   const analysis::AnalysisReport lowering = LowerProgram(*snap);
-  // Pass 3: the load-time verifier.
+  // Pass 2: the load-time verifier.
   VerifySnapshot(*snap, lowering);
   return snap;
 }
@@ -889,7 +821,7 @@ Engine::Verdict Engine::ExecChain(const CompiledRuleset& rs, const ProgramChain&
     return Verdict::kFallthrough;
   }
   const ProgramBucket& bucket = pc.ops[static_cast<size_t>(pkt.req->op)];
-  if (config_.ept_chains && pc.index_built) {
+  if (config_.ept_chains) {
     if (bucket.plain_len != 0) {
       Verdict v = ExecEntries(rs, bucket.plain_off, bucket.plain_len,
                               /*op_checked=*/true, pkt, depth);
@@ -926,19 +858,24 @@ Engine::Verdict Engine::RunRootChain(const CompiledRuleset& rs, const ProgramCha
 }
 
 size_t ApplicableChains(const CompiledRuleset& rs, const sim::AccessRequest& req,
-                        const CompiledChain* out[3]) {
+                        const ProgramChain* out[3]) {
+  const PfProgram& prog = rs.program;
   const size_t op_index = static_cast<size_t>(req.op);
   size_t n = 0;
-  auto consider = [&](const CompiledChain* cc) {
-    if (cc != nullptr && (((cc->op_mask >> op_index) & 1) != 0 ||
-                          cc->chain->policy() == Chain::Policy::kDrop)) {
-      out[n++] = cc;
+  auto consider = [&](int32_t id) {
+    if (id < 0) {
+      return;
+    }
+    const ProgramChain& pc = prog.chains[static_cast<size_t>(id)];
+    if (((pc.op_mask >> op_index) & 1) != 0 || pc.policy_drop) {
+      out[n++] = &pc;
     }
   };
   if (req.op == sim::Op::kSyscallBegin) {
-    if (rs.cc_syscallbegin != nullptr &&
-        NrMayMatch(rs.cc_syscallbegin->nr_mask, req.syscall_nr)) {
-      consider(rs.cc_syscallbegin);
+    if (prog.root_syscallbegin >= 0 &&
+        NrMayMatch(prog.chains[static_cast<size_t>(prog.root_syscallbegin)].nr_mask,
+                   req.syscall_nr)) {
+      consider(prog.root_syscallbegin);
     }
     return n;
   }
@@ -946,12 +883,12 @@ size_t ApplicableChains(const CompiledRuleset& rs, const sim::AccessRequest& req
   // write-type operations additionally the output chain, then everything
   // falls through to input.
   if (IsCreateOp(req.op)) {
-    consider(rs.cc_create);
+    consider(prog.root_create);
   }
   if (IsOutputOp(req.op)) {
-    consider(rs.cc_output);
+    consider(prog.root_output);
   }
-  consider(rs.cc_input);
+  consider(prog.root_input);
   return n;
 }
 
@@ -967,7 +904,7 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
   std::shared_ptr<const CompiledRuleset> hold;
   const CompiledRuleset& rs = PinRuleset(worker, sb, &hold);
 
-  const CompiledChain* applicable[3];
+  const ProgramChain* applicable[3];
   const size_t num_applicable = ApplicableChains(rs, req, applicable);
   if (num_applicable == 0) {
     return 0;  // fast-path allow: never traced (no Packet, no rule base work)
@@ -991,7 +928,8 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
       scratch.trace_ctx = (ev & trace::EventBit(trace::Event::kCtxFetch)) != 0;
       trace_active = trace_decision || scratch.trace_rules || scratch.trace_ctx;
       if (trace_active) {
-        scratch.worker = static_cast<uint16_t>(worker & (trace::TraceHub::kMaxWorkers - 1));
+        // A worker past the hub's rings names its overflow lane.
+        scratch.worker = static_cast<uint16_t>(std::min(worker, trace::TraceHub::kMaxWorkers));
         scratch.op = static_cast<uint8_t>(req.op);
         scratch.time_ctx = true;
         scratch.hub = &trace_;
@@ -1040,7 +978,7 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
 
   Verdict verdict = Verdict::kFallthrough;
   for (size_t i = 0; i < num_applicable && verdict == Verdict::kFallthrough; ++i) {
-    verdict = RunRootChain(rs, rs.program.chains[applicable[i]->program_chain], pkt);
+    verdict = RunRootChain(rs, *applicable[i], pkt);
   }
   const bool drop = verdict == Verdict::kDrop;
 
@@ -1115,9 +1053,7 @@ int64_t Engine::Authorize(sim::AccessRequest& req) {
               ? std::min(audit_scratch.log_count, AuditScratch::kMaxPending)
               : 0;
       if (deny_event || n_phase != 0 || n_log != 0) {
-        const size_t w =
-            trace_active ? scratch.worker
-                         : (worker & (trace::TraceHub::kMaxWorkers - 1));
+        const size_t w = std::min(worker, audit::AuditHub::kMaxWorkers);
         audit::AuditRecord base;
         base.ts_ns = trace::NowNs();
         base.generation = rs.generation;

@@ -281,53 +281,16 @@ struct PfTaskState {
   }
 };
 
-// Per-(chain, op) dispatch bucket, computed once per commit. `all` holds the
-// chain's rules that can match the op (rules whose -o operand is absent or
-// equal), in chain order; `plain` is the non-entrypoint-indexable subset used
-// when the chain's entrypoint index is active.
-struct OpBucket {
-  std::vector<const Rule*> all;
-  std::vector<const Rule*> plain;
-  bool has_indexed = false;  // some entrypoint-indexed rule can match the op
-};
-
-// A chain plus its per-op dispatch table. `op_mask` bit i is set when
-// ops[i].all is non-empty, so Authorize can skip a whole chain with one
-// bit test. `nr_mask` does the same for SYSCALL_BEGIN by syscall number:
-// bit n is set when some rule of the op's bucket can match syscall n. A rule
-// pins the number only with `-m SYSCALL_ARGS --arg 0 --equal N`; any other
-// rule, a JUMP, or a DROP policy sets every bit.
-struct CompiledChain {
-  const Chain* chain = nullptr;
-  uint64_t op_mask = 0;
-  uint64_t nr_mask = ~0ull;
-  std::array<OpBucket, sim::kOpCount> ops;
-  int32_t program_chain = -1;  // id of this chain in CompiledRuleset::program
-};
-
 // One published generation of the rule base: a structural copy of the
-// staging RuleSet (sharing the heap-allocated Rule objects) with the builtin
-// chains resolved once and the commit-time compilation results (per-op
-// dispatch tables) attached.
+// staging RuleSet (sharing the heap-allocated Rule objects) and its program.
 struct CompiledRuleset {
   RuleSet rules;
   uint64_t generation = 0;
-  const Chain* input = nullptr;
-  const Chain* output = nullptr;
-  const Chain* create = nullptr;
-  const Chain* syscallbegin = nullptr;
 
-  // Compilation results for every filter-table chain, keyed by the chain
-  // object inside `rules` (std::map gives the chains stable addresses).
-  std::map<const Chain*, CompiledChain> compiled;
-  const CompiledChain* cc_input = nullptr;
-  const CompiledChain* cc_output = nullptr;
-  const CompiledChain* cc_create = nullptr;
-  const CompiledChain* cc_syscallbegin = nullptr;
-
-  // The arena-packed program form of the same generation (see program.h):
-  // lowered by LowerProgram at the end of compilation, consumed by the
-  // compiled evaluator, the static analyzer, and `pftables -L --compiled`.
+  // The arena-packed program form of the same generation (see program.h),
+  // lowered from `rules` by LowerProgram. Its chains carry the generation's
+  // one dispatch table; the evaluator, the static analyzer and
+  // `pftables -L --compiled` all read it.
   PfProgram program;
 
   // Load-time verification of `program` (src/core/verify.h), run by every
@@ -337,18 +300,16 @@ struct CompiledRuleset {
   analysis::AnalysisReport verify_report;
   bool verified = false;
   uint64_t verify_ns = 0;
-
-  const CompiledChain* FindCompiled(const std::string& chain) const;
 };
 
 // The builtin chains `req` traverses under `rs`, in order (syscallbegin, or
 // create -> output -> input per paper template T2), written to `out`. A
-// chain is skipped when the commit-time op mask shows no rule can match the
-// op, or the syscall-number mask shows no syscallbegin rule can match the
-// number — unless its policy is DROP. Returns how many were written; 0 is
-// the fast-path allow, which builds no Packet and touches no per-task state.
+// chain is skipped when its op mask shows no rule can match the op, or the
+// syscall-number mask shows no syscallbegin rule can match the number —
+// unless its policy is DROP. Returns how many were written; 0 is the
+// fast-path allow, which builds no Packet and touches no per-task state.
 size_t ApplicableChains(const CompiledRuleset& rs, const sim::AccessRequest& req,
-                        const CompiledChain* out[3]);
+                        const ProgramChain* out[3]);
 
 class Engine : public sim::SecurityModule {
  public:

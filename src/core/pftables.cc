@@ -304,25 +304,6 @@ Status Pftables::ParseRule(const std::vector<std::string>& tokens, size_t from, 
   return Status::Ok();
 }
 
-void Pftables::ReindexAll(Table& table) {
-  // Every mutation invalidates only its own chain's index, so rebuilding the
-  // already-built ones would be pure waste — at a 100k-rule base the skip is
-  // what keeps a one-rule edit from paying an O(total rules) reindex.
-  for (auto& [name, chain] : table.chains()) {
-    if (!chain.index_built()) {
-      chain.BuildIndex();
-    }
-  }
-}
-
-void Pftables::Reindex(Table& table) {
-  if (batching_) {
-    batch_dirty_ = true;
-    return;
-  }
-  ReindexAll(table);
-}
-
 Status Pftables::CommitStaged(std::shared_ptr<CompiledRuleset> staged) {
   if (batching_) {
     batch_dirty_ = true;
@@ -341,12 +322,7 @@ Status Pftables::FlushBatch() {
     return Status::Ok();
   }
   batch_dirty_ = false;
-  ReindexAll(engine_->ruleset().filter());
-  ReindexAll(engine_->ruleset().mangle());
-  if (Status cs = engine_->CommitRuleset(); !cs.ok()) {
-    return Status::Error("commit rejected: " + cs.message());
-  }
-  return Status::Ok();
+  return CommitStaged();
 }
 
 Status Pftables::DiffAgainstFile(const std::string& path) {
@@ -528,7 +504,6 @@ Status Pftables::Exec(const std::string& command) {
       } else {
         return Status::Error("no such chain: " + chain_name);
       }
-      Reindex(*table);
       need_commit = true;
       break;
     }
@@ -568,7 +543,6 @@ Status Pftables::Exec(const std::string& command) {
       if (position == 0 || !chain->Delete(position - 1)) {
         return Status::Error("no rule at position");
       }
-      Reindex(*table);
       need_commit = true;
       break;
     }
@@ -585,7 +559,6 @@ Status Pftables::Exec(const std::string& command) {
       } else {
         chain.Append(std::move(rule));
       }
-      Reindex(*table);
       need_commit = true;
       break;
     }
@@ -601,7 +574,6 @@ Status Pftables::Exec(const std::string& command) {
     last_check_ = analysis::AnalyzeRuleset(*staged, engine_->policy());
     if (check == CheckMode::kError && last_check_.HasErrors()) {
       engine_->ruleset() = std::move(*backup);
-      ReindexAll(engine_->ruleset().filter());
       return Status::Error("--check rejected the command: " +
                            std::to_string(last_check_.errors()) +
                            " error(s)\n" + last_check_.RenderText());
@@ -621,7 +593,6 @@ Status Pftables::Exec(const std::string& command) {
           analysis::symbolic::DiffRulesets(*published, *staged, engine_->policy());
       if (diff.any_widening && !allow_widening) {
         engine_->ruleset() = std::move(*backup);
-        ReindexAll(engine_->ruleset().filter());
         std::string witness;
         for (const auto& region : diff.regions) {
           if (region.widening) {
@@ -646,7 +617,6 @@ Status Pftables::Exec(const std::string& command) {
       // the staging base keeps the edit, but nothing unverified ever serves.
       if (backup) {
         engine_->ruleset() = std::move(*backup);
-        ReindexAll(engine_->ruleset().filter());
       }
       return cs;
     }
@@ -664,7 +634,7 @@ Status Pftables::ExecAll(const std::vector<std::string>& commands) {
         cmd.find("--diff") != std::string::npos) {
       // A --check or --widening-gate line gates (and may roll back) the
       // staged base, and a --diff line compiles it, so every deferred edit
-      // must be reindexed and committed before it runs — and the line itself
+      // must be committed before it runs — and the line itself
       // runs unbatched, keeping its gate-then-commit order.
       batching_ = false;
       s = FlushBatch();
@@ -682,7 +652,7 @@ Status Pftables::ExecAll(const std::vector<std::string>& commands) {
   }
   batching_ = false;
   // First error wins, but the lines that succeeded before it stay staged —
-  // flush so they are indexed and published exactly as with per-line Exec.
+  // flush so they are published exactly as with per-line Exec.
   if (Status flush = FlushBatch(); !flush.ok() && result.ok()) {
     result = flush;
   }
@@ -812,7 +782,6 @@ Status Pftables::Restore(const std::string& dump, CheckMode check) {
   }
   auto roll_back = [&]() {
     engine_->ruleset() = std::move(*backup);
-    ReindexAll(engine_->ruleset().filter());
     // Rolling back to a base that committed before; re-verification passes.
     (void)engine_->CommitRuleset();
   };

@@ -74,11 +74,11 @@ class Pftables {
   //   --allow-widening   Overrides the gate for an intended widening.
   Status Exec(const std::string& command);
 
-  // Executes many commands as one batch: the per-chain reindex and the
-  // engine commit are deferred to the end (and to any --check line, which
-  // must gate the fully staged base), so installing an n-rule dump costs one
-  // reindex and one commit instead of n. Stops at the first error; commands
-  // that succeeded before it remain staged and committed.
+  // Executes many commands as one batch: the engine commit is deferred to
+  // the end (and to any --check line, which must gate the fully staged
+  // base), so installing an n-rule dump costs one commit instead of n.
+  // Stops at the first error; commands that succeeded before it remain
+  // staged and committed.
   Status ExecAll(const std::vector<std::string>& commands);
 
   // Renders a table's chains, rules, and counters; for the filter table the
@@ -135,19 +135,17 @@ class Pftables {
   Status ParseLabelSet(const std::string& token, LabelSet* out);
   Status DiffAgainstFile(const std::string& path);
   Status ParseRule(const std::vector<std::string>& tokens, size_t from, Rule* rule);
-  void ReindexAll(Table& table);
-  void Reindex(Table& table);           // batch-aware: defers while batching
   // Batch-aware commit wrapper: publishes `staged` (a gate's compile of the
   // staging base) when given, else compiles and publishes.
   Status CommitStaged(std::shared_ptr<CompiledRuleset> staged = nullptr);
-  Status FlushBatch();                  // reindex + commit deferred batch work
+  Status FlushBatch();                  // commit deferred batch work
 
   Engine* engine_;
   std::map<std::string, MatchFactoryFn> custom_matches_;
   std::map<std::string, TargetFactoryFn> custom_targets_;
   analysis::AnalysisReport last_check_;
   // ExecAll batching state (see ExecAll): while true, mutating commands
-  // record that a reindex/commit is owed instead of performing it per line.
+  // record that a commit is owed instead of performing it per line.
   bool batching_ = false;
   bool batch_dirty_ = false;
 };

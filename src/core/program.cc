@@ -1,6 +1,5 @@
 #include "src/core/program.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <sstream>
@@ -276,9 +275,7 @@ std::string DisassemblePfProgram(const PfProgram& prog, const sim::LabelRegistry
     }
     // Chain-order rule bodies. Offsets are printed relative to the rule's
     // entry so the listing is invariant under arena relocation.
-    std::unordered_map<uint32_t, size_t> chain_pos;  // record idx -> 1-based pos
     for (size_t i = 0; i < chain.rules.size(); ++i) {
-      chain_pos[chain.rules[i]] = i + 1;
       const RuleRecord& rec = prog.rules[chain.rules[i]];
       oss << "  rule " << (i + 1) << ":\n";
       for (uint32_t pc = rec.entry; pc < rec.end; pc += kPfInsnWords) {
@@ -288,20 +285,10 @@ std::string DisassemblePfProgram(const PfProgram& prog, const sim::LabelRegistry
             << "\n";
       }
     }
-    // Entrypoint index, in deterministic (dev, ino, offset) order. Rule
-    // lists render as chain positions, not record indices.
+    // Entrypoint index, in the (dev, ino, offset) order lowering builds it
+    // in. Rule lists render as chain positions, not record indices.
     if (!chain.ept.empty()) {
-      std::vector<EptItem> keys = chain.ept.items;
-      std::sort(keys.begin(), keys.end(), [](const EptItem& x, const EptItem& y) {
-        if (x.key.file.dev != y.key.file.dev) {
-          return x.key.file.dev < y.key.file.dev;
-        }
-        if (x.key.file.ino != y.key.file.ino) {
-          return x.key.file.ino < y.key.file.ino;
-        }
-        return x.key.offset < y.key.offset;
-      });
-      for (const EptItem& item : keys) {
+      for (const EptItem& item : chain.ept.items) {
         oss << "  ept ";
         // Render the entrypoint via a member rule's program path (stable
         // across kernels, unlike dev/ino).
@@ -314,7 +301,7 @@ std::string DisassemblePfProgram(const PfProgram& prog, const sim::LabelRegistry
         }
         oss << path << "+0x" << std::hex << item.key.offset << std::dec << " -> rules";
         for (uint32_t i = 0; i < item.len; ++i) {
-          oss << " " << chain_pos[prog.entries[item.off + i]];
+          oss << " " << prog.rules[prog.entries[item.off + i]].chain_index + 1;
         }
         oss << "\n";
       }

@@ -148,14 +148,24 @@ struct RuleRecord {
   const Rule* rule = nullptr;
 };
 
-// Per-(chain, op) dispatch bucket, the program-form twin of OpBucket
-// (engine.h) with the rule pointers re-pointed at entry-table slices.
+// Per-(chain, op) dispatch bucket, built by lowering. `all` lists the
+// chain's rules whose -o operand is absent or equal to the op, in chain
+// order; `plain` is their non-entrypoint-indexable subset, which the
+// indexed traversal scans before its index lookup.
 struct ProgramBucket {
-  uint32_t all_off = 0;    // slice of PfProgram::entries: every rule that
-  uint32_t all_len = 0;    //   can match the op, in chain order
-  uint32_t plain_off = 0;  // the non-entrypoint-indexed subset
-  uint32_t plain_len = 0;
-  bool has_indexed = false;
+  uint32_t all_off = 0;    // slice of PfProgram::entries
+  uint32_t all_len = 0;
+  uint32_t plain_off = 0;  // equals the `all` slice when no indexable rule
+  uint32_t plain_len = 0;  //   passes the op
+  bool has_indexed = false;  // some entrypoint-indexable rule passes the op
+};
+
+// The key of the entrypoint index: a rule's program image (-p) and
+// binary-relative entrypoint offset (-i).
+struct EptKey {
+  sim::FileId file;
+  uint64_t offset = 0;
+  bool operator==(const EptKey&) const = default;
 };
 
 // One key of a chain's entrypoint index and its slice of PfProgram::entries.
@@ -172,8 +182,9 @@ struct EptItem {
 // linearly until it meets the key or an empty slot, so a table always keeps
 // one empty slot. The load-time verifier proves that shape (verify.cc), so a
 // lookup always ends and never misses a key the table holds. `items` keeps
-// the keys in build order for the readers that walk the whole index (the
-// verifier, the disassembler, table8_rulegen).
+// the keys in build order, which lowering makes (dev, ino, offset) order,
+// for the readers that walk the whole index (the verifier, the
+// disassembler, table8_rulegen).
 struct EptTable {
   std::vector<EptItem> items;
   std::vector<uint32_t> slots;
@@ -211,21 +222,27 @@ struct EptTable {
   size_t size() const { return items.size(); }
 };
 
-// One lowered chain. `rules` lists the chain's rule records in chain order
-// (the disassembler's and analyzer's view); the buckets and the entrypoint
-// index give the evaluator its op-filtered slices.
+// One lowered chain and its dispatch table, the only one the engine has.
+// `rules` lists the chain's rule records in chain order (the disassembler's
+// and analyzer's view); the buckets and the entrypoint index give the
+// evaluator its slices. `op_mask` bit i is set when ops[i].all is non-empty,
+// so Authorize can skip a whole chain with one bit test. `nr_mask` does the
+// same for SYSCALL_BEGIN by syscall number: bit n is set when some rule of
+// that op's bucket can match syscall n. A rule pins the number only with
+// `-m SYSCALL_ARGS --arg 0 --equal N`; any other rule, a JUMP, or a DROP
+// policy sets every bit.
 struct ProgramChain {
   std::string name;
   bool builtin = false;
   bool policy_drop = false;
-  bool index_built = false;
   uint64_t op_mask = 0;
+  uint64_t nr_mask = ~0ull;
   std::vector<uint32_t> rules;  // rule-record indices, chain order
   std::array<ProgramBucket, sim::kOpCount> ops;
-  // Entrypoint index re-pointed at entry-table slices (empty = no index).
-  // Like the Chain index it mirrors, the per-key rule list is NOT
-  // op-filtered (the kCheckOp guard handles mismatches, and the rule still
-  // counts as evaluated).
+  // Entrypoint index: every indexable rule (-p and -i both set) under its
+  // key, in chain order. A key's list is NOT op-filtered (the kCheckOp
+  // guard handles mismatches, and the rule still counts as evaluated). A
+  // chain without indexable rules has an empty index and plain == all.
   EptTable ept;
 };
 
@@ -326,11 +343,11 @@ class ProgramBuilder {
 struct CompiledRuleset;  // engine.h
 
 // The commit-time lowering pass (compile.cc): flattens every filter-table
-// chain of `snap` into snap.program and re-points the per-(chain,op)
-// buckets and entrypoint index at arena/entry-table offsets. Requires the
-// OpBucket compilation (Engine::CompileRuleset passes 1-2) to have run.
-// Returns one module-unlowerable error per module that neither lowers nor
-// is native; CommitRuleset refuses to publish a program with any.
+// chain of `snap.rules` into snap.program and builds each chain's dispatch
+// table (per-op buckets, op and syscall-number masks, entrypoint index)
+// from the chain's rules and the records just emitted. Returns one
+// module-unlowerable error per module that neither lowers nor is native;
+// CommitRuleset refuses to publish a program with any.
 analysis::AnalysisReport LowerProgram(CompiledRuleset& snap);
 
 // Renders the program as deterministic, pool-resolved assembly (the

@@ -1,8 +1,7 @@
-// Tables and chains of rules, with the entrypoint-specific chain index
-// (paper §4.3): because (nearly) all invariants are deny rules associated
-// with a specific entrypoint, rules indexable by (program, entrypoint) are
-// grouped into per-entrypoint chains and looked up by hash, while the
-// remaining rules are scanned first.
+// Tables and chains of rules. A chain holds its rules in order and nothing
+// derived from them: the per-op buckets and the entrypoint-specific chain
+// index (paper §4.3) are built once per commit, by lowering, straight into
+// the program form (program.h).
 //
 // Rules are held by shared_ptr so a Chain (and therefore a Table / RuleSet)
 // is cheaply copyable: a copy shares the immutable Rule objects and their
@@ -16,42 +15,11 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/rule.h"
 
 namespace pf::core {
-
-struct EptKey {
-  sim::FileId file;
-  uint64_t offset = 0;
-  bool operator==(const EptKey&) const = default;
-};
-
-// Boost-style hash combine. A plain XOR of the two component hashes made
-// every `offset == 0` key hash to FileIdHash(file) ^ hash(0) — all
-// call-site-less keys of one binary collapsed into a single bucket chain.
-inline size_t HashCombine(size_t h1, size_t h2) {
-  return h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2));
-}
-
-struct EptKeyHash {
-  size_t operator()(const EptKey& k) const {
-    return HashCombine(sim::FileIdHash()(k.file), std::hash<uint64_t>()(k.offset));
-  }
-};
-
-// The derived entrypoint index of one chain, immutable once built. Held by
-// shared_ptr so Chain copies — every commit's snapshot copies the staging
-// base — share it with the staging base instead of duplicating a
-// potentially 100k-node hash map per generation. Entries point at the
-// shared heap-allocated Rule objects, so a shared index stays valid for
-// every copy that references it.
-struct ChainIndex {
-  std::vector<const Rule*> plain;
-  std::unordered_map<EptKey, std::vector<const Rule*>, EptKeyHash> by_ept;
-};
 
 class Chain {
  public:
@@ -78,31 +46,11 @@ class Chain {
   const Rule& rule_at(size_t i) const { return *rules_[i]; }
   size_t size() const { return rules_.size(); }
 
-  // --- entrypoint index ---
-  void BuildIndex();
-  bool index_built() const { return index_built_; }
-  const std::vector<const Rule*>& plain_rules() const { return index().plain; }
-  const std::vector<const Rule*>* EptRules(const EptKey& key) const;
-  size_t indexed_entrypoints() const { return index().by_ept.size(); }
-  // Whole-index view for the commit-time lowering pass (program.h), which
-  // re-points every per-entrypoint rule list at entry-table slices.
-  const std::unordered_map<EptKey, std::vector<const Rule*>, EptKeyHash>& ept_index() const {
-    return index().by_ept;
-  }
-
  private:
-  void InvalidateIndex();
-  const ChainIndex& index() const;  // index_ when set, a shared empty otherwise
-
   std::string name_;
   bool builtin_ = false;
   Policy policy_ = Policy::kAccept;
   std::vector<std::shared_ptr<Rule>> rules_;
-
-  // Derived entrypoint index, shared by Chain copies (see ChainIndex). Null
-  // until BuildIndex runs or after a mutation invalidates it.
-  bool index_built_ = false;
-  std::shared_ptr<const ChainIndex> index_;
 };
 
 class Table {
@@ -124,7 +72,6 @@ class Table {
   void FlushAll();
 
   const std::map<std::string, Chain>& chains() const { return chains_; }
-  std::map<std::string, Chain>& chains() { return chains_; }
   size_t total_rules() const;
 
  private:

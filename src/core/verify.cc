@@ -128,6 +128,9 @@ struct Verifier {
   const uint64_t nmatches = prog.native_matches.size();
   const uint64_t ntargets = prog.native_targets.size();
   const uint64_t nrules = prog.rules.size();
+  // Cleared by CheckRecords when no record names a JUMP target, which
+  // leaves the depth proof nothing to do.
+  bool any_jump = true;
 
   RuleLocus LocusOf(const RuleRecord& rec) const {
     RuleLocus locus;
@@ -345,10 +348,12 @@ struct Verifier {
   // Proves every record's shape, listing the records whose instructions
   // cannot be walked; returns whether the records tile the arena, each
   // starting where the one before ends, from word 0 to the arena's end.
-  bool CheckRecords(std::vector<uint32_t>& unwalkable) {
+  // Out of line, like CheckArena, so its loop keeps its values in registers.
+  [[gnu::noinline]] bool CheckRecords(std::vector<uint32_t>& unwalkable) {
     const RuleRecord* recs = prog.rules.data();
     const uint32_t n = static_cast<uint32_t>(prog.rules.size());
     bool tiled = true;
+    bool jumps = false;
     uint32_t next = 0;
     for (uint32_t i = 0; i < n; ++i) {
       if (!CheckRecord(i)) [[unlikely]] {
@@ -356,7 +361,9 @@ struct Verifier {
       }
       tiled &= recs[i].entry == next;
       next = recs[i].end;
+      jumps |= recs[i].jump_chain >= 0;
     }
+    any_jump = jumps;
     return tiled && next == prog.arena.size();
   }
 
@@ -439,8 +446,10 @@ struct Verifier {
 
   // Returns whether every instruction of the arena holds. The RULE_BEGIN
   // count closes the record proof: CheckRecord found one at each record's
-  // entry, so any other would be one too many.
-  bool CheckArena() {
+  // entry, so any other would be one too many. Kept out of line so the
+  // loop gets registers of its own: inlined, it reloaded the arena pointer
+  // from the stack on every instruction.
+  [[gnu::noinline]] bool CheckArena() {
     cur = nullptr;
     const std::array<uint64_t, 256> rows = LinearRows();
     // a < limit exactly when a - limit wraps, setting bit 63 (both are
@@ -473,10 +482,13 @@ struct Verifier {
     // entrypoint index), so the clean path — every commit — would otherwise
     // bounds-check it several times over; the per-slice loops below only run
     // to attribute a locus once this scan has found a culprit.
-    bool entries_ok = true;
+    // Compared in 32 bits (record indices are 32-bit), the scan vectorizes.
+    const uint32_t nrules32 = static_cast<uint32_t>(std::min<uint64_t>(nrules, ~uint32_t{0}));
+    uint32_t entries_bad = 0;
     for (uint32_t e : prog.entries) {
-      entries_ok &= e < nrules;
+      entries_bad |= e >= nrules32;
     }
+    const bool entries_ok = entries_bad == 0;
     for (const ProgramChain& pc : prog.chains) {
       // The clean case is decided by two reductions, the furthest record
       // the chain lists and the furthest end of an index slice; the
@@ -560,14 +572,17 @@ struct Verifier {
       return;
     }
     // Each slot plus one, in 32 bits: an empty slot (kPfNoIndex) is 0 and
-    // key i is i + 1, so a minimum and a maximum decide both proofs.
-    uint32_t lowest = ~uint32_t{0};
-    uint32_t highest = 0;
+    // key i is i + 1, so one compare and one equality per slot decide both
+    // proofs. (Or-reductions vectorize on baseline x86-64, where an
+    // unsigned 32-bit minimum and maximum do not.)
+    const uint32_t keys32 = static_cast<uint32_t>(std::min<uint64_t>(nitems, ~uint32_t{0}));
+    uint32_t past_keys = 0;
+    uint32_t empty = 0;
     for (const uint32_t item : t.slots) {
-      lowest = std::min(lowest, item + 1);
-      highest = std::max(highest, item + 1);
+      past_keys |= item + 1 > keys32;
+      empty |= item + 1 == 0;
     }
-    if (highest > nitems) {
+    if (past_keys != 0) {
       ErrChain(pc, "chain-table-oob", [&t, nitems] {
         size_t i = 0;
         while (t.slots[i] == kPfNoIndex || t.slots[i] < nitems) {
@@ -578,7 +593,7 @@ struct Verifier {
       });
       return;
     }
-    if (lowest != 0) {
+    if (empty == 0) {
       ErrChain(pc, "ept-index-malformed", [=] {
         return "entrypoint index has no empty slot among " + std::to_string(cap);
       });
@@ -604,21 +619,19 @@ struct Verifier {
   // safe either way — this is a reachability property, hence a warning
   // unless strict_depth.
   void CheckDepth() {
+    // A program without JUMPs has nothing to prove.
+    if (!any_jump) {
+      return;
+    }
     const size_t n = prog.chains.size();
     // Only a chain some JUMP names can be a finding: chains nothing
     // references at all are a style question (the analyzer's jump-graph
-    // pass covers them), not a depth finding. A program without JUMPs has
-    // nothing to prove.
+    // pass covers them), not a depth finding.
     std::vector<bool> referenced(n, false);
-    bool any_referenced = false;
     for (const RuleRecord& rec : prog.rules) {
       if (rec.jump_chain >= 0 && static_cast<size_t>(rec.jump_chain) < n) {
         referenced[static_cast<size_t>(rec.jump_chain)] = true;
-        any_referenced = true;
       }
-    }
-    if (!any_referenced) {
-      return;
     }
     std::vector<int> min_depth(n, -1);
     std::deque<size_t> queue;

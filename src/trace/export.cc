@@ -173,31 +173,34 @@ void WriteRingFamilies(PromWriter& w, const TraceHub& hub) {
   // near 1.0 between scrapes means the eviction counter next to it is about
   // to move: drain more often or grow ring_capacity.
   bool any = false;
-  for (size_t wk = 0; wk < TraceHub::kMaxWorkers && !any; ++wk) {
+  for (size_t wk = 0; wk < TraceHub::kLanes && !any; ++wk) {
     any = hub.ring(wk) != nullptr;
   }
   if (!any) {
     return;
   }
+  auto lane = [](size_t wk) {
+    return wk < TraceHub::kMaxWorkers ? "worker-" + std::to_string(wk) : std::string("overflow");
+  };
   w.Family("pf_trace_ring_utilization",
            "Occupied fraction of each worker's trace ring", "gauge");
-  for (size_t wk = 0; wk < TraceHub::kMaxWorkers; ++wk) {
+  for (size_t wk = 0; wk < TraceHub::kLanes; ++wk) {
     const TraceRing* r = hub.ring(wk);
     if (r == nullptr) {
       continue;
     }
     const size_t cap = r->capacity();
-    w.Gauge("pf_trace_ring_utilization", {{"ring", "worker-" + std::to_string(wk)}},
+    w.Gauge("pf_trace_ring_utilization", {{"ring", lane(wk)}},
             cap == 0 ? 0.0 : static_cast<double>(r->size()) / static_cast<double>(cap));
   }
   w.Family("pf_trace_ring_drops_total",
            "Trace records evicted unread, by worker ring", "counter");
-  for (size_t wk = 0; wk < TraceHub::kMaxWorkers; ++wk) {
+  for (size_t wk = 0; wk < TraceHub::kLanes; ++wk) {
     const TraceRing* r = hub.ring(wk);
     if (r == nullptr) {
       continue;
     }
-    w.Counter("pf_trace_ring_drops_total", {{"ring", "worker-" + std::to_string(wk)}},
+    w.Counter("pf_trace_ring_drops_total", {{"ring", lane(wk)}},
               r->drops());
   }
 }

@@ -16,6 +16,10 @@
 // created by the dozen in tests; reserving 64 x 256 KiB up front would
 // dwarf the engine itself). Allocation takes a mutex once per worker per
 // hub; after that the pointer is a relaxed load from an atomic slot.
+//
+// A ring has one producer. Workers at or past kMaxWorkers have no ring of
+// their own: they share one overflow lane, lane kMaxWorkers, and a mutex
+// serializes their pushes into it.
 #ifndef SRC_TRACE_HUB_H_
 #define SRC_TRACE_HUB_H_
 
@@ -79,6 +83,7 @@ class LatencyHistogram {
 class TraceHub {
  public:
   static constexpr size_t kMaxWorkers = 64;  // mirrors Engine::kMaxWorkers
+  static constexpr size_t kLanes = kMaxWorkers + 1;  // plus the overflow lane
   static constexpr size_t kMaxOps = 64;      // op filter is one uint64
 
   TraceHub() = default;
@@ -118,16 +123,21 @@ class TraceHub {
   }
 
   // Publishes a record into the producing worker's ring (rec.worker picks
-  // the ring; the caller must be that worker — rings are SPSC). Never
-  // blocks; a full ring evicts its oldest record and counts a drop.
+  // the ring; the caller must be that worker — rings are SPSC). A worker
+  // index at or past kMaxWorkers goes to the shared overflow lane. Never
+  // blocks on a consumer; a full ring evicts its oldest record and counts
+  // a drop.
   void Emit(const TraceRecord& rec) {
     if constexpr (!kTraceCompiledIn) {
       return;
     }
-    const size_t w = rec.worker & (kMaxWorkers - 1);
-    TraceRing* ring = rings_[w].load(std::memory_order_acquire);
+    if (rec.worker >= kMaxWorkers) [[unlikely]] {
+      EmitOverflow(rec);
+      return;
+    }
+    TraceRing* ring = rings_[rec.worker].load(std::memory_order_acquire);
     if (ring == nullptr) {
-      ring = AllocateRing(w);
+      ring = AllocateRing(rec.worker);
     }
     ring->Push(rec);
   }
@@ -143,9 +153,10 @@ class TraceHub {
 
   // --- consumer / exposition side ---
 
-  // The ring of worker `w`, or null if that worker never emitted.
+  // The ring of lane `w` (a worker index, or kMaxWorkers for the overflow
+  // lane), or null if nothing was emitted there.
   TraceRing* ring(size_t w) const {
-    return rings_[w & (kMaxWorkers - 1)].load(std::memory_order_acquire);
+    return w < kLanes ? rings_[w].load(std::memory_order_acquire) : nullptr;
   }
 
   const LatencyHistogram& histogram(uint32_t op, Path path) const {
@@ -165,13 +176,15 @@ class TraceHub {
 
  private:
   TraceRing* AllocateRing(size_t w);
+  void EmitOverflow(const TraceRecord& rec);
 
   std::atomic<uint32_t> events_{0};
   std::atomic<uint64_t> op_filter_{~0ull};
   size_t ring_capacity_ = kDefaultRingCapacity;
 
-  std::array<std::atomic<TraceRing*>, kMaxWorkers> rings_{};
-  std::mutex alloc_mu_;  // serializes first-emission ring allocation
+  std::array<std::atomic<TraceRing*>, kLanes> rings_{};
+  std::mutex alloc_mu_;     // serializes first-emission ring allocation
+  std::mutex overflow_mu_;  // serializes pushes into the overflow lane
 
   std::array<std::array<LatencyHistogram, kPathCount>, kMaxOps> histograms_{};
 };

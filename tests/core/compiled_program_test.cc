@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -109,33 +111,89 @@ TEST_F(CompiledProgramTest, DisassemblyRoundTripsThroughSaveRestore) {
   EXPECT_EQ(pft2.ListCompiled(), disasm);
 }
 
-TEST_F(CompiledProgramTest, BucketsRePointAtEntrySlices) {
-  ASSERT_TRUE(pft_.ExecAll(RepresentativeRules()).ok());
+// The rules an entry-table slice names, in slice order.
+std::vector<const Rule*> SliceRules(const PfProgram& prog, uint32_t off, uint32_t len) {
+  std::vector<const Rule*> out;
+  for (uint32_t i = 0; i < len; ++i) {
+    out.push_back(prog.rules[prog.entries[off + i]].rule);
+  }
+  return out;
+}
+
+// Lowering builds each chain's dispatch table. Every expectation below is
+// worked out from the chain's own rules, not from another table.
+TEST_F(CompiledProgramTest, DispatchTableFollowsChainRules) {
+  std::vector<std::string> rules = RepresentativeRules();
+  rules.push_back("pftables -p /bin/true -i 0x100 -o FILE_READ -j DROP");
+  rules.push_back("pftables -p /bin/true -i 0x100 -j LOG --prefix any-op");
+  rules.push_back("pftables -P output DROP");
+  ASSERT_TRUE(pft_.ExecAll(rules).ok());
   auto snap = engine_->CompileRuleset();
   const PfProgram& prog = snap->program;
-  ASSERT_EQ(prog.chains.size(), snap->compiled.size());
+  ASSERT_EQ(prog.chains.size(), snap->rules.filter().chains().size());
 
-  for (const auto& [chain, cc] : snap->compiled) {
-    ASSERT_GE(cc.program_chain, 0) << chain->name();
-    const ProgramChain& pc = prog.chains[static_cast<size_t>(cc.program_chain)];
-    EXPECT_EQ(pc.name, chain->name());
-    EXPECT_EQ(pc.op_mask, cc.op_mask);
+  // Only syscallbegin pins syscall numbers (--arg 0 --equal 2); input and
+  // guard hold rules without -o and without a pinned number, and output's
+  // DROP policy sets every bit.
+  const std::map<std::string, uint64_t> nr_masks = {
+      {"create", 0},       {"guard", ~0ull}, {"input", ~0ull},
+      {"output", ~0ull},   {"syscallbegin", 1ull << 2}};
+
+  for (const auto& [name, chain] : snap->rules.filter().chains()) {
+    const int32_t id = prog.FindChain(name);
+    ASSERT_GE(id, 0) << name;
+    const ProgramChain& pc = prog.chains[static_cast<size_t>(id)];
+    ASSERT_EQ(pc.rules.size(), chain.size()) << name;
+    uint64_t op_mask = 0;
     for (size_t op = 0; op < sim::kOpCount; ++op) {
-      const OpBucket& ob = cc.ops[op];
+      std::vector<const Rule*> all;
+      std::vector<const Rule*> plain;
+      bool has_indexed = false;
+      for (const auto& rule : chain.rules()) {
+        if (rule->op && static_cast<size_t>(*rule->op) != op) {
+          continue;
+        }
+        all.push_back(rule.get());
+        if (rule->IndexableByEntrypoint()) {
+          has_indexed = true;
+        } else {
+          plain.push_back(rule.get());
+        }
+      }
       const ProgramBucket& pb = pc.ops[op];
-      ASSERT_EQ(pb.all_len, ob.all.size());
-      ASSERT_EQ(pb.plain_len, ob.plain.size());
-      EXPECT_EQ(pb.has_indexed, ob.has_indexed);
-      // The entry-table slice resolves to exactly the bucket's rules, in
-      // bucket order.
-      for (size_t i = 0; i < ob.all.size(); ++i) {
-        EXPECT_EQ(prog.rules[prog.entries[pb.all_off + i]].rule, ob.all[i]);
+      EXPECT_EQ(SliceRules(prog, pb.all_off, pb.all_len), all) << name << " op " << op;
+      EXPECT_EQ(SliceRules(prog, pb.plain_off, pb.plain_len), plain) << name << " op " << op;
+      EXPECT_EQ(pb.has_indexed, has_indexed) << name << " op " << op;
+      op_mask |= all.empty() ? 0 : 1ull << op;
+    }
+    EXPECT_EQ(pc.op_mask, op_mask) << name;
+    EXPECT_EQ(pc.nr_mask, nr_masks.at(name)) << name;
+
+    // Every indexable rule sits under its (image, offset) key, in chain order.
+    std::vector<std::pair<EptKey, std::vector<const Rule*>>> keys;
+    for (const auto& rule : chain.rules()) {
+      if (!rule->IndexableByEntrypoint()) {
+        continue;
       }
-      for (size_t i = 0; i < ob.plain.size(); ++i) {
-        EXPECT_EQ(prog.rules[prog.entries[pb.plain_off + i]].rule, ob.plain[i]);
+      const EptKey key{rule->program_file, *rule->entrypoint};
+      auto it = std::find_if(keys.begin(), keys.end(),
+                             [&key](const auto& k) { return k.first == key; });
+      if (it == keys.end()) {
+        it = keys.insert(keys.end(), {key, {}});
       }
+      it->second.push_back(rule.get());
+    }
+    ASSERT_EQ(pc.ept.size(), keys.size()) << name;
+    for (const auto& [key, key_rules] : keys) {
+      const EptItem* item = pc.ept.Find(key);
+      ASSERT_NE(item, nullptr) << name << " +0x" << std::hex << key.offset;
+      EXPECT_EQ(SliceRules(prog, item->off, item->len), key_rules)
+          << name << " +0x" << std::hex << key.offset;
     }
   }
+  // The index holds two keys, one of them with three rules.
+  const ProgramChain& input = prog.chains[static_cast<size_t>(prog.root_input)];
+  ASSERT_EQ(input.ept.size(), 2u);
 }
 
 TEST_F(CompiledProgramTest, RuleBodiesAreContiguousAlignedRecords) {
@@ -247,6 +305,50 @@ TEST(EntrypointIndexTest, EveryKeyIsFoundPastCollisions) {
     rig.task.mm.PopFrame();
   }
   EXPECT_EQ(rig.engine->stats().ept_chain_hits, kKeys);
+}
+
+// One key's three rules, interleaved with plain rules and with rules of
+// other keys. They pass a STATE value along (step 1, step 2, then DROP), so
+// the decision denies only when it reaches them in chain order; any other
+// grouping of the key's rules lets the request through.
+TEST(EntrypointIndexTest, OneKeysRulesKeepChainOrder) {
+  const std::vector<std::string> rules = {
+      "pftables -p /bin/true -i 0x100 -o FILE_OPEN -j STATE --set --key step --value 1",
+      "pftables -o FILE_OPEN -d shadow_t -j DROP",
+      "pftables -p /bin/true -i 0x200 -o FILE_OPEN -j DROP",
+      "pftables -p /bin/true -i 0x100 -o FILE_OPEN -m STATE --key step --cmp 1 "
+      "-j STATE --set --key step --value 2",
+      "pftables -o FILE_OPEN -m STATE --key step --cmp 9 -j DROP",
+      "pftables -p /bin/true -i 0x300 -j ACCEPT",
+      "pftables -p /bin/true -i 0x100 -o FILE_OPEN -m STATE --key step --cmp 2 -j DROP",
+  };
+  for (const bool ept : {false, true}) {
+    SCOPED_TRACE(ept ? "ept_chains on" : "ept_chains off");
+    EngineConfig cfg;
+    cfg.ept_chains = ept;
+    DecisionRig rig(rules, cfg);
+    const auto snap = rig.engine->PublishedRuleset();
+    const PfProgram& prog = snap->program;
+    const ProgramChain& input = prog.chains[static_cast<size_t>(prog.root_input)];
+    const EptItem* item =
+        input.ept.Find(EptKey{rig.kernel.LookupNoHooks(sim::kBinTrue)->id(), 0x100});
+    ASSERT_NE(item, nullptr);
+    std::vector<uint32_t> positions;
+    for (uint32_t i = 0; i < item->len; ++i) {
+      positions.push_back(prog.rules[prog.entries[item->off + i]].chain_index + 1);
+    }
+    EXPECT_EQ(positions, (std::vector<uint32_t>{1, 4, 7}));
+
+    rig.Frame(0x100);
+    EXPECT_EQ(rig.Decide(rig.Open("/etc/passwd")), kDeny);
+    EXPECT_EQ(rig.Dict().at("step"), 2);
+    for (const size_t pos : {1, 4, 7}) {
+      EXPECT_EQ(rig.Hits(pos), 1u) << "rule " << pos;
+    }
+    // The index skips the other keys' rules; the full scan evaluates them.
+    EXPECT_EQ(rig.Evals(3), ept ? 0u : 1u);
+    EXPECT_EQ(rig.Evals(6), ept ? 0u : 1u);
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -19,9 +20,11 @@
 #include <vector>
 
 #include "src/apps/programs.h"
+#include "src/audit/hub.h"
 #include "src/core/engine.h"
 #include "src/core/pftables.h"
 #include "src/sim/sysimage.h"
+#include "src/trace/hub.h"
 
 namespace pf::core {
 namespace {
@@ -334,6 +337,65 @@ TEST(ConcurrentEngineTest, StateDictSafeUnderSharedTaskWrites) {
   PfTaskState& state = rig.engine->TaskState(*task);
   EXPECT_EQ(state.dict.at("b"), 1);
   EXPECT_EQ(state.dict.size(), 1u);
+}
+
+// Past kMaxWorkers live threads, the workers beyond the hubs' rings share
+// each hub's overflow lane. With no consumer running meanwhile, every record
+// a hub counts as pushed is drained afterwards or counted as a drop, on both
+// hubs; a lane written by two producers at once loses records from that sum.
+TEST(ConcurrentEngineTest, TraceAndAuditConservePastTheRingCount) {
+  if (!trace::kTraceCompiledIn || !audit::kAuditCompiledIn) {
+    GTEST_SKIP() << "tracing or audit compiled out";
+  }
+  constexpr size_t kLanes = trace::TraceHub::kMaxWorkers;
+  constexpr int kLiveThreads = static_cast<int>(kLanes) + 8;
+  constexpr int kDecisions = 1500;
+  Rig rig;
+  rig.engine->trace().Enable();
+  audit::AuditHub::Config cfg;
+  cfg.bucket_capacity = 0;  // no suppression: every denial is pushed
+  rig.engine->audit().Enable(cfg);
+  auto shadow = rig.kernel.LookupNoHooks("/etc/shadow");
+  auto passwd = rig.kernel.LookupNoHooks("/etc/passwd");
+  std::vector<std::unique_ptr<sim::Task>> tasks;
+  for (int t = 0; t < kLiveThreads; ++t) {
+    tasks.push_back(rig.MakeTask(t));
+  }
+
+  // Every thread leases its index before any decides, so all are live at
+  // once and at least eight hold an index past the rings.
+  std::barrier leased(kLiveThreads);
+  std::atomic<size_t> max_index{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kLiveThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const size_t mine = WorkerIndex();
+      size_t seen = max_index.load();
+      while (mine > seen && !max_index.compare_exchange_weak(seen, mine)) {
+      }
+      leased.arrive_and_wait();
+      Hammer(rig, *tasks[t], shadow.get(), passwd.get(), kDecisions, true);
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  ASSERT_GE(max_index.load(), kLanes) << "no thread leased an index past the rings";
+
+  trace::TraceHub& tr = rig.engine->trace();
+  const uint64_t traced = tr.records();
+  EXPECT_EQ(traced, rig.engine->stats().trace_records);
+  const uint64_t trace_drained = tr.Drain().size();
+  EXPECT_EQ(traced, trace_drained + tr.drops())
+      << "drained " << trace_drained << ", dropped " << tr.drops();
+
+  audit::AuditHub& au = rig.engine->audit();
+  EXPECT_EQ(au.emitted(), uint64_t{kLiveThreads} * kDecisions / 2);
+  EXPECT_EQ(au.emitted(), au.records() + au.suppressed());
+  const uint64_t pushed = au.records();
+  const uint64_t audit_drained = au.Drain().size();
+  EXPECT_EQ(pushed, audit_drained + au.ring_drops())
+      << "drained " << audit_drained << ", dropped " << au.ring_drops();
 }
 
 }  // namespace

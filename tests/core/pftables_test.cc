@@ -198,10 +198,19 @@ TEST_F(PftablesTest, ListRendersRules) {
 TEST_F(PftablesTest, EntrypointIndexBuilt) {
   ASSERT_TRUE(pft_.Exec("pftables -p /usr/bin/php5 -i 0x27ad2c -o FILE_OPEN -j DROP").ok());
   ASSERT_TRUE(pft_.Exec("pftables -o LNK_FILE_READ -d tmp_t -j DROP").ok());
-  const Chain* input = engine_->ruleset().filter().Find("input");
-  ASSERT_TRUE(input->index_built());
-  EXPECT_EQ(input->indexed_entrypoints(), 1u);
-  EXPECT_EQ(input->plain_rules().size(), 1u);
+  // The published program's input chain indexes the -p/-i rule under its
+  // one entrypoint and scans the other as its plain slice.
+  const auto published = engine_->PublishedRuleset();
+  const PfProgram& prog = published->program;
+  const ProgramChain& input = prog.chains[static_cast<size_t>(prog.root_input)];
+  EXPECT_EQ(input.ept.size(), 1u);
+  const ProgramBucket& link_read =
+      input.ops[static_cast<size_t>(sim::Op::kLnkFileRead)];
+  ASSERT_EQ(link_read.plain_len, 1u);
+  EXPECT_EQ(prog.rules[prog.entries[link_read.plain_off]].chain_index, 1u);
+  const ProgramBucket& open = input.ops[static_cast<size_t>(sim::Op::kFileOpen)];
+  EXPECT_TRUE(open.has_indexed);
+  EXPECT_EQ(open.plain_len, 0u);
 }
 
 TEST_F(PftablesTest, MangleTableIsSeparate) {

@@ -1,4 +1,4 @@
-// The SYSCALL_BEGIN syscall-number prefilter (CompiledChain::nr_mask).
+// The SYSCALL_BEGIN syscall-number prefilter (ProgramChain::nr_mask).
 //
 // At commit the engine records which syscall numbers the syscallbegin
 // chain's rules can match: a rule pins a number only with
@@ -59,7 +59,10 @@ struct Rig {
     return engine->Authorize(req);
   }
 
-  uint64_t NrMask() const { return engine->PublishedRuleset()->cc_syscallbegin->nr_mask; }
+  uint64_t NrMask() const {
+    const auto rs = engine->PublishedRuleset();
+    return rs->program.chains[static_cast<size_t>(rs->program.root_syscallbegin)].nr_mask;
+  }
 
   // Per-rule hit counters of one chain, in chain order.
   std::vector<uint64_t> Hits(const char* chain) const {

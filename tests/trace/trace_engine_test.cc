@@ -5,11 +5,17 @@
 // the attribution without changing the non-verbose rendering.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/apps/programs.h"
+#include "src/audit/hub.h"
 #include "src/core/engine.h"
 #include "src/core/pftables.h"
 #include "src/sim/sysimage.h"
@@ -271,6 +277,70 @@ TEST(TraceEngineTest, TraceRecordsSurfaceInEngineStats) {
   EngineStats s = rig.engine->stats();
   EXPECT_EQ(s.trace_records, 4u);
   EXPECT_EQ(s.trace_drops, 0u);
+}
+
+// The rings are single-producer, so a worker whose index is past the
+// hubs' rings must not write a ring a live worker owns. Threads lease
+// indices and stay parked until one holds index kMaxWorkers; that thread
+// makes a traced and audited denial, with kMaxWorkers + 1 leases live.
+TEST(TraceEngineTest, WorkerPastTheRingsWritesTheOverflowLane) {
+  if (!trace::kTraceCompiledIn || !audit::kAuditCompiledIn) {
+    GTEST_SKIP() << "tracing or audit compiled out";
+  }
+  constexpr size_t kLane = trace::TraceHub::kMaxWorkers;
+  static_assert(kLane == audit::AuditHub::kMaxWorkers);
+  Rig rig;
+  ASSERT_TRUE(rig.Install({"pftables -o FILE_OPEN -d shadow_t -j DROP"}).ok());
+  rig.engine->trace().Enable();
+  rig.engine->audit().Enable();
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<bool> found{false};
+  int64_t verdict = 0;
+  std::vector<std::thread> parked;
+  // Every parked thread holds a distinct index, so 4 * kLane threads cover
+  // any index the registry handed out before this test.
+  for (size_t n = 0; n < 4 * kLane && !found.load(); ++n) {
+    std::promise<void> leased;
+    std::future<void> ready = leased.get_future();
+    parked.emplace_back([&, leased = std::move(leased)]() mutable {
+      if (WorkerIndex() == kLane) {
+        verdict = rig.Open("/etc/shadow");
+        found.store(true);
+      }
+      leased.set_value();
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return release; });
+    });
+    ready.wait();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  for (std::thread& t : parked) {
+    t.join();
+  }
+
+  ASSERT_TRUE(found.load()) << "no thread leased index " << kLane;
+  EXPECT_LT(verdict, 0);
+  for (size_t w = 0; w < kLane; ++w) {
+    EXPECT_EQ(rig.engine->trace().ring(w), nullptr) << "trace ring " << w;
+    EXPECT_EQ(rig.engine->audit().ring(w), nullptr) << "audit ring " << w;
+  }
+  ASSERT_NE(rig.engine->trace().ring(kLane), nullptr);
+  ASSERT_NE(rig.engine->audit().ring(kLane), nullptr);
+  const std::vector<TraceRecord> traced = rig.engine->trace().Drain();
+  ASSERT_FALSE(traced.empty());
+  for (const TraceRecord& r : traced) {
+    EXPECT_EQ(r.worker, kLane);
+  }
+  const std::vector<audit::AuditRecord> audited = rig.engine->audit().Drain();
+  ASSERT_EQ(audited.size(), 1u);
+  EXPECT_EQ(audited[0].worker, kLane);
 }
 
 }  // namespace
